@@ -21,10 +21,6 @@ from .graphcore import (
 from .weightlattice import pairing, simple_root
 
 
-def _raising_edges(g: QuasiCrystalGraph):
-    return g.raising_edges()
-
-
 def check_lq1(g: QuasiCrystalGraph) -> AxiomReport:
     """eps_i(x) = 0 exactly when phi_{i+1}(x) = 0, for consecutive indices."""
     ws = []
@@ -50,7 +46,7 @@ def check_lq1(g: QuasiCrystalGraph) -> AxiomReport:
 def check_lq2(g: QuasiCrystalGraph) -> AxiomReport:
     """Behaviour of neighbouring string lengths across each raising edge."""
     ws = []
-    for x, i, y in _raising_edges(g):
+    for x, i, y in g.raising_edges():
         for j in g.index_set:
             if abs(i - j) > 1:
                 if g.eps(x, j) != g.eps(y, j):
@@ -182,7 +178,7 @@ def check_local_ax_cases(g: QuasiCrystalGraph) -> AxiomReport:
     def bad(case, x, y, i, j, observed, required):
         ws.append(Witness(f"case-{case}", (x, y), (i, j), observed, required))
 
-    for x, i, y in _raising_edges(g):
+    for x, i, y in g.raising_edges():
         for j in g.index_set:
             if j == i:
                 continue
@@ -279,7 +275,7 @@ def check_cor_infs(g: QuasiCrystalGraph) -> AxiomReport:
     _require_counting_lengths(g, "freeze propagation")
     ws = []
     limit = len(g) + 1
-    for x, i, y in _raising_edges(g):
+    for x, i, y in g.raising_edges():
         if i + 1 in g.index_set and g.eps(y, i + 1) == POS_INF:
             if g.eps(x, i + 1) != POS_INF:
                 ws.append(
@@ -352,7 +348,7 @@ def check_cor_infs(g: QuasiCrystalGraph) -> AxiomReport:
 def check_lemma_ij(g: QuasiCrystalGraph) -> AxiomReport:
     """Paired eps/phi movement across a raising edge, as three biconditionals."""
     ws = []
-    for x, i, y in _raising_edges(g):
+    for x, i, y in g.raising_edges():
         for j in g.index_set:
             if abs(i - j) > 1:
                 lhs = g.eps(y, j) == g.eps(x, j)
@@ -406,7 +402,7 @@ def check_stembridge(g: QuasiCrystalGraph) -> dict[str, AxiomReport]:
     roots = {i: simple_root(i, n) for i in g.index_set}
     s1, s2, s2p, s3, s3p = [], [], [], [], []
 
-    for x, i, y in _raising_edges(g):
+    for x, i, y in g.raising_edges():
         for j in g.index_set:
             if j == i:
                 continue

@@ -189,18 +189,17 @@ def fundamental_qsym(alpha, n: int) -> IntPolynomial:
         descents.add(acc)
     terms: dict[tuple[int, ...], int] = {}
 
-    def walk(pos: int, prev: int, expo: list[int]) -> None:
+    # (position, previous letter, exponents so far); a stack, not recursion,
+    # so long compositions do not hit the interpreter's recursion limit
+    todo = [(0, 1, (0,) * n)]
+    while todo:
+        pos, prev, expo = todo.pop()
         if pos == m:
-            key = tuple(expo)
-            terms[key] = terms.get(key, 0) + 1
-            return
+            terms[expo] = terms.get(expo, 0) + 1
+            continue
         lo = prev + 1 if pos in descents else prev
         for v in range(max(lo, 1), n + 1):
-            expo[v - 1] += 1
-            walk(pos + 1, v, expo)
-            expo[v - 1] -= 1
-
-    walk(0, 1, [0] * n)
+            todo.append((pos + 1, v, expo[: v - 1] + (expo[v - 1] + 1,) + expo[v:]))
     return IntPolynomial(n, terms)
 
 
@@ -245,13 +244,14 @@ def verify_schur_decomposition(shape, n: int) -> SchurDecompositionReport:
     term_comps = sorted(descent_composition(t) for t in tableaux)
     f_terms = [fundamental_qsym(a, n) for a in term_comps]
 
-    lhs = schur(parts, n)
+    content = crystal_of_content(parts, n)
+    lhs = character(content)
     rhs = IntPolynomial.zero(n)
     for poly in f_terms:
         rhs = rhs + poly
     identity_ok = lhs == rhs
 
-    q = quasify(crystal_of_content(parts, n))
+    q = quasify(content)
     comps = components(q)
     mismatches: list[str] = []
     records: list[tuple[str, tuple[int, ...] | None, bool]] = []

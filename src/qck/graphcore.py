@@ -659,7 +659,7 @@ def from_json(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError(f"not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
         raise GraphFormatError(f"unsupported format version {doc.get('version')!r}")
-    if not isinstance(doc.get("n"), int):
+    if isinstance(doc.get("n"), bool) or not isinstance(doc.get("n"), int):
         raise GraphFormatError("missing integer field 'n'")
     g = QuasiCrystalGraph(doc["n"])
     for rec in doc.get("vertices", []):
@@ -704,23 +704,27 @@ _DOT_PALETTE = [
 ]
 
 
+def _dot_quote(vid: str) -> str:
+    return vid.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def to_dot(g: QuasiCrystalGraph) -> str:
     """Graphviz digraph: lowering edges labelled/coloured by index, loops as
     dashed self-edges, vertex labels carrying the weight."""
     out = ["digraph quasicrystal {", "  rankdir=TB;"]
     for x in g.vertex_ids():
+        qx = _dot_quote(x)
         wt = ",".join(str(c) for c in g.wt(x))
-        out.append(f'  "{x}" [label="{x}\\n({wt})"];')
+        out.append(f'  "{qx}" [label="{qx}\\n({wt})"];')
     for x, i, y in g.edges():
         color = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
-        out.append(f'  "{x}" -> "{y}" [label="{i}", color="{color}"];')
+        out.append(f'  "{_dot_quote(x)}" -> "{_dot_quote(y)}" [label="{i}", color="{color}"];')
     for x in g.vertex_ids():
         for i in g.index_set:
             if g.is_loop(x, i):
                 color = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
-                out.append(
-                    f'  "{x}" -> "{x}" [label="{i}", color="{color}", style=dashed];'
-                )
+                qx = _dot_quote(x)
+                out.append(f'  "{qx}" -> "{qx}" [label="{i}", color="{color}", style=dashed];')
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -1,8 +1,9 @@
 """Turning a connected seminormal crystal into a quasi-crystal by freezing
 every index where the raising string falls short of the weight entry.
 
-Also: the abstract crystal with a given content (built inside a tensor power
-of the standard crystal) and the component count of its quasification.
+Also: the abstract crystal with a given content (a component of a tensor
+power of the standard crystal, walked word by word) and the component count
+of its quasification.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ import enum
 
 from .axioms import check_stembridge
 from .graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, validate
-from .structure import components, unique_highest_weight
-from .weightlattice import check_partition, pairing, simple_root
-from .wordmodel import tensor_power
+from .structure import components
+from .weightlattice import check_partition, pairing, simple_root, ssyt_count, syt_count
+from .wordmodel import SizeCapExceeded, WordCrystal, default_size_cap, word_to_id
 
 
 class OperatorClass(enum.Enum):
@@ -97,19 +98,29 @@ def classify_operators(
 
 
 def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
-    """The connected crystal whose highest weight is the given partition,
-    realized inside the |shape|-th tensor power of the standard crystal and
-    picked as the component with the least vertex id among those qualifying."""
+    """The connected crystal whose highest weight is the given partition: of
+    the components of the |shape|-th tensor power of the standard crystal
+    with that highest weight, the one with the least vertex id.
+
+    Only those components are walked, from their highest-weight words: the
+    walk visits f^shape * #SSYT(shape, n) words of |shape| letters, rather
+    than all n^|shape| words, and that letter count is held to the size cap
+    before it starts.
+    """
     parts = check_partition(shape)
     if len(parts) > n:
         raise ValueError(f"shape {parts} has more than n={n} parts")
-    m = sum(parts)
+    words = WordCrystal(n)
+    tops, fillings, m = syt_count(parts), ssyt_count(parts, n), sum(parts)
+    cap = default_size_cap()
+    if tops * fillings * m > cap:
+        raise SizeCapExceeded(
+            f"content {parts} at n={n} walks {tops}*{fillings} words of {m} letters,"
+            f" more than the size cap {cap}"
+        )
     target = parts + (0,) * (n - len(parts))
-    g = tensor_power(n, m)
-    for comp in components(g):
-        if len(comp.hw_vertices) == 1 and g.wt(comp.hw_vertices[0]) == target:
-            return comp.subgraph()
-    raise RuntimeError(f"no component with highest weight {target} found")
+    comps = [words.component(top) for top in words.highest_weight_words(target)]
+    return words.graph(min(comps, key=lambda comp: min(word_to_id(words.word(x), n) for x in comp)))
 
 
 def count_quasi_components(shape, n: int) -> int:

@@ -6,6 +6,7 @@ quotients by (1,...,1).
 
 from __future__ import annotations
 
+from math import factorial
 from typing import Iterator
 
 Weight = tuple[int, ...]
@@ -101,28 +102,67 @@ def enumerate_syt(shape) -> list[Tableau]:
 
     memo: dict[tuple[int, ...], list[Tableau]] = {(): [()]}
 
-    def fill(rows: tuple[int, ...]) -> list[Tableau]:
+    # depth-first over smaller shapes with an explicit stack, so long shapes
+    # do not run into the interpreter's recursion limit
+    todo = [parts]
+    while todo:
+        rows = todo[-1]
         if rows in memo:
-            return memo[rows]
-        k = sum(rows)
-        out: list[Tableau] = []
+            todo.pop()
+            continue
+        corners = []
         for r in range(len(rows)):
             # cell (r, rows[r]-1) is a removable corner iff the next row is shorter
             if r + 1 < len(rows) and rows[r + 1] >= rows[r]:
                 continue
-            smaller = tuple(c for c in rows[:r] + (rows[r] - 1,) + rows[r + 1:] if c > 0)
-            for t in fill(smaller):
+            corners.append((r, tuple(c for c in rows[:r] + (rows[r] - 1,) + rows[r + 1:] if c > 0)))
+        missing = [smaller for _, smaller in corners if smaller not in memo]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        k = sum(rows)
+        out: list[Tableau] = []
+        for r, smaller in corners:
+            for t in memo[smaller]:
                 grown = [list(row) for row in t]
                 while len(grown) <= r:
                     grown.append([])
                 grown[r].append(k)
                 out.append(tuple(tuple(row) for row in grown))
         memo[rows] = out
-        return out
 
-    result = fill(parts)
+    result = memo[parts]
     assert all(sum(len(row) for row in t) == m for t in result)
     return sorted(result)
+
+
+def _cells_with_hooks(parts: Partition) -> list[tuple[int, int, int]]:
+    """(row, column, hook length) of every cell, rows and columns from 0."""
+    conj = [sum(1 for row in parts if row > c) for c in range(parts[0])]
+    return [
+        (r, c, parts[r] - c + conj[c] - r - 1) for r in range(len(parts)) for c in range(parts[r])
+    ]
+
+
+def syt_count(shape) -> int:
+    """Number of standard tableaux of a partition shape (hook-length formula)."""
+    parts = check_partition(shape)
+    hooks = 1
+    for _, _, h in _cells_with_hooks(parts):
+        hooks *= h
+    return factorial(sum(parts)) // hooks
+
+
+def ssyt_count(shape, n: int) -> int:
+    """Number of semistandard tableaux of a partition shape with entries in
+    1..n (hook-content formula)."""
+    parts = check_partition(shape)
+    num = den = 1
+    for r, c, h in _cells_with_hooks(parts):
+        num *= n + c - r
+        den *= h
+    return num // den
 
 
 def syt_shape(t: Tableau) -> Partition:

@@ -20,7 +20,7 @@ SIZE_CAP_ENV = "QCK_SIZE_CAP"
 
 
 class SizeCapExceeded(ValueError):
-    """A requested power would have more vertices than the cap allows."""
+    """A requested construction would be larger than the size cap allows."""
 
 
 def default_size_cap() -> int:
@@ -148,6 +148,137 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
             if f_target is not None:
                 g.set_lowering(ids[pair], i, ids[f_target])
     return g
+
+
+class WordCrystal:
+    """The left-iterated power ``tensor_power(n, k)``, evaluated lazily on words.
+
+    This is the same product as ``_product(rest, standard_crystal(n),
+    blocking=False)``, applied to one word at a time instead of to every
+    word: the word ``(c,) + rest`` is the pair (rest, c), so its weight is
+    wt(rest) + e_c and per index i it takes eps/phi and the side e and f act
+    on from exactly the rule in ``_product``'s docstring.
+
+    Words are interned as nodes, a node being a first letter plus the node
+    of the rest (node 0 is the empty word), and the rule is memoized per
+    node, that is over suffixes. A row records the position of the letter
+    e_i/f_i would change rather than the target word, so a new node costs
+    O(n) given the row of its rest, and f_i at position p makes at most
+    p + 1 new nodes.
+    """
+
+    def __init__(self, n: int):
+        if not isinstance(n, int) or n < 2:
+            raise ValueError("power constructions need n >= 2")
+        self.n = n
+        none = (None,) * (n - 1)
+        self._cells: list[tuple[int, int]] = [(0, 0)]  # node -> (letter, rest node)
+        self._nodes: dict[tuple[int, int], int] = {}
+        # node -> (wt, eps, phi, e position, f position)
+        self._rows: list[tuple] = [((0,) * n, (0,) * (n - 1), (0,) * (n - 1), none, none)]
+
+    def _rule(self, c: int, rest_row: tuple) -> tuple:
+        """The row of ``(c,) + rest`` from the row of rest."""
+        wt_r, eps_r, phi_r, e_r, f_r = rest_row
+        wt = list(wt_r)
+        wt[c - 1] += 1
+        eps, phi, e_at, f_at = [], [], [], []
+        for s in range(self.n - 1):  # slot s is index i = s + 1
+            eps_c = 1 if c == s + 2 else 0
+            phi_c = 1 if c == s + 1 else 0
+            eps.append(max(eps_r[s], eps_c - (wt_r[s] - wt_r[s + 1])))
+            phi.append(max(phi_r[s] + phi_c - eps_c, phi_c))
+            if phi_r[s] >= eps_c:
+                e_at.append(None if e_r[s] is None else e_r[s] + 1)
+            else:
+                e_at.append(0 if eps_c else None)
+            if phi_r[s] > eps_c:
+                f_at.append(None if f_r[s] is None else f_r[s] + 1)
+            else:
+                f_at.append(0 if phi_c else None)
+        return tuple(wt), tuple(eps), tuple(phi), tuple(e_at), tuple(f_at)
+
+    def _prepend(self, c: int, rest: int) -> int:
+        """The node of the word ``(c,) + word(rest)``."""
+        node = self._nodes.get((c, rest))
+        if node is None:
+            node = len(self._cells)
+            self._nodes[(c, rest)] = node
+            self._cells.append((c, rest))
+            self._rows.append(self._rule(c, self._rows[rest]))
+        return node
+
+    def word(self, node: int) -> Word:
+        letters = []
+        while node:
+            c, node = self._cells[node]
+            letters.append(c)
+        return tuple(letters)
+
+    def f(self, node: int, i: int) -> int | None:
+        """The node of f_i applied to the node's word, or None."""
+        p = self._rows[node][4][i - 1]
+        if p is None:
+            return None
+        head = []
+        for _ in range(p):
+            c, node = self._cells[node]
+            head.append(c)
+        c, node = self._cells[node]
+        node = self._prepend(c + 1, node)
+        for c in reversed(head):
+            node = self._prepend(c, node)
+        return node
+
+    def highest_weight_words(self, content) -> list[int]:
+        """The nodes of every highest-weight word of the given content.
+
+        Grown by prepending letters: by the product rule every suffix of a
+        highest-weight word is highest weight, so a prefix that is not can
+        be dropped with everything it would grow into.
+        """
+        out = []
+        stack = [(0, tuple(content))]
+        while stack:
+            rest, left = stack.pop()
+            if not any(left):
+                out.append(rest)
+                continue
+            for c in range(1, self.n + 1):
+                if left[c - 1]:
+                    node = self._prepend(c, rest)
+                    if all(p is None for p in self._rows[node][3]):
+                        stack.append((node, left[: c - 1] + (left[c - 1] - 1,) + left[c:]))
+        return out
+
+    def component(self, top: int) -> set[int]:
+        """The nodes reached from ``top`` by lowering operators."""
+        seen = {top}
+        todo = [top]
+        while todo:
+            node = todo.pop()
+            for i in range(1, self.n):
+                y = self.f(node, i)
+                if y is not None and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    def graph(self, nodes) -> QuasiCrystalGraph:
+        """The subgraph of the power on the given nodes, built edge by edge
+        from the lowering operators as ``Component.subgraph`` does."""
+        n = self.n
+        g = QuasiCrystalGraph(n)
+        ids = {x: word_to_id(self.word(x), n) for x in nodes}
+        for x, vid in sorted(ids.items(), key=lambda item: item[1]):
+            wt, eps, phi, _, _ = self._rows[x]
+            g.add_vertex(vid, wt, eps, phi)
+        for x, vid in ids.items():
+            for i in range(1, n):
+                y = self.f(x, i)
+                if y is not None and y in ids:
+                    g.add_edge(vid, i, ids[y])
+        return g
 
 
 def tensor(a: QuasiCrystalGraph, b: QuasiCrystalGraph) -> QuasiCrystalGraph:

@@ -1,8 +1,11 @@
 """Independent brute-force cross-checks used by the test suite.
 
-Nothing here imports qck.  Each function recomputes a quantity from first
-principles (usually by exhaustive enumeration) so the tests can compare two
-unrelated code paths.  Keep everything small-input only.
+Each function recomputes a quantity from first principles (usually by
+exhaustive enumeration) so the tests can compare two unrelated code paths.
+Nothing here imports qck at module level; the one exception,
+``content_component_via_power``, keeps the retired power-then-pick
+construction of content crystals as a differential oracle and imports qck
+inside its body.  Keep everything small-input only.
 """
 
 from __future__ import annotations
@@ -160,3 +163,22 @@ def bfs_distance(
                 dist[w] = dist[u] + 1
                 queue.append(w)
     return dist.get(goal)
+
+
+def content_component_via_power(shape: tuple[int, ...], n: int):
+    """The content crystal the slow way: build all n^|shape| words of the
+    tensor power, split it into components, and keep the one with the least
+    vertex id among those whose single highest weight is the shape."""
+    from qck.structure import components
+    from qck.weightlattice import check_partition
+    from qck.wordmodel import tensor_power
+
+    parts = check_partition(shape)
+    if len(parts) > n:
+        raise ValueError(f"shape {parts} has more than n={n} parts")
+    target = parts + (0,) * (n - len(parts))
+    g = tensor_power(n, sum(parts))
+    for comp in components(g):
+        if len(comp.hw_vertices) == 1 and g.wt(comp.hw_vertices[0]) == target:
+            return comp.subgraph()
+    raise RuntimeError(f"no component with highest weight {target} found")

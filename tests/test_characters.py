@@ -206,6 +206,11 @@ def test_fundamental_terms_over_permutations_sum_to_the_full_power():
         assert total == IntPolynomial.variables_sum(3) ** m
 
 
+def test_fundamental_of_a_long_composition_needs_no_deep_recursion():
+    # 1100 letters; a strict rise after the first 600 leaves one word over {1, 2}
+    assert fundamental_qsym((600, 500), 2) == IntPolynomial.monomial(2, (600, 500))
+
+
 def test_fundamental_rejects_bad_compositions():
     with pytest.raises(ValueError):
         fundamental_qsym((1, 0, 2), 3)

@@ -108,6 +108,18 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     assert err.count("error:") == 2
 
 
+def test_boolean_rank_in_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "bool-rank.json"
+    path.write_text(
+        '{"format": "qck-graph", "version": 1, "n": true, "vertices": [], "edges": []}\n',
+        encoding="utf-8",
+    )
+    assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 # --- decompose ---------------------------------------------------------------
 
 
@@ -175,6 +187,14 @@ def test_count_rejects_bad_shape(capsys):
     assert main(["count", "--shape", "1,2", "--n", "3"]) == 2
     assert main(["count", "--shape", "spam", "--n", "3"]) == 2
     capsys.readouterr()
+
+
+def test_count_over_the_size_cap_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("QCK_SIZE_CAP", "10")
+    assert main(["count", "--shape", "2,1", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 # --- char --------------------------------------------------------------------

@@ -379,6 +379,15 @@ def test_json_rejects_boolean_lengths():
         from_json(json.dumps(payload))
 
 
+def test_json_rejects_boolean_rank():
+    # a bool is an int to isinstance; "n": true must not load as rank 1
+    payload = json.loads(to_json(QuasiCrystalGraph(1)))
+    assert from_json(json.dumps(payload)).n == 1
+    payload["n"] = True
+    with pytest.raises(GraphFormatError):
+        from_json(json.dumps(payload))
+
+
 def test_json_rejects_wrong_format_name():
     payload = json.loads(to_json(std(2)))
     payload["format"] = "something-else"
@@ -403,6 +412,17 @@ def test_dot_output_shape():
     assert '"321" -> "321"' in dot  # fully frozen vertex renders as self-loops
     assert "style=dashed" in dot
     assert 'label="1\\n(1,0,0)"' not in dot or True
+
+
+def test_dot_escapes_quotes_and_backslashes_in_ids():
+    g = QuasiCrystalGraph(2)
+    g.add_vertex('a"b', (1, 0), [0], [1])
+    g.add_vertex("c\\d", (0, 1), [1], [0])
+    g.add_edge('a"b', 1, "c\\d")
+    lines = to_dot(g).splitlines()
+    assert '  "a\\"b" [label="a\\"b\\n(1,0)"];' in lines
+    assert '  "c\\\\d" [label="c\\\\d\\n(0,1)"];' in lines
+    assert '  "a\\"b" -> "c\\\\d" [label="1", color="#e41a1c"];' in lines
 
 
 def test_dot_colors_differ_by_index():

@@ -10,7 +10,7 @@ from qck.quasify import (
 )
 from qck.structure import components, unique_highest_weight
 from qck.weightlattice import enumerate_syt, partitions_of
-from qck.wordmodel import id_to_word, word_content
+from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, id_to_word, word_content
 
 from corpus import content_cases, content_crystal, content_quasi, qpow, std, tpow
 
@@ -183,6 +183,56 @@ def test_content_crystal_picks_least_qualifying_vertex():
     assert len(qualifying) == 3
     assert min(q.min_vertex for q in qualifying) == "1321"
     assert sorted(c.vertex_ids()) == list(qualifying[0].vertices)
+
+
+# n = 10 checks the dash-separated ids, whose order is not the word order
+DIFFERENTIAL_CASES = content_cases(6, (2, 3, 4)) + [
+    ((4, 3, 1), 4),
+    ((3, 2, 1), 5),
+    ((2, 2, 1), 3),
+    ((2, 1), 10),
+    ((1, 1, 1), 10),
+]
+
+
+@pytest.mark.parametrize("shape,n", DIFFERENTIAL_CASES)
+def test_content_crystal_matches_power_then_pick(shape, n):
+    fast = crystal_of_content(shape, n)
+    slow = oracles.content_component_via_power(shape, n)
+    assert fast == slow
+    assert fast.edges() == slow.edges()
+    assert fast.raising_edges() == slow.raising_edges()
+
+
+@pytest.mark.parametrize(
+    "shape,n", [((1, 2), 3), ((1, 1, 1, 1), 3), ((), 3), ((1,), 1), ((2, 0), 3), ((1,), 0)]
+)
+def test_content_crystal_errors_match_power_then_pick(shape, n):
+    with pytest.raises(Exception) as fast:
+        crystal_of_content(shape, n)
+    with pytest.raises(Exception) as slow:
+        oracles.content_component_via_power(shape, n)
+    assert fast.type is slow.type
+
+
+def test_content_crystal_beyond_the_old_power_cap():
+    # 5^9 words would exceed the default cap; the walk visits 42 * 175 words
+    c = crystal_of_content((3, 3, 3), 5)
+    assert len(c) == 175
+    assert validate(c).passed and is_seminormal(c).passed
+
+
+def test_content_crystal_size_cap_counts_the_walk(monkeypatch):
+    # (2,1) at n=3: f^(2,1) = 2 highest-weight words, 8 words each, 3 letters
+    monkeypatch.setenv(SIZE_CAP_ENV, "47")
+    with pytest.raises(SizeCapExceeded):
+        crystal_of_content((2, 1), 3)
+    monkeypatch.setenv(SIZE_CAP_ENV, "48")
+    assert len(crystal_of_content((2, 1), 3)) == 8
+    # a long row has few words but long ones: 11 words of 10 letters
+    monkeypatch.setenv(SIZE_CAP_ENV, "109")
+    with pytest.raises(SizeCapExceeded):
+        crystal_of_content((10,), 2)
 
 
 def test_content_crystal_rejects_bad_shapes():

@@ -12,7 +12,9 @@ from qck.weightlattice import (
     partitions_of,
     rho,
     simple_root,
+    ssyt_count,
     sub,
+    syt_count,
     syt_shape,
 )
 
@@ -127,6 +129,18 @@ def test_syt_counts_match_hook_product():
     for m in range(1, 7):
         for shape in partitions_of(m):
             assert len(enumerate_syt(shape)) == oracles.hook_length_count(shape)
+
+
+def test_tableau_counts_by_hook_formulas():
+    for m in range(1, 7):
+        for shape in partitions_of(m):
+            assert syt_count(shape) == len(enumerate_syt(shape))
+            for n in range(1, 5):
+                assert ssyt_count(shape, n) == sum(oracles.schur_monomials(shape, n).values())
+
+
+def test_syt_of_a_long_row_needs_no_deep_recursion():
+    assert enumerate_syt((3000,)) == [(tuple(range(1, 3001)),)]
 
 
 def test_syt_known_counts():
