@@ -3,7 +3,12 @@
 Every checker sweeps the whole graph, reports *all* violations as sorted
 witness lines, and never stops at the first hit. Raising edges are read off
 the e-table directly, so the checkers stay meaningful on corrupted graphs
-where e and f disagree.
+where e and f disagree. Like validate, every checker takes an optional
+``around`` set of anchors and then sweeps only those (see graphcore).
+
+``family`` is the one definition of which of these checkers a graph answers
+to; the CLI's ``check --axioms all``, ``mutation.run_detectors`` and
+``mutation.fuzz_graph`` all read it.
 """
 
 from __future__ import annotations
@@ -21,10 +26,10 @@ from .graphcore import (
 from .weightlattice import pairing, simple_root
 
 
-def check_lq1(g: QuasiCrystalGraph) -> AxiomReport:
+def check_lq1(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """eps_i(x) = 0 exactly when phi_{i+1}(x) = 0, for consecutive indices."""
     ws = []
-    for x in g.vertex_ids():
+    for x in g.anchors(around):
         for i in g.index_set:
             if i + 1 not in g.index_set:
                 continue
@@ -43,10 +48,10 @@ def check_lq1(g: QuasiCrystalGraph) -> AxiomReport:
     return AxiomReport("lq1", ws)
 
 
-def check_lq2(g: QuasiCrystalGraph) -> AxiomReport:
+def check_lq2(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Behaviour of neighbouring string lengths across each raising edge."""
     ws = []
-    for x, i, y in g.raising_edges():
+    for x, i, y in g.raising_edges(around):
         for j in g.index_set:
             if abs(i - j) > 1:
                 if g.eps(x, j) != g.eps(y, j):
@@ -126,10 +131,10 @@ def _commutes(g: QuasiCrystalGraph, x: str, i: int, j: int, step, label: str) ->
     return None
 
 
-def check_lq3(g: QuasiCrystalGraph) -> AxiomReport:
+def check_lq3(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Defined raising operators at distinct indices commute."""
     ws = []
-    for x in g.vertex_ids():
+    for x in g.anchors(around):
         for i in g.index_set:
             if g.e(x, i) is None:
                 continue
@@ -142,10 +147,10 @@ def check_lq3(g: QuasiCrystalGraph) -> AxiomReport:
     return AxiomReport("lq3", ws)
 
 
-def check_lq3p(g: QuasiCrystalGraph) -> AxiomReport:
+def check_lq3p(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Defined lowering operators at distinct indices commute."""
     ws = []
-    for x in g.vertex_ids():
+    for x in g.anchors(around):
         for i in g.index_set:
             if g.f(x, i) is None:
                 continue
@@ -158,27 +163,37 @@ def check_lq3p(g: QuasiCrystalGraph) -> AxiomReport:
     return AxiomReport("lq3p", ws)
 
 
-def _require_counting_lengths(g: QuasiCrystalGraph, who: str) -> None:
-    for x in g.vertex_ids():
+def uncounted_length(g: QuasiCrystalGraph, around=None):
+    """The first (vertex, index, length) whose length is neither in Z>=0 nor
+    +inf, or None when every string length counts a string."""
+    for x in g.anchors(around):
         for i in g.index_set:
             for v in (g.eps(x, i), g.phi(x, i)):
                 if v == NEG_INF or (is_finite(v) and v < 0):
-                    raise ValueError(
-                        f"{who} needs string lengths in Z>=0 or +inf; "
-                        f"vertex {x!r} index {i} has {ext_str(v)}"
-                    )
+                    return x, i, v
+    return None
 
 
-def check_local_ax_cases(g: QuasiCrystalGraph) -> AxiomReport:
+def _require_counting_lengths(g: QuasiCrystalGraph, who: str, around) -> None:
+    bad = uncounted_length(g, around)
+    if bad is not None:
+        x, i, v = bad
+        raise ValueError(
+            f"{who} needs string lengths in Z>=0 or +inf; "
+            f"vertex {x!r} index {i} has {ext_str(v)}"
+        )
+
+
+def check_local_ax_cases(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Per raising edge and per other index, exactly one of the seven
     interaction cases must apply, with its predicted string lengths."""
-    _require_counting_lengths(g, "case analysis")
+    _require_counting_lengths(g, "case analysis", around)
     ws = []
 
     def bad(case, x, y, i, j, observed, required):
         ws.append(Witness(f"case-{case}", (x, y), (i, j), observed, required))
 
-    for x, i, y in g.raising_edges():
+    for x, i, y in g.raising_edges(around):
         for j in g.index_set:
             if j == i:
                 continue
@@ -269,13 +284,13 @@ def check_local_ax_cases(g: QuasiCrystalGraph) -> AxiomReport:
     return AxiomReport("cases", ws)
 
 
-def check_cor_infs(g: QuasiCrystalGraph) -> AxiomReport:
+def check_cor_infs(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """A frozen neighbouring index propagates along the edge, and unfreezes
     after finitely many raising (resp. lowering) steps."""
-    _require_counting_lengths(g, "freeze propagation")
+    _require_counting_lengths(g, "freeze propagation", around)
     ws = []
     limit = len(g) + 1
-    for x, i, y in g.raising_edges():
+    for x, i, y in g.raising_edges(around):
         if i + 1 in g.index_set and g.eps(y, i + 1) == POS_INF:
             if g.eps(x, i + 1) != POS_INF:
                 ws.append(
@@ -345,10 +360,10 @@ def check_cor_infs(g: QuasiCrystalGraph) -> AxiomReport:
     return AxiomReport("infs", ws)
 
 
-def check_lemma_ij(g: QuasiCrystalGraph) -> AxiomReport:
+def check_lemma_ij(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Paired eps/phi movement across a raising edge, as three biconditionals."""
     ws = []
-    for x, i, y in g.raising_edges():
+    for x, i, y in g.raising_edges(around):
         for j in g.index_set:
             if abs(i - j) > 1:
                 lhs = g.eps(y, j) == g.eps(x, j)
@@ -394,15 +409,15 @@ def check_lemma_ij(g: QuasiCrystalGraph) -> AxiomReport:
     return AxiomReport("lemij", ws)
 
 
-def check_stembridge(g: QuasiCrystalGraph) -> dict[str, AxiomReport]:
+def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport]:
     """The five local crystal axioms; only meaningful for crystals."""
-    if not is_crystal(g):
+    if not is_crystal(g, around):
         raise ValueError("Stembridge checks apply to crystals only (no +inf lengths)")
     n = g.n
     roots = {i: simple_root(i, n) for i in g.index_set}
     s1, s2, s2p, s3, s3p = [], [], [], [], []
 
-    for x, i, y in g.raising_edges():
+    for x, i, y in g.raising_edges(around):
         for j in g.index_set:
             if j == i:
                 continue
@@ -421,7 +436,7 @@ def check_stembridge(g: QuasiCrystalGraph) -> dict[str, AxiomReport]:
                 )
             )
 
-    for x in g.vertex_ids():
+    for x in g.anchors(around):
         for i in g.index_set:
             for j in g.index_set:
                 if i == j:
@@ -485,7 +500,7 @@ def check_stembridge(g: QuasiCrystalGraph) -> dict[str, AxiomReport]:
             z = step(z, idx)
         return z
 
-    for x in g.vertex_ids():
+    for x in g.anchors(around):
         for i in g.index_set:
             for j in g.index_set:
                 if j <= i:
@@ -582,3 +597,36 @@ def check_stembridge(g: QuasiCrystalGraph) -> dict[str, AxiomReport]:
         "S3": AxiomReport("S3", s3),
         "S3p": AxiomReport("S3'", s3p),
     }
+
+
+# The local axioms a graph answers to, by its class. Keys are the CLI's
+# --axioms names.
+CRYSTAL_AXIOMS = {"stembridge": check_stembridge}
+QUASI_AXIOMS = {
+    "lq1": check_lq1,
+    "lq2": check_lq2,
+    "lq3": check_lq3,
+    "lq3p": check_lq3p,
+    "cases": check_local_ax_cases,
+    "infs": check_cor_infs,
+    "lemij": check_lemma_ij,
+}
+# The quasi lemmas read string lengths as counts (Z>=0 or +inf).
+COUNTING_LEMMAS = ("cases", "infs", "lemij")
+
+
+def family(g: QuasiCrystalGraph) -> dict:
+    """A crystal (no +inf length) answers to Stembridge's axioms; any other
+    graph to the local quasi-crystal axioms."""
+    return CRYSTAL_AXIOMS if is_crystal(g) else QUASI_AXIOMS
+
+
+def run_checks(g: QuasiCrystalGraph, checkers: dict, around=None):
+    """Yield (name, report) per checker in table order; the Stembridge
+    checker yields its five axioms under their sorted keys."""
+    for key, chk in checkers.items():
+        rep = chk(g, around=around)
+        if isinstance(rep, dict):
+            yield from sorted(rep.items())
+        else:
+            yield key, rep

@@ -12,19 +12,9 @@ import sys
 from collections import Counter
 
 from . import characters, mutation
-from .axioms import (
-    check_cor_infs,
-    check_lemma_ij,
-    check_local_ax_cases,
-    check_lq1,
-    check_lq2,
-    check_lq3,
-    check_lq3p,
-    check_stembridge,
-)
+from .axioms import CRYSTAL_AXIOMS, QUASI_AXIOMS, family, run_checks
 from .graphcore import (
     GraphFormatError,
-    is_crystal,
     is_seminormal,
     read_graph,
     to_dot,
@@ -48,18 +38,7 @@ EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_USAGE = 2
 
-_SIMPLE_CHECKS = {
-    "q": validate,
-    "seminormal": is_seminormal,
-    "lq1": check_lq1,
-    "lq2": check_lq2,
-    "lq3": check_lq3,
-    "lq3p": check_lq3p,
-    "cases": check_local_ax_cases,
-    "infs": check_cor_infs,
-    "lemij": check_lemma_ij,
-}
-_CHECK_ORDER = ["q", "seminormal", "lq1", "lq2", "lq3", "lq3p", "cases", "infs", "lemij", "stembridge"]
+_CHECKS = {"q": validate, "seminormal": is_seminormal, **QUASI_AXIOMS, **CRYSTAL_AXIOMS}
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -103,41 +82,28 @@ def _cmd_check(args) -> int:
     lines: list[str] = []
     found = False
 
-    def run_one(key: str) -> None:
+    def run(checkers: dict) -> None:
         nonlocal found
-        if key == "stembridge":
-            for _, rep in sorted(check_stembridge(g).items()):
-                if not rep.passed:
-                    found = True
-                lines.extend(rep.lines())
-        else:
-            rep = _SIMPLE_CHECKS[key](g)
+        for _, rep in run_checks(g, checkers):
             if not rep.passed:
                 found = True
             lines.extend(rep.lines())
 
     if requested == ["all"]:
         # gated pipeline: later checkers assume the earlier ones hold, and
-        # the family depends on the graph's class — unfrozen graphs answer
-        # to the Stembridge axioms, frozen ones to the local quasi axioms
+        # the family depends on the graph's class (axioms.family)
         for key in ("q", "seminormal"):
-            run_one(key)
+            run({key: _CHECKS[key]})
             if found:
                 for ln in lines:
                     print(ln)
                 return EXIT_WITNESS
-        if is_crystal(g):
-            run_one("stembridge")
-        else:
-            for key in ("lq1", "lq2", "lq3", "lq3p", "cases", "infs", "lemij"):
-                run_one(key)
+        run(family(g))
     else:
-        unknown = [k for k in requested if k not in _CHECK_ORDER]
+        unknown = [k for k in requested if k not in _CHECKS]
         if unknown:
             raise ValueError(f"unknown axiom keys: {', '.join(unknown)}")
-        for key in _CHECK_ORDER:
-            if key in requested:
-                run_one(key)
+        run({k: chk for k, chk in _CHECKS.items() if k in requested})
     for ln in lines:
         print(ln)
     return EXIT_WITNESS if found else EXIT_OK
@@ -235,10 +201,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    g = read_graph(args.file)
-    if not validate(g).passed or not is_seminormal(g).passed:
-        raise ValueError("fuzz needs a coherent seminormal graph to start from")
-    result = mutation.fuzz_graph(g, args.count, args.seed)
+    result = mutation.fuzz_graph(read_graph(args.file), args.count, args.seed)
     for ln in result.lines():
         print(ln)
     return EXIT_OK if result.rate >= 0.99 else EXIT_WITNESS
@@ -262,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run axiom checkers, print witnesses")
     p.add_argument("file")
-    p.add_argument("--axioms", default="all", help="comma list or 'all': " + ",".join(_CHECK_ORDER))
+    p.add_argument("--axioms", default="all", help="comma list or 'all': " + ",".join(_CHECKS))
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("decompose", help="list connected components")

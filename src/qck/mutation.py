@@ -1,35 +1,37 @@
 """Single-entry graph corruption and the detector battery run against it.
 
-Each mutation copies the graph and changes exactly one stored entry: a string
+Each mutation changes exactly one stored entry of one vertex x: a string
 length, one side of one edge, or one weight coordinate. Detection means at
 least one checker reports a witness.
+
+``random_mutation`` edits a copy of the graph. ``fuzz_graph`` edits the
+caller's graph in place, re-checks only the anchors that can read x (see
+``region``), and undoes the edit before drawing the next one.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
-from .axioms import (
-    check_cor_infs,
-    check_lemma_ij,
-    check_local_ax_cases,
-    check_lq1,
-    check_lq2,
-    check_lq3,
-    check_lq3p,
-    check_stembridge,
-)
+from .axioms import COUNTING_LEMMAS, CRYSTAL_AXIOMS, family, run_checks, uncounted_length
 from .graphcore import (
     POS_INF,
     QuasiCrystalGraph,
     ext_str,
-    is_crystal,
     is_seminormal,
     validate,
 )
 
 _LENGTH_POOL = [0, 1, 2, 3, -1, POS_INF]
+
+# The note for a mutant no checker flags: it passed validate and seminormal
+# on the way, so it is a valid graph in its own right.
+VALID_NOTE = "mutant is itself a coherent seminormal quasi-crystal"
+
+# How far, in e/f steps, a local rule walks from its anchor (S3's e_i e_j^2 e_i).
+RADIUS = 4
 
 
 @dataclass
@@ -43,53 +45,95 @@ class Mutation:
         return f"{self.kind}\t{self.vertex}\t{self.index}\t{self.detail}"
 
 
-def _mutate_length(g: QuasiCrystalGraph, rng: random.Random) -> Mutation:
-    x = rng.choice(g.vertex_ids())
-    i = rng.choice(list(g.index_set))
-    which = rng.choice(["eps", "phi"])
-    old = g.eps(x, i) if which == "eps" else g.phi(x, i)
-    pool = [v for v in _LENGTH_POOL if v != old]
-    if isinstance(old, int):
-        pool.extend([old + 1, old - 1])
-    new = rng.choice(pool)
-    if which == "eps":
-        g.set_epsilon(x, i, new)
-    else:
-        g.set_phi(x, i, new)
-    return Mutation(which, x, i, f"{ext_str(old)}->{ext_str(new)}")
+@dataclass
+class _Edit:
+    """One drawn mutation: put(*key, new) applies it, put(*key, old) undoes it."""
+
+    mutation: Mutation
+    put: Callable
+    key: tuple
+    old: object
+    new: object
+
+    def apply(self) -> None:
+        self.put(*self.key, self.new)
+
+    def undo(self) -> None:
+        self.put(*self.key, self.old)
 
 
-def _mutate_edge(g: QuasiCrystalGraph, rng: random.Random) -> Mutation | None:
-    entries = []
-    for x in g.vertex_ids():
-        for i in g.index_set:
-            if g.e(x, i) is not None:
-                entries.append((x, i, "e"))
-            if g.f(x, i) is not None:
-                entries.append((x, i, "f"))
-    if not entries:
-        return None
-    x, i, side = rng.choice(entries)
-    old = g.e(x, i) if side == "e" else g.f(x, i)
-    targets = [v for v in g.vertex_ids() if v != old]
-    targets.append(None)
-    new = rng.choice(targets)
-    if side == "e":
-        g.set_raising(x, i, new)
-    else:
-        g.set_lowering(x, i, new)
-    return Mutation(f"edge-{side}", x, i, f"{old}->{new}")
+class _AllBut:
+    """The sequence [v for v in ids if v != ids[skip]] + [None], unbuilt."""
+
+    def __init__(self, ids: list[str], skip: int):
+        self.ids = ids
+        self.skip = skip
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, k: int):
+        if k == len(self.ids) - 1:
+            return None
+        return self.ids[k + (k >= self.skip)]
 
 
-def _mutate_weight(g: QuasiCrystalGraph, rng: random.Random) -> Mutation:
-    x = rng.choice(g.vertex_ids())
-    coord = rng.randrange(g.n)
-    delta = rng.choice([-2, -1, 1, 2])
-    wt = list(g.wt(x))
-    old = tuple(wt)
-    wt[coord] += delta
-    g.set_weight(x, wt)
-    return Mutation("weight", x, coord + 1, f"{old}->{tuple(wt)}")
+class _Sampler:
+    """Draws single-entry edits of one graph. The pools are built once, so
+    every draw on the same (restored) graph costs O(1)."""
+
+    def __init__(self, g: QuasiCrystalGraph):
+        self.g = g
+        self.ids = g.vertex_ids()
+        self.pos = {v: k for k, v in enumerate(self.ids)}
+        self.entries = [
+            (x, i, side)
+            for x in self.ids
+            for i in g.index_set
+            for side, step in (("e", g.e), ("f", g.f))
+            if step(x, i) is not None
+        ]
+
+    def draw(self, rng: random.Random) -> _Edit:
+        kind = rng.choice(["length", "edge", "weight"])
+        # graphs without edges fall back to a length poke
+        if kind == "edge" and self.entries:
+            return self._edge(rng)
+        if kind == "weight":
+            return self._weight(rng)
+        return self._length(rng)
+
+    def _length(self, rng: random.Random) -> _Edit:
+        g = self.g
+        x = rng.choice(self.ids)
+        i = rng.choice(list(g.index_set))
+        which = rng.choice(["eps", "phi"])
+        get, put = (g.eps, g.set_epsilon) if which == "eps" else (g.phi, g.set_phi)
+        old = get(x, i)
+        pool = [v for v in _LENGTH_POOL if v != old]
+        if isinstance(old, int):
+            pool.extend([old + 1, old - 1])
+        new = rng.choice(pool)
+        return _Edit(Mutation(which, x, i, f"{ext_str(old)}->{ext_str(new)}"), put, (x, i), old, new)
+
+    def _edge(self, rng: random.Random) -> _Edit:
+        g = self.g
+        x, i, side = rng.choice(self.entries)
+        get, put = (g.e, g.set_raising) if side == "e" else (g.f, g.set_lowering)
+        old = get(x, i)
+        new = rng.choice(_AllBut(self.ids, self.pos[old]))
+        return _Edit(Mutation(f"edge-{side}", x, i, f"{old}->{new}"), put, (x, i), old, new)
+
+    def _weight(self, rng: random.Random) -> _Edit:
+        g = self.g
+        x = rng.choice(self.ids)
+        coord = rng.randrange(g.n)
+        delta = rng.choice([-2, -1, 1, 2])
+        old = g.wt(x)
+        wt = list(old)
+        wt[coord] += delta
+        new = tuple(wt)
+        return _Edit(Mutation("weight", x, coord + 1, f"{old}->{new}"), g.set_weight, (x,), old, new)
 
 
 def random_mutation(
@@ -97,66 +141,64 @@ def random_mutation(
 ) -> tuple[QuasiCrystalGraph, Mutation]:
     """One uniformly chosen single-entry corruption of a copy of g."""
     mutant = g.copy()
-    kind = rng.choice(["length", "edge", "weight"])
-    if kind == "edge":
-        m = _mutate_edge(mutant, rng)
-        if m is not None:
-            return mutant, m
-        # graphs without edges fall back to a length poke
-    if kind == "weight":
-        return mutant, _mutate_weight(mutant, rng)
-    return mutant, _mutate_length(mutant, rng)
-
-
-def _lengths_are_counting(g: QuasiCrystalGraph) -> bool:
-    for x in g.vertex_ids():
-        for i in g.index_set:
-            for v in (g.eps(x, i), g.phi(x, i)):
-                if v == POS_INF:
-                    continue
-                if not isinstance(v, int) or v < 0:
-                    return False
-    return True
+    edit = _Sampler(mutant).draw(rng)
+    edit.apply()
+    return mutant, edit.mutation
 
 
 def run_detectors(g: QuasiCrystalGraph) -> list[str]:
     """Names of the checkers that flag this graph, in battery order.
 
-    The battery depends on what the graph claims to be: a graph without
-    frozen indices is held to the local crystal axioms, one with frozen
-    indices to the local quasi-crystal axioms.
+    The battery is validate, seminormal, then the family of the graph's
+    class (axioms.family). The Stembridge comparisons run only on a clean
+    core; the quasi lemmas only where every string length is a count.
     """
-    failing = []
-    ok_core = True
-    if not validate(g).passed:
-        failing.append("validate")
-        ok_core = False
-    if not is_seminormal(g).passed:
-        failing.append("seminormal")
-        ok_core = False
-    if is_crystal(g):
-        if ok_core:
-            for name, rep in sorted(check_stembridge(g).items()):
-                if not rep.passed:
-                    failing.append(name)
+    failing = [
+        name
+        for name, chk in (("validate", validate), ("seminormal", is_seminormal))
+        if not chk(g).passed
+    ]
+    checkers = family(g)
+    if checkers is CRYSTAL_AXIOMS and failing:
         return failing
-    for name, chk in (
-        ("lq1", check_lq1),
-        ("lq2", check_lq2),
-        ("lq3", check_lq3),
-        ("lq3p", check_lq3p),
-    ):
-        if not chk(g).passed:
-            failing.append(name)
-    if _lengths_are_counting(g):
-        for name, chk in (
-            ("cases", check_local_ax_cases),
-            ("infs", check_cor_infs),
-            ("lemij", check_lemma_ij),
-        ):
-            if not chk(g).passed:
-                failing.append(name)
+    if uncounted_length(g) is not None:
+        checkers = {k: c for k, c in checkers.items() if k not in COUNTING_LEMMAS}
+    failing.extend(name for name, rep in run_checks(g, checkers) if not rep.passed)
     return failing
+
+
+def region(g: QuasiCrystalGraph, x: str) -> set[str]:
+    """The anchors whose rules can read vertex x's row, on a coherent
+    seminormal graph: the ball of radius RADIUS around x over e and f, plus
+    x's whole i-string for every i.
+
+    How far each rule anchored at a reads, in e/f steps from a:
+    - lq1 reads a's row only; validate, lq2, cases, lemij and S1 read the
+      rows of a and of its e/f targets: 1 step;
+    - lq3, lq3', S2 and S2' read the rows of e_i a and e_j a and compare the
+      ids stored there: 2 steps;
+    - S3 and S3' walk e_i e_j e_j e_i (resp. f): they read rows 3 steps out
+      and compare the ids 4 steps out, so RADIUS = 4 bounds every walk;
+    - seminormal walks a's i-strings up and down, infs walks up the
+      i-string from e_i a and down from a: whole i-strings.
+    A walk from a reaches x over rows other than x's, so over pointers of
+    the unedited graph. There e and f are mutually inverse, so x reaches a
+    back over the same number of steps, and a shares x's i-string.
+    """
+    near = {x}
+    frontier = {x}
+    for _ in range(RADIUS):
+        step = {y for z in frontier for i in g.index_set for y in (g.e(z, i), g.f(z, i))}
+        step.discard(None)
+        frontier = step - near
+        near |= frontier
+    for i in g.index_set:
+        for move in (g.e, g.f):
+            z = move(x, i)
+            while z is not None:
+                near.add(z)
+                z = move(z, i)
+    return near
 
 
 @dataclass
@@ -181,22 +223,40 @@ class FuzzResult:
         return out
 
 
-def _triage(mutant: QuasiCrystalGraph) -> str:
-    """Why did no checker fire? Valid mutants are possible for a few edits."""
-    if validate(mutant).passed and is_seminormal(mutant).passed:
-        return "mutant is itself a coherent seminormal quasi-crystal"
-    return "unclassified gap"
-
-
 def fuzz_graph(g: QuasiCrystalGraph, count: int, seed: int) -> FuzzResult:
-    """Mutate count times with a seeded generator and run the battery."""
+    """Mutate count times with a seeded generator and run the battery.
+
+    Scores the same as run_detectors on a mutated copy of g, for the same
+    draws as random_mutation. Each mutant is instead g edited in place,
+    re-checked on region(g, x) only, and restored, also when a checker
+    raises. Witnesses of the unedited g anchored outside the region still
+    stand, so they count as a detection.
+    """
+    if not validate(g).passed or not is_seminormal(g).passed:
+        raise ValueError("fuzz needs a coherent seminormal graph to start from")
+    # a class change (+inf gained or lost) breaks Q2 at x, so while local
+    # validate passes the mutant keeps g's family
+    checkers = family(g)
+    flagged = {w.vertices[0] for _, rep in run_checks(g, checkers) for w in rep.witnesses}
+    sampler = _Sampler(g)
     rng = random.Random(seed)
     detected = 0
     silent: list[tuple[Mutation, str]] = []
     for _ in range(count):
-        mutant, m = random_mutation(g, rng)
-        if run_detectors(mutant):
+        edit = sampler.draw(rng)
+        near = region(g, edit.mutation.vertex)
+        edit.apply()
+        try:
+            caught = (
+                not validate(g, around=near).passed
+                or not is_seminormal(g, around=near).passed
+                or not flagged <= near
+                or any(not rep.passed for _, rep in run_checks(g, checkers, around=near))
+            )
+        finally:
+            edit.undo()
+        if caught:
             detected += 1
         else:
-            silent.append((m, _triage(mutant)))
+            silent.append((edit.mutation, VALID_NOTE))
     return FuzzResult(count, detected, silent)

@@ -2,10 +2,11 @@
 
 Each function recomputes a quantity from first principles (usually by
 exhaustive enumeration) so the tests can compare two unrelated code paths.
-Nothing here imports qck at module level; the one exception,
-``content_component_via_power``, keeps the retired power-then-pick
-construction of content crystals as a differential oracle and imports qck
-inside its body.  Keep everything small-input only.
+Nothing here imports qck at module level. Two retired slow paths are kept
+as differential oracles and import qck inside their bodies:
+``content_component_via_power`` (content crystals by power-then-pick) and
+``fuzz_via_copies`` (fuzz by copy and full battery).  Keep everything
+small-input only.
 """
 
 from __future__ import annotations
@@ -182,3 +183,25 @@ def content_component_via_power(shape: tuple[int, ...], n: int):
         if len(comp.hw_vertices) == 1 and g.wt(comp.hw_vertices[0]) == target:
             return comp.subgraph()
     raise RuntimeError(f"no component with highest weight {target} found")
+
+
+def fuzz_via_copies(g, count: int, seed: int):
+    """Fuzz the slow way: every mutant is a fresh copy of g run through the
+    whole battery, and a silent one is re-validated in full to triage it."""
+    import random
+
+    from qck.graphcore import is_seminormal, validate
+    from qck.mutation import FuzzResult, random_mutation, run_detectors
+
+    rng = random.Random(seed)
+    detected = 0
+    silent = []
+    for _ in range(count):
+        mutant, m = random_mutation(g, rng)
+        if run_detectors(mutant):
+            detected += 1
+        elif validate(mutant).passed and is_seminormal(mutant).passed:
+            silent.append((m, "mutant is itself a coherent seminormal quasi-crystal"))
+        else:
+            silent.append((m, "unclassified gap"))
+    return FuzzResult(count, detected, silent)

@@ -1,10 +1,25 @@
 import random
 
-from qck.graphcore import POS_INF
-from qck.mutation import FuzzResult, Mutation, fuzz_graph, random_mutation, run_detectors
+import pytest
+
+import qck.mutation
+from qck.axioms import CRYSTAL_AXIOMS, QUASI_AXIOMS, family, run_checks, uncounted_length
+from qck.graphcore import POS_INF, QuasiCrystalGraph, is_seminormal, validate
+from qck.mutation import (
+    _AllBut,
+    RADIUS,
+    VALID_NOTE,
+    FuzzResult,
+    Mutation,
+    fuzz_graph,
+    random_mutation,
+    region,
+    run_detectors,
+)
 from qck.structure import components
 
 from corpus import content_quasi, qpow, std, tpow
+from oracles import bfs_distance, fuzz_via_copies
 
 
 def test_run_detectors_quiet_on_clean_graphs():
@@ -34,7 +49,7 @@ def test_run_detectors_core_break_short_circuits_stembridge():
     assert failing == ["validate", "seminormal"]
 
 
-def test_run_detectors_reaches_stembridge_when_core_is_clean():
+def cross_wired_tpow33():
     # cross-wire the top color-1 rungs of the two isomorphic 8-vertex
     # components: every stored length and weight is untouched, so the core
     # checks stay green, but zigzag paths now hop between the copies and
@@ -48,6 +63,11 @@ def test_run_detectors_reaches_stembridge_when_core_is_clean():
     g.set_raising(d2, 1, hw1)
     g.set_lowering(hw2, 1, d1)
     g.set_raising(d1, 1, hw2)
+    return g
+
+
+def test_run_detectors_reaches_stembridge_when_core_is_clean():
+    g = cross_wired_tpow33()
     failing = run_detectors(g)
     assert failing
     assert all(name.startswith("S") for name in failing)
@@ -124,3 +144,251 @@ def test_fuzz_empty_run():
     result = fuzz_graph(qpow(2, 2), count=0, seed=0)
     assert result.total == 0
     assert result.rate == 1.0
+
+
+# --- fuzz by in-place edits, checked against the copy-and-full-battery path ---
+
+ACCEPTANCE_PLAN = [
+    ("qpow(3,3)", lambda: qpow(3, 3), 150),
+    ("qpow(3,2)", lambda: qpow(3, 2), 100),
+    ("qpow(4,2)", lambda: qpow(4, 2), 100),
+    ("content_quasi((2,1),3)", lambda: content_quasi((2, 1), 3), 100),
+    ("tpow(3,2)", lambda: tpow(3, 2), 100),
+]
+def crystal_beside_frozen_vertex():
+    # coherent and seminormal, but one frozen vertex makes it answer to the
+    # quasi axioms, which the crystal part breaks
+    g = tpow(3, 2).copy()
+    g.add_vertex("z", (1, 1, 1), [POS_INF, POS_INF], [POS_INF, POS_INF])
+    return g
+
+
+def _drawn(g, count, seed):
+    rng = random.Random(seed)
+    return [random_mutation(g, rng)[1] for _ in range(count)]
+
+
+DIFFERENTIAL_PLAN = ACCEPTANCE_PLAN + [
+    ("tpow(4,3)", lambda: tpow(4, 3), 100),
+    ("qpow(2,5)", lambda: qpow(2, 5), 100),
+    ("qpow(3,4)", lambda: qpow(3, 4), 100),
+    ("cross-wired tpow(3,3)", cross_wired_tpow33, 100),
+    ("tpow(2,6)", lambda: tpow(2, 6), 100),  # strings longer than RADIUS
+    ("tpow(3,2) beside a frozen vertex", crystal_beside_frozen_vertex, 100),
+]
+
+
+@pytest.mark.parametrize("name,build,count", DIFFERENTIAL_PLAN, ids=[p[0] for p in DIFFERENTIAL_PLAN])
+def test_fuzz_matches_copy_and_full_battery(name, build, count):
+    g = build()
+    for seed in (20260816, 1, 2):
+        assert fuzz_graph(g, count, seed).lines() == fuzz_via_copies(g, count, seed).lines(), seed
+
+
+def test_fuzz_counts_start_witnesses_outside_the_region():
+    # a weight edit of the lone frozen vertex is itself valid, so only the
+    # LQ witnesses the crystal part carried from the start can flag it
+    g = crystal_beside_frozen_vertex()
+    assert run_detectors(g) and validate(g).passed and is_seminormal(g).passed
+    result = fuzz_graph(g, count=100, seed=3)
+    assert result.detected == 100
+    assert any(m.kind == "weight" and m.vertex == "z" for m in _drawn(g, 100, 3))
+
+
+def _ungated_reports(g):
+    reports = [("validate", validate(g)), ("seminormal", is_seminormal(g))]
+    if uncounted_length(g) is None:
+        reports += list(run_checks(g, family(g)))
+    return reports
+
+
+@pytest.mark.parametrize("name,build,count", DIFFERENTIAL_PLAN, ids=[p[0] for p in DIFFERENTIAL_PLAN])
+def test_edits_only_move_witnesses_anchored_in_the_region(name, build, count):
+    # the locality fuzz relies on: a mutant's full witnesses anchored outside
+    # region(g, x) are exactly the start graph's, for every checker
+    g = build()
+    start = dict(_ungated_reports(g))
+    rng = random.Random(20260816)
+    for _ in range(count):
+        mutant, m = random_mutation(g, rng)
+        if family(mutant) is not family(g):
+            assert not validate(mutant, around={m.vertex}).passed, m.describe()
+            continue
+        _assert_same_outside(start, mutant, region(g, m.vertex), m.describe())
+
+
+def _assert_same_outside(start, mutant, near, what):
+    for key, rep in _ungated_reports(mutant):
+        outside = [w for w in rep.witnesses if w.vertices[0] not in near]
+        assert outside == [w for w in start[key].witnesses if w.vertices[0] not in near], (key, what)
+
+
+@pytest.mark.parametrize("g", [tpow(2, 6), qpow(3, 3)], ids=["tpow(2,6)", "qpow(3,3)"])
+def test_a_cut_edge_only_moves_witnesses_in_the_region(g):
+    # cutting f_i(x) = y on either side changes the chain lengths seen from
+    # every anchor on that i-string, however far along it
+    start = dict(_ungated_reports(g))
+    for x, i, y in g.edges():
+        for v, setter in ((x, "set_lowering"), (y, "set_raising")):
+            mutant = g.copy()
+            getattr(mutant, setter)(v, i, None)
+            _assert_same_outside(start, mutant, region(g, v), (v, i, setter))
+
+
+@pytest.mark.parametrize("g", [qpow(3, 3), tpow(2, 6)], ids=["qpow(3,3)", "tpow(2,6)"])
+def test_region_covers_the_ball_and_the_strings(g):
+    # S3 walks 4 steps from its anchor; tpow(2,6) has strings longer than that
+    assert RADIUS == 4
+    both_ways = {}
+    for x, i, y in g.edges():
+        both_ways[(x, i)] = y
+        both_ways[(y, -i)] = x
+    for x in g.vertex_ids()[::3]:
+        near = region(g, x)
+        ball = {v for v in g.vertex_ids() if (d := bfs_distance(both_ways, x, v)) is not None and d <= 4}
+        assert ball <= near
+        for i in g.index_set:
+            for step in (g.e, g.f):
+                z = step(x, i)
+                while z is not None:
+                    assert z in near
+                    z = step(z, i)
+
+
+def test_fuzz_leaves_its_input_unchanged():
+    g = qpow(3, 3).copy()
+    before = g.copy()
+    fuzz_graph(g, count=80, seed=5)
+    assert g == before
+
+
+def test_fuzz_restores_its_input_when_a_checker_raises(monkeypatch):
+    g = qpow(3, 3).copy()
+    before = g.copy()
+    calls = []
+
+    def flaky(graph, around=None):
+        if around is not None:
+            calls.append(around)
+            if len(calls) == 7:
+                assert graph != before  # the seventh mutant is in place
+                raise RuntimeError("checker failed mid-run")
+        return validate(graph, around=around)
+
+    monkeypatch.setattr(qck.mutation, "validate", flaky)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        fuzz_graph(g, count=20, seed=5)
+    assert g == before
+
+
+def test_fuzz_rejects_an_incoherent_start():
+    g = qpow(3, 2).copy()
+    g.set_epsilon("12", 1, 3)
+    with pytest.raises(ValueError, match="fuzz needs a coherent seminormal graph to start from"):
+        fuzz_graph(g, count=5, seed=0)
+    # coherent but not seminormal: a lone vertex claiming a string of length 1
+    g = QuasiCrystalGraph(2)
+    g.add_vertex("a", (0, 0), [1], [1])
+    assert validate(g).passed and not is_seminormal(g).passed
+    with pytest.raises(ValueError, match="coherent seminormal"):
+        fuzz_graph(g, count=5, seed=0)
+
+
+def test_silent_mutants_carry_the_valid_note():
+    result = fuzz_graph(qpow(2, 5), count=60, seed=1)
+    assert result.silent
+    assert all(note == VALID_NOTE for _, note in result.silent)
+
+
+def test_family_by_graph_class():
+    assert family(tpow(3, 2)) is CRYSTAL_AXIOMS
+    assert family(std(4)) is CRYSTAL_AXIOMS
+    assert family(qpow(3, 2)) is QUASI_AXIOMS
+    assert list(QUASI_AXIOMS) == ["lq1", "lq2", "lq3", "lq3p", "cases", "infs", "lemij"]
+    names = [name for name, _ in run_checks(tpow(3, 2), CRYSTAL_AXIOMS)]
+    assert names == ["S1", "S2", "S2p", "S3", "S3p"]
+
+
+def test_uncounted_length_finds_the_first_bad_entry():
+    assert uncounted_length(qpow(3, 3)) is None
+    g = qpow(3, 2).copy()
+    g.set_phi("21", 2, -1)
+    assert uncounted_length(g) == ("21", 2, -1)
+    assert uncounted_length(g, around={"11", "12"}) is None
+    assert run_detectors(g)[:2] == ["validate", "seminormal"]
+    assert "cases" not in run_detectors(g)
+
+
+def _damaged(base, *edits):
+    g = base.copy()
+    for setter, *args in edits:
+        getattr(g, setter)(*args)
+    return g
+
+
+def damaged_graphs():
+    """The corrupted graphs of the run_detectors tests above, plus a few
+    hand-damaged corpus graphs."""
+    frozen = qpow(3, 2).copy()
+    for setter, value in (("set_epsilon", POS_INF), ("set_phi", POS_INF), ("set_raising", None), ("set_lowering", None)):
+        getattr(frozen, setter)("11", 2, value)
+    return [
+        ("std(3) eps_2(3)=2", _damaged(std(3), ("set_epsilon", "3", 2, 2))),
+        ("std(3) eps_1(2)=2", _damaged(std(3), ("set_epsilon", "2", 1, 2))),
+        ("cross-wired tpow(3,3)", cross_wired_tpow33()),
+        ("qpow(3,2) frozen edge target", frozen),
+        ("qpow(3,3) one-sided e", _damaged(qpow(3, 3), ("set_raising", "221", 1, "111"))),
+        ("qpow(4,2) edge cut", _damaged(qpow(4, 2), ("set_raising", "12", 1, None), ("set_lowering", "11", 1, None))),
+        ("tpow(3,2) weight", _damaged(tpow(3, 2), ("set_weight", "21", (1, 2, 0)))),
+        ("content_quasi phi", _damaged(content_quasi((2, 1), 3), ("set_phi", content_quasi((2, 1), 3).vertex_ids()[1], 1, 3))),
+    ]
+
+
+def test_around_reports_the_full_witnesses_anchored_there():
+    rng = random.Random(7)
+    for name, g in damaged_graphs():
+        checkers = {"validate": validate, "seminormal": is_seminormal, **QUASI_AXIOMS}
+        if family(g) is CRYSTAL_AXIOMS:
+            checkers.update(CRYSTAL_AXIOMS)
+        full = list(run_checks(g, checkers))
+        assert any(not rep.passed for _, rep in full), name
+        ids = g.vertex_ids()
+        subsets = [{x} for x in ids] + [set(rng.sample(ids, len(ids) // 3)) for _ in range(5)] + [set(ids)]
+        for around in subsets:
+            local = list(run_checks(g, checkers, around=around))
+            assert [key for key, _ in local] == [key for key, _ in full]
+            for (key, got), (_, want) in zip(local, full):
+                assert got.witnesses == [w for w in want.witnesses if w.vertices[0] in around], (name, key, around)
+
+
+def test_around_counting_guard_reads_only_the_anchors():
+    g = qpow(3, 2).copy()
+    g.set_epsilon("21", 1, -1)
+    with pytest.raises(ValueError, match="vertex '21' index 1 has -1"):
+        QUASI_AXIOMS["cases"](g)
+    with pytest.raises(ValueError, match="vertex '21'"):
+        QUASI_AXIOMS["infs"](g, around={"21", "11"})
+    assert QUASI_AXIOMS["cases"](g, around={"11"}).witnesses == []
+
+
+def test_edge_target_pool_is_every_other_vertex_then_none():
+    ids = qpow(3, 2).vertex_ids()
+    for skip, old in enumerate(ids):
+        pool = _AllBut(ids, skip)
+        assert [pool[k] for k in range(len(pool))] == [v for v in ids if v != old] + [None]
+
+
+def test_random_mutation_draws_are_pinned():
+    # the draws fuzz output depends on; recorded from the copy-per-mutant code
+    rng = random.Random(42)
+    g = qpow(3, 2)
+    assert [random_mutation(g, rng)[1].describe() for _ in range(8)] == [
+        "weight\t12\t1\t(1, 1, 0)->(2, 1, 0)",
+        "eps\t21\t1\t+inf->-1",
+        "eps\t31\t1\t0->1",
+        "eps\t21\t1\t+inf->-1",
+        "edge-e\t22\t1\t12->33",
+        "weight\t22\t1\t(0, 2, 0)->(-1, 2, 0)",
+        "weight\t31\t2\t(1, 0, 1)->(1, 1, 1)",
+        "eps\t21\t2\t0->1",
+    ]
