@@ -6,6 +6,16 @@ the e-table directly, so the checkers stay meaningful on corrupted graphs
 where e and f disagree. Like validate, every checker takes an optional
 ``around`` set of anchors and then sweeps only those (see graphcore).
 
+Most axioms come in dual pairs: LQ3/LQ3', LQ2.2/LQ2.3, cases 2a-2c/3a-3c,
+infs.1/infs.2, S2/S2' and S3/S3'. The primed rule is its partner read with
+(f, phi, eps) in place of (e, eps, phi), so each pair is written once and
+run in two senses (``_Sense``): ``up`` reads (e, eps, phi), ``down`` reads
+(f, phi, eps). A rule over a raising edge x -> y = e_i x looks from its
+near end to its far end at the index j next to i: up, near is x, far is y
+and j = i + 1; down, near is y, far is x and j = i - 1. The lemij rules are
+not such a pair (lemij.3 guards on eps_{i-1}(x), where the mirror of
+lemij.2 would read phi_{i-1}(y)), so ``check_lemma_ij`` is written out.
+
 ``family`` is the one definition of which of these checkers a graph answers
 to; the CLI's ``check --axioms all``, ``mutation.run_detectors`` and
 ``mutation.fuzz_graph`` all read it.
@@ -13,17 +23,56 @@ to; the CLI's ``check --axioms all``, ``mutation.run_detectors`` and
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 from .graphcore import (
     AxiomReport,
     POS_INF,
-    NEG_INF,
     QuasiCrystalGraph,
     Witness,
     ext_str,
     is_crystal,
-    is_finite,
 )
 from .weightlattice import pairing, simple_root
+
+# The text each sense prints, as (up, down).
+_WORDS = {
+    "e": ("e", "f"),
+    "eps": ("eps", "phi"),
+    "phi": ("phi", "eps"),
+    "near": ("x", "y"),
+    "far": ("y", "x"),
+    "pm": ("+", "-"),  # the sign of j - i
+    "neg": ("-", ""),  # the sign of case c's predicted length, -d
+    "move": ("drops", "rises"),  # how the sense's phi moves from x to y in case a
+    "step": ("after an unfreezing", "before a freezing"),
+    "chain": ("up", "down"),  # the way infs walks the i-string
+    "edge": ("down", "up"),  # the way infs carries +inf along the edge
+    "prime": ("", "'"),
+    "lq2": ("LQ2.2", "LQ2.3"),
+    "lq3": ("lq3", "lq3p"),
+    "case": ("case-2", "case-3"),
+    "infs": ("infs.1", "infs.2"),
+}
+_UP_WORDS, _DOWN_WORDS = (SimpleNamespace(**{k: p[d] for k, p in _WORDS.items()}) for d in (0, 1))
+
+
+class _Sense:
+    """One reading direction of a dual pair of rules on g: ``e``, ``eps``
+    and ``phi`` are g's (e, eps, phi) up and its (f, phi, eps) down, ``d`` is
+    the step from i to j, and ``w`` the text the sense prints. A checker
+    holds ``senses = (up, down)``, so ``senses[j < i]`` reads j from i."""
+
+    def __init__(self, g: QuasiCrystalGraph, up: bool):
+        self.up = up
+        self.d = 1 if up else -1
+        self.e, self.eps, self.phi = (g.e, g.eps, g.phi) if up else (g.f, g.phi, g.eps)
+        self.w = _UP_WORDS if up else _DOWN_WORDS
+
+    def pair(self, a, b):
+        """(a, b) up and (b, a) down: an edge's (x, y) as its (near, far),
+        or a pair of clauses about the sense's (eps, phi) in g's order."""
+        return (a, b) if self.up else (b, a)
 
 
 def check_lq1(g: QuasiCrystalGraph, around=None) -> AxiomReport:
@@ -49,7 +98,9 @@ def check_lq1(g: QuasiCrystalGraph, around=None) -> AxiomReport:
 
 
 def check_lq2(g: QuasiCrystalGraph, around=None) -> AxiomReport:
-    """Behaviour of neighbouring string lengths across each raising edge."""
+    """Behaviour of neighbouring string lengths across each raising edge:
+    LQ2.1 at distant indices, LQ2.2 (up) and LQ2.3 (down) at adjacent ones."""
+    senses = (_Sense(g, True), _Sense(g, False))
     ws = []
     for x, i, y in g.raising_edges(around):
         for j in g.index_set:
@@ -64,103 +115,72 @@ def check_lq2(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                             "unchanged for |i-j|>1",
                         )
                     )
-        if i + 1 in g.index_set:
-            j = i + 1
-            cond = g.eps(x, j) == POS_INF and g.eps(y, i) == 0
-            changed = g.eps(x, j) != g.eps(y, j)
-            if changed != cond:
+                continue
+            if j == i:
+                continue
+            s = senses[j < i]
+            w = s.w
+            near, far = s.pair(x, y)
+            cond = s.eps(near, j) == POS_INF and s.eps(far, i) == 0
+            if (s.eps(x, j) != s.eps(y, j)) != cond:
                 ws.append(
                     Witness(
-                        "LQ2.2",
+                        w.lq2,
                         (x, y),
                         (i, j),
-                        f"eps_{j}: {ext_str(g.eps(x, j))} -> {ext_str(g.eps(y, j))}, eps_{i}(y)={ext_str(g.eps(y, i))}",
-                        "change iff eps_{i+1}(x)=+inf and eps_i(y)=0",
+                        f"{w.eps}_{j}: {ext_str(s.eps(x, j))} -> {ext_str(s.eps(y, j))}, "
+                        f"{w.eps}_{i}({w.far})={ext_str(s.eps(far, i))}",
+                        f"change iff {w.eps}_{{i{w.pm}1}}({w.near})=+inf and {w.eps}_i({w.far})=0",
                     )
                 )
-            if cond and (g.eps(y, j) == 0 or g.eps(y, j) == POS_INF):
+            if cond and (s.eps(far, j) == 0 or s.eps(far, j) == POS_INF):
                 ws.append(
                     Witness(
-                        "LQ2.2",
+                        w.lq2,
                         (x, y),
                         (i, j),
-                        f"eps_{j}(y)={ext_str(g.eps(y, j))}",
-                        "finite positive after an unfreezing step",
-                    )
-                )
-        if i - 1 in g.index_set:
-            j = i - 1
-            cond = g.phi(y, j) == POS_INF and g.phi(x, i) == 0
-            changed = g.phi(x, j) != g.phi(y, j)
-            if changed != cond:
-                ws.append(
-                    Witness(
-                        "LQ2.3",
-                        (x, y),
-                        (i, j),
-                        f"phi_{j}: {ext_str(g.phi(x, j))} -> {ext_str(g.phi(y, j))}, phi_{i}(x)={ext_str(g.phi(x, i))}",
-                        "change iff phi_{i-1}(y)=+inf and phi_i(x)=0",
-                    )
-                )
-            if cond and (g.phi(x, j) == 0 or g.phi(x, j) == POS_INF):
-                ws.append(
-                    Witness(
-                        "LQ2.3",
-                        (x, y),
-                        (i, j),
-                        f"phi_{j}(x)={ext_str(g.phi(x, j))}",
-                        "finite positive before a freezing step",
+                        f"{w.eps}_{j}({w.far})={ext_str(s.eps(far, j))}",
+                        f"finite positive {w.step} step",
                     )
                 )
     return AxiomReport("lq2", ws)
 
 
-def _commutes(g: QuasiCrystalGraph, x: str, i: int, j: int, step, label: str) -> Witness | None:
-    a = step(x, i)
-    b = step(x, j)
-    ab = step(a, j) if a is not None else None
-    ba = step(b, i) if b is not None else None
-    if ab is None or ab != ba:
-        return Witness(
-            label,
-            (x,),
-            (i, j),
-            f"{ab} vs {ba}",
-            "equal and defined composites",
-        )
-    return None
+def _check_lq3(g: QuasiCrystalGraph, around, s: _Sense) -> AxiomReport:
+    """Defined operators of the sense at distinct indices commute."""
+    step = s.e
+    ws = []
+    for x in g.anchors(around):
+        for i in g.index_set:
+            a = step(x, i)
+            if a is None:
+                continue
+            for j in range(i + 1, g.n):
+                b = step(x, j)
+                if b is None:
+                    continue
+                ab, ba = step(a, j), step(b, i)
+                if ab is None or ab != ba:
+                    ws.append(
+                        Witness(
+                            "LQ3" + s.w.prime,
+                            (x,),
+                            (i, j),
+                            f"{ab} vs {ba}",
+                            "equal and defined composites",
+                        )
+                    )
+    return AxiomReport(s.w.lq3, ws)
 
 
 def check_lq3(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Defined raising operators at distinct indices commute."""
-    ws = []
-    for x in g.anchors(around):
-        for i in g.index_set:
-            if g.e(x, i) is None:
-                continue
-            for j in g.index_set:
-                if j <= i or g.e(x, j) is None:
-                    continue
-                bad = _commutes(g, x, i, j, g.e, "LQ3")
-                if bad is not None:
-                    ws.append(bad)
-    return AxiomReport("lq3", ws)
+    return _check_lq3(g, around, _Sense(g, True))
 
 
 def check_lq3p(g: QuasiCrystalGraph, around=None) -> AxiomReport:
-    """Defined lowering operators at distinct indices commute."""
-    ws = []
-    for x in g.anchors(around):
-        for i in g.index_set:
-            if g.f(x, i) is None:
-                continue
-            for j in g.index_set:
-                if j <= i or g.f(x, j) is None:
-                    continue
-                bad = _commutes(g, x, i, j, g.f, "LQ3'")
-                if bad is not None:
-                    ws.append(bad)
-    return AxiomReport("lq3p", ws)
+    """Defined lowering operators at distinct indices commute: LQ3 read down."""
+    return _check_lq3(g, around, _Sense(g, False))
 
 
 def uncounted_length(g: QuasiCrystalGraph, around=None):
@@ -169,7 +189,8 @@ def uncounted_length(g: QuasiCrystalGraph, around=None):
     for x in g.anchors(around):
         for i in g.index_set:
             for v in (g.eps(x, i), g.phi(x, i)):
-                if v == NEG_INF or (is_finite(v) and v < 0):
+                # a stored length is an int or +-inf: only -inf and ints < 0 are < 0
+                if v < 0:
                     return x, i, v
     return None
 
@@ -186,21 +207,21 @@ def _require_counting_lengths(g: QuasiCrystalGraph, who: str, around) -> None:
 
 def check_local_ax_cases(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Per raising edge and per other index, exactly one of the seven
-    interaction cases must apply, with its predicted string lengths."""
+    interaction cases must apply, with its predicted string lengths: case 1
+    at distant indices, cases 2a-2c (up) and 3a-3c (down) at adjacent ones."""
     _require_counting_lengths(g, "case analysis", around)
+    senses = (_Sense(g, True), _Sense(g, False))
     ws = []
 
     def bad(case, x, y, i, j, observed, required):
-        ws.append(Witness(f"case-{case}", (x, y), (i, j), observed, required))
+        ws.append(Witness(case, (x, y), (i, j), observed, required))
 
     for x, i, y in g.raising_edges(around):
         for j in g.index_set:
-            if j == i:
-                continue
             if abs(i - j) > 1:
                 if g.eps(y, j) != g.eps(x, j) or g.phi(y, j) != g.phi(x, j):
                     bad(
-                        "1",
+                        "case-1",
                         x,
                         y,
                         i,
@@ -209,157 +230,114 @@ def check_local_ax_cases(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                         f"phi: {ext_str(g.phi(x, j))}->{ext_str(g.phi(y, j))}",
                         "both unchanged at distance > 1",
                     )
-            elif j == i + 1:
-                if g.eps(x, j) != POS_INF:
-                    if not (g.eps(y, j) == g.eps(x, j) and g.phi(y, j) == g.phi(x, j) - 1):
-                        bad(
-                            "2a",
-                            x,
-                            y,
-                            i,
-                            j,
-                            f"eps: {ext_str(g.eps(x, j))}->{ext_str(g.eps(y, j))} "
-                            f"phi: {ext_str(g.phi(x, j))}->{ext_str(g.phi(y, j))}",
-                            "eps unchanged, phi drops by 1",
-                        )
-                elif g.eps(y, i) > 0:
-                    if not (g.eps(y, j) == POS_INF and g.phi(x, j) == POS_INF and g.phi(y, j) == POS_INF):
-                        bad(
-                            "2b",
-                            x,
-                            y,
-                            i,
-                            j,
-                            f"eps(y)={ext_str(g.eps(y, j))} phi(x)={ext_str(g.phi(x, j))} phi(y)={ext_str(g.phi(y, j))}",
-                            "all +inf while the chain continues",
-                        )
-                else:  # eps_{i+1}(x) = +inf and eps_i(y) = 0
-                    predicted = -pairing(g.wt(y), simple_root(j, g.n))
-                    if not (g.eps(y, j) == predicted and predicted > 0 and g.phi(y, j) == 0):
-                        bad(
-                            "2c",
-                            x,
-                            y,
-                            i,
-                            j,
-                            f"eps(y)={ext_str(g.eps(y, j))} phi(y)={ext_str(g.phi(y, j))}",
-                            f"eps(y)=-<wt(y),alpha_{j}>={predicted}>0 and phi(y)=0",
-                        )
-            else:  # j == i - 1
-                if g.phi(y, j) != POS_INF:
-                    if not (g.eps(x, j) == g.eps(y, j) - 1 and g.phi(x, j) == g.phi(y, j)):
-                        bad(
-                            "3a",
-                            x,
-                            y,
-                            i,
-                            j,
-                            f"eps: {ext_str(g.eps(x, j))}->{ext_str(g.eps(y, j))} "
-                            f"phi: {ext_str(g.phi(x, j))}->{ext_str(g.phi(y, j))}",
-                            "eps rises by 1, phi unchanged",
-                        )
-                elif g.phi(x, i) > 0:
-                    if not (g.eps(x, j) == POS_INF and g.eps(y, j) == POS_INF and g.phi(x, j) == POS_INF):
-                        bad(
-                            "3b",
-                            x,
-                            y,
-                            i,
-                            j,
-                            f"eps(x)={ext_str(g.eps(x, j))} eps(y)={ext_str(g.eps(y, j))} phi(x)={ext_str(g.phi(x, j))}",
-                            "all +inf while the chain continues",
-                        )
-                else:  # phi_{i-1}(y) = +inf and phi_i(x) = 0
-                    predicted = pairing(g.wt(x), simple_root(j, g.n))
-                    if not (g.eps(x, j) == 0 and g.phi(x, j) == predicted and predicted > 0):
-                        bad(
-                            "3c",
-                            x,
-                            y,
-                            i,
-                            j,
-                            f"eps(x)={ext_str(g.eps(x, j))} phi(x)={ext_str(g.phi(x, j))}",
-                            f"eps(x)=0 and phi(x)=<wt(x),alpha_{j}>={predicted}>0",
-                        )
+                continue
+            if j == i:
+                continue
+            s = senses[j < i]
+            eps, phi, w = s.eps, s.phi, s.w
+            near, far = s.pair(x, y)
+            if eps(near, j) != POS_INF:
+                if not (eps(far, j) == eps(near, j) and phi(far, j) == phi(near, j) - 1):
+                    bad(
+                        w.case + "a",
+                        x,
+                        y,
+                        i,
+                        j,
+                        f"eps: {ext_str(g.eps(x, j))}->{ext_str(g.eps(y, j))} "
+                        f"phi: {ext_str(g.phi(x, j))}->{ext_str(g.phi(y, j))}",
+                        ", ".join(s.pair(f"{w.eps} unchanged", f"{w.phi} {w.move} by 1")),
+                    )
+            elif eps(far, i) > 0:
+                # every length at j but L(near, j) must be +inf as well
+                if not (eps(far, j) == POS_INF and phi(near, j) == POS_INF and phi(far, j) == POS_INF):
+                    rest = {
+                        f"{name}({end})": get(v, j)
+                        for name, get in (("eps", g.eps), ("phi", g.phi))
+                        for end, v in (("x", x), ("y", y))
+                    }
+                    del rest[f"{w.eps}({w.near})"]
+                    bad(
+                        w.case + "b",
+                        x,
+                        y,
+                        i,
+                        j,
+                        " ".join(f"{k}={ext_str(v)}" for k, v in rest.items()),
+                        "all +inf while the chain continues",
+                    )
+            else:  # L(near, j) = +inf and L(far, i) = 0, L the sense's eps
+                predicted = -s.d * pairing(g.wt(far), simple_root(j, g.n))
+                if not (eps(far, j) == predicted and predicted > 0 and phi(far, j) == 0):
+                    bad(
+                        w.case + "c",
+                        x,
+                        y,
+                        i,
+                        j,
+                        f"eps({w.far})={ext_str(g.eps(far, j))} phi({w.far})={ext_str(g.phi(far, j))}",
+                        " and ".join(
+                            s.pair(
+                                f"{w.eps}({w.far})={w.neg}<wt({w.far}),alpha_{j}>={predicted}>0",
+                                f"{w.phi}({w.far})=0",
+                            )
+                        ),
+                    )
     return AxiomReport("cases", ws)
 
 
 def check_cor_infs(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """A frozen neighbouring index propagates along the edge, and unfreezes
-    after finitely many raising (resp. lowering) steps."""
+    after finitely many raising (infs.1) resp. lowering (infs.2) steps."""
     _require_counting_lengths(g, "freeze propagation", around)
+    senses = (_Sense(g, True), _Sense(g, False))
     ws = []
     limit = len(g) + 1
     for x, i, y in g.raising_edges(around):
-        if i + 1 in g.index_set and g.eps(y, i + 1) == POS_INF:
-            if g.eps(x, i + 1) != POS_INF:
+        for s in senses:
+            j = i + s.d
+            if j not in g.index_set:
+                continue
+            eps, w = s.eps, s.w
+            near, far = s.pair(x, y)
+            if eps(far, j) != POS_INF:
+                continue
+            if eps(near, j) != POS_INF:
                 ws.append(
                     Witness(
-                        "infs.1",
+                        w.infs,
                         (x, y),
-                        (i, i + 1),
-                        f"eps_{i + 1}(x)={ext_str(g.eps(x, i + 1))}",
-                        "+inf must propagate down the edge",
+                        (i, j),
+                        f"{w.eps}_{j}({w.near})={ext_str(eps(near, j))}",
+                        f"+inf must propagate {w.edge} the edge",
                     )
                 )
-            z = y
+            z = far
             found = False
             for _ in range(limit):
-                if g.eps(z, i) == 0 or g.eps(z, i) == POS_INF:
+                if eps(z, i) == 0 or eps(z, i) == POS_INF:
                     break
-                nxt = g.e(z, i)
+                nxt = s.e(z, i)
                 if nxt is None:
                     break
                 z = nxt
-                if g.eps(z, i + 1) != 0 and g.eps(z, i + 1) != POS_INF:
+                if eps(z, j) != 0 and eps(z, j) != POS_INF:
                     found = True
                     break
             if not found:
                 ws.append(
                     Witness(
-                        "infs.1",
+                        w.infs,
                         (x, y),
-                        (i, i + 1),
-                        "no unfreezing vertex up the chain",
-                        "some e_i^k(y) with finite positive eps_{i+1}",
-                    )
-                )
-        if i - 1 in g.index_set and g.phi(x, i - 1) == POS_INF:
-            if g.phi(y, i - 1) != POS_INF:
-                ws.append(
-                    Witness(
-                        "infs.2",
-                        (x, y),
-                        (i, i - 1),
-                        f"phi_{i - 1}(y)={ext_str(g.phi(y, i - 1))}",
-                        "+inf must propagate up the edge",
-                    )
-                )
-            z = x
-            found = False
-            for _ in range(limit):
-                if g.phi(z, i) == 0 or g.phi(z, i) == POS_INF:
-                    break
-                nxt = g.f(z, i)
-                if nxt is None:
-                    break
-                z = nxt
-                if g.phi(z, i - 1) != 0 and g.phi(z, i - 1) != POS_INF:
-                    found = True
-                    break
-            if not found:
-                ws.append(
-                    Witness(
-                        "infs.2",
-                        (x, y),
-                        (i, i - 1),
-                        "no unfreezing vertex down the chain",
-                        "some f_i^k(x) with finite positive phi_{i-1}",
+                        (i, j),
+                        f"no unfreezing vertex {w.chain} the chain",
+                        f"some {w.e}_i^k({w.far}) with finite positive {w.eps}_{{i{w.pm}1}}",
                     )
                 )
     return AxiomReport("infs", ws)
 
 
+# Not a dual pair: lemij.3 guards on eps_{i-1}(x), not phi_{i-1}(y), and prints eps first.
 def check_lemma_ij(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Paired eps/phi movement across a raising edge, as three biconditionals."""
     ws = []
@@ -409,13 +387,26 @@ def check_lemma_ij(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     return AxiomReport("lemij", ws)
 
 
+def _chain(start, seq, step):
+    z = start
+    for idx in seq:
+        if z is None:
+            return None
+        z = step(z, idx)
+    return z
+
+
 def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport]:
-    """The five local crystal axioms; only meaningful for crystals."""
+    """The five local crystal axioms; only meaningful for crystals. S2 and S3
+    read up, S2' and S3' read down."""
     if not is_crystal(g, around):
         raise ValueError("Stembridge checks apply to crystals only (no +inf lengths)")
-    n = g.n
-    roots = {i: simple_root(i, n) for i in g.index_set}
-    s1, s2, s2p, s3, s3p = [], [], [], [], []
+    roots = {i: simple_root(i, g.n) for i in g.index_set}
+    senses = (_Sense(g, True), _Sense(g, False))
+    found = {axiom: [] for axiom in ("S1", "S2", "S2'", "S3", "S3'")}
+
+    def bad(axiom, vertices, i, j, observed, required):
+        found[axiom].append(Witness(axiom, vertices, (i, j), observed, required))
 
     for x, i, y in g.raising_edges(around):
         for j in g.index_set:
@@ -426,14 +417,13 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
                 continue
             if ey == ex + 1 and pairing(roots[i], roots[j]) == -1:
                 continue
-            s1.append(
-                Witness(
-                    "S1",
-                    (x, y),
-                    (i, j),
-                    f"eps_{j}: {ext_str(ex)} -> {ext_str(ey)}",
-                    "unchanged, or +1 across an adjacent index",
-                )
+            bad(
+                "S1",
+                (x, y),
+                i,
+                j,
+                f"eps_{j}: {ext_str(ex)} -> {ext_str(ey)}",
+                "unchanged, or +1 across an adjacent index",
             )
 
     for x in g.anchors(around):
@@ -441,162 +431,68 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
             for j in g.index_set:
                 if i == j:
                     continue
-                y = g.e(x, i)
-                if y is not None and g.eps(y, j) == g.eps(x, j) and g.eps(x, j) > 0:
-                    z = g.e(x, j)
-                    ij = g.e(z, i) if z is not None else None
-                    ji = g.e(y, j)
-                    if ij is None or ij != ji:
-                        s2.append(
-                            Witness(
-                                "S2",
+                for s in senses:
+                    e, eps, phi, w = s.e, s.eps, s.phi, s.w
+                    y, z = e(x, i), e(x, j)
+                    if y is not None and eps(y, j) == eps(x, j) and eps(x, j) > 0:
+                        ij = e(z, i) if z is not None else None
+                        ji = e(y, j)
+                        if ij is None or ij != ji:
+                            bad(
+                                "S2" + w.prime,
                                 (x,),
-                                (i, j),
-                                f"e_i e_j={ij} e_j e_i={ji}",
+                                i,
+                                j,
+                                f"{w.e}_i {w.e}_j={ij} {w.e}_j {w.e}_i={ji}",
                                 "equal and defined",
                             )
-                        )
-                    elif g.phi(x, i) != g.phi(z, i):
-                        s2.append(
-                            Witness(
-                                "S2",
+                        elif phi(x, i) != phi(z, i):
+                            bad(
+                                "S2" + w.prime,
                                 (x,),
-                                (i, j),
-                                f"phi_{i}(e_{j}x)={ext_str(g.phi(z, i))}",
-                                f"phi_{i}(x)={ext_str(g.phi(x, i))}",
+                                i,
+                                j,
+                                f"{w.phi}_{i}({w.e}_{j}x)={ext_str(phi(z, i))}",
+                                f"{w.phi}_{i}(x)={ext_str(phi(x, i))}",
                             )
-                        )
-                y = g.f(x, i)
-                if y is not None and g.phi(y, j) == g.phi(x, j) and g.phi(x, j) > 0:
-                    z = g.f(x, j)
-                    ij = g.f(z, i) if z is not None else None
-                    ji = g.f(y, j)
-                    if ij is None or ij != ji:
-                        s2p.append(
-                            Witness(
-                                "S2'",
-                                (x,),
-                                (i, j),
-                                f"f_i f_j={ij} f_j f_i={ji}",
-                                "equal and defined",
-                            )
-                        )
-                    elif g.eps(x, i) != g.eps(z, i):
-                        s2p.append(
-                            Witness(
-                                "S2'",
-                                (x,),
-                                (i, j),
-                                f"eps_{i}(f_{j}x)={ext_str(g.eps(z, i))}",
-                                f"eps_{i}(x)={ext_str(g.eps(x, i))}",
-                            )
-                        )
-
-    def chain(start, seq, step):
-        z = start
-        for idx in seq:
-            if z is None:
-                return None
-            z = step(z, idx)
-        return z
-
-    for x in g.anchors(around):
-        for i in g.index_set:
-            for j in g.index_set:
-                if j <= i:
-                    continue
-                y, z = g.e(x, i), g.e(x, j)
-                if (
-                    y is not None
-                    and z is not None
-                    and g.eps(y, j) == g.eps(x, j) + 1
-                    and g.eps(z, i) == g.eps(x, i) + 1
-                ):
-                    left = chain(x, (i, j, j, i), g.e)
-                    right = chain(x, (j, i, i, j), g.e)
-                    mid_l = chain(x, (i, j, j), g.e)
-                    mid_r = chain(x, (j, i, i), g.e)
+                    if j < i or y is None or z is None:
+                        continue
+                    if eps(y, j) != eps(x, j) + 1 or eps(z, i) != eps(x, i) + 1:
+                        continue
+                    left = _chain(x, (i, j, j, i), e)
+                    right = _chain(x, (j, i, i, j), e)
                     if left is None or left != right:
-                        s3.append(
-                            Witness(
-                                "S3",
-                                (x,),
-                                (i, j),
-                                f"e_i e_j^2 e_i={left} e_j e_i^2 e_j={right}",
-                                "equal and defined",
-                            )
+                        bad(
+                            "S3" + w.prime,
+                            (x,),
+                            i,
+                            j,
+                            f"{w.e}_i {w.e}_j^2 {w.e}_i={left} {w.e}_j {w.e}_i^2 {w.e}_j={right}",
+                            "equal and defined",
                         )
-                    else:
-                        if g.phi(z, i) != g.phi(mid_l, i):
-                            s3.append(
-                                Witness(
-                                    "S3",
-                                    (x,),
-                                    (i, j),
-                                    f"phi_{i}(e_{j}x)={ext_str(g.phi(z, i))} vs {ext_str(g.phi(mid_l, i))}",
-                                    "phi_i preserved across the double step",
-                                )
-                            )
-                        if g.phi(y, j) != g.phi(mid_r, j):
-                            s3.append(
-                                Witness(
-                                    "S3",
-                                    (x,),
-                                    (i, j),
-                                    f"phi_{j}(e_{i}x)={ext_str(g.phi(y, j))} vs {ext_str(g.phi(mid_r, j))}",
-                                    "phi_j preserved across the double step",
-                                )
-                            )
-                y, z = g.f(x, i), g.f(x, j)
-                if (
-                    y is not None
-                    and z is not None
-                    and g.phi(y, j) == g.phi(x, j) + 1
-                    and g.phi(z, i) == g.phi(x, i) + 1
-                ):
-                    left = chain(x, (i, j, j, i), g.f)
-                    right = chain(x, (j, i, i, j), g.f)
-                    mid_l = chain(x, (i, j, j), g.f)
-                    mid_r = chain(x, (j, i, i), g.f)
-                    if left is None or left != right:
-                        s3p.append(
-                            Witness(
-                                "S3'",
-                                (x,),
-                                (i, j),
-                                f"f_i f_j^2 f_i={left} f_j f_i^2 f_j={right}",
-                                "equal and defined",
-                            )
+                        continue
+                    mid_l = _chain(x, (i, j, j), e)
+                    mid_r = _chain(x, (j, i, i), e)
+                    if phi(z, i) != phi(mid_l, i):
+                        bad(
+                            "S3" + w.prime,
+                            (x,),
+                            i,
+                            j,
+                            f"{w.phi}_{i}({w.e}_{j}x)={ext_str(phi(z, i))} vs {ext_str(phi(mid_l, i))}",
+                            f"{w.phi}_i preserved across the double step",
                         )
-                    else:
-                        if g.eps(z, i) != g.eps(mid_l, i):
-                            s3p.append(
-                                Witness(
-                                    "S3'",
-                                    (x,),
-                                    (i, j),
-                                    f"eps_{i}(f_{j}x)={ext_str(g.eps(z, i))} vs {ext_str(g.eps(mid_l, i))}",
-                                    "eps_i preserved across the double step",
-                                )
-                            )
-                        if g.eps(y, j) != g.eps(mid_r, j):
-                            s3p.append(
-                                Witness(
-                                    "S3'",
-                                    (x,),
-                                    (i, j),
-                                    f"eps_{j}(f_{i}x)={ext_str(g.eps(y, j))} vs {ext_str(g.eps(mid_r, j))}",
-                                    "eps_j preserved across the double step",
-                                )
-                            )
+                    if phi(y, j) != phi(mid_r, j):
+                        bad(
+                            "S3" + w.prime,
+                            (x,),
+                            i,
+                            j,
+                            f"{w.phi}_{j}({w.e}_{i}x)={ext_str(phi(y, j))} vs {ext_str(phi(mid_r, j))}",
+                            f"{w.phi}_j preserved across the double step",
+                        )
 
-    return {
-        "S1": AxiomReport("S1", s1),
-        "S2": AxiomReport("S2", s2),
-        "S2p": AxiomReport("S2'", s2p),
-        "S3": AxiomReport("S3", s3),
-        "S3p": AxiomReport("S3'", s3p),
-    }
+    return {axiom.replace("'", "p"): AxiomReport(axiom, ws) for axiom, ws in found.items()}
 
 
 # The local axioms a graph answers to, by its class. Keys are the CLI's

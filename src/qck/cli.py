@@ -79,6 +79,8 @@ def _cmd_build(args) -> int:
 def _cmd_check(args) -> int:
     g = read_graph(args.file)
     requested = [k.strip() for k in args.axioms.split(",") if k.strip()]
+    if not requested:
+        raise ValueError("no axiom keys given")
     lines: list[str] = []
     found = False
 

@@ -674,8 +674,11 @@ def from_json(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError(f"unsupported format version {doc.get('version')!r}")
     if isinstance(doc.get("n"), bool) or not isinstance(doc.get("n"), int):
         raise GraphFormatError("missing integer field 'n'")
+    vertices, edges = doc.get("vertices", []), doc.get("edges", [])
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise GraphFormatError("fields 'vertices' and 'edges' must be lists")
     g = QuasiCrystalGraph(doc["n"])
-    for rec in doc.get("vertices", []):
+    for rec in vertices:
         try:
             vid = rec["id"]
             wt = rec["wt"]
@@ -689,12 +692,12 @@ def from_json(text: str) -> QuasiCrystalGraph:
             g.add_vertex(vid, wt, eps, phi)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
-    for rec in doc.get("edges", []):
+    for rec in edges:
         try:
             src, dst, label = rec["from"], rec["to"], rec["label"]
         except (KeyError, TypeError) as exc:
             raise GraphFormatError(f"bad edge record {rec!r}: {exc}") from None
-        if src not in g or dst not in g:
+        if not isinstance(src, str) or not isinstance(dst, str) or src not in g or dst not in g:
             raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
         if isinstance(label, bool) or not isinstance(label, int):
             raise GraphFormatError(f"bad edge label {label!r}")

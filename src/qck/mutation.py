@@ -232,6 +232,8 @@ def fuzz_graph(g: QuasiCrystalGraph, count: int, seed: int) -> FuzzResult:
     raises. Witnesses of the unedited g anchored outside the region still
     stand, so they count as a detection.
     """
+    if count < 0:
+        raise ValueError(f"fuzz count must be >= 0, got {count}")
     if not validate(g).passed or not is_seminormal(g).passed:
         raise ValueError("fuzz needs a coherent seminormal graph to start from")
     # a class change (+inf gained or lost) breaks Q2 at x, so while local

@@ -1,3 +1,7 @@
+import hashlib
+import random
+import re
+
 import pytest
 
 from qck.axioms import (
@@ -11,6 +15,7 @@ from qck.axioms import (
     check_stembridge,
 )
 from qck.graphcore import POS_INF, validate, is_seminormal
+from qck.mutation import random_mutation
 from qck.quasify import quasify
 from qck.wordmodel import quasi_tensor_power, standard_crystal, tensor_power
 
@@ -308,3 +313,71 @@ def test_quasified_output_passes_core_checks():
         assert is_seminormal(q).passed
     for fn in LQ_CHECKS:
         assert fn(content_quasi((2, 1), 3)).passed
+
+
+# ------------------------------------------------------- witness text pinned
+
+# Every witness line (and every refusal) of every checker on 40 seeded
+# mutants of 12 corpus graphs. The digest pins the text byte for byte.
+WITNESS_DIGEST = "da6a90192f5d08427b9c833c4452e9f9378b4870cd6b2bd289ba6e6c09e5fc7e"
+WITNESS_SEEDS = 40
+
+# (axiom, required text with its numbers stripped): every witness text the
+# checkers can print. The plan must reach each of them.
+WITNESS_TEXTS = {
+    "LQ1": ("eps_i= iff phi_{i}=",),
+    "LQ2.1": ("unchanged for |i-j|>",),
+    "LQ2.2": ("change iff eps_{i}(x)=+inf and eps_i(y)=", "finite positive after an unfreezing step"),
+    "LQ2.3": ("change iff phi_{i}(y)=+inf and phi_i(x)=", "finite positive before a freezing step"),
+    "LQ3": ("equal and defined composites",),
+    "LQ3'": ("equal and defined composites",),
+    "case-1": ("both unchanged at distance > ",),
+    "case-2a": ("eps unchanged, phi drops by ",),
+    "case-2b": ("all +inf while the chain continues",),
+    "case-2c": ("eps(y)=-<wt(y),alpha_>=> and phi(y)=",),
+    "case-3a": ("eps rises by , phi unchanged",),
+    "case-3b": ("all +inf while the chain continues",),
+    "case-3c": ("eps(x)= and phi(x)=<wt(x),alpha_>=>",),
+    "infs.1": ("+inf must propagate down the edge", "some e_i^k(y) with finite positive eps_{i}"),
+    "infs.2": ("+inf must propagate up the edge", "some f_i^k(x) with finite positive phi_{i}"),
+    "lemij.1": ("eps unchanged iff phi unchanged",),
+    "lemij.2": ("eps unchanged iff phi drops by ",),
+    "lemij.3": ("eps rises by  iff phi unchanged",),
+    "S1": ("unchanged, or  across an adjacent index",),
+    "S2": ("equal and defined", "phi_(x)="),
+    "S2'": ("equal and defined", "eps_(x)="),
+    "S3": ("equal and defined", "phi_i preserved across the double step", "phi_j preserved across the double step"),
+    "S3'": ("equal and defined", "eps_i preserved across the double step", "eps_j preserved across the double step"),
+}
+
+
+def witness_plan():
+    graphs = [(f"qpow{nk}", qpow(*nk)) for nk in ((2, 4), (3, 3), (3, 4), (4, 2), (4, 3))]
+    graphs += [(f"tpow{nk}", tpow(*nk)) for nk in ((2, 4), (3, 3), (4, 2))]
+    graphs += [("std(4)", std(4)), ("std(5)", std(5))]
+    graphs += [("content((2,1),3)", content_crystal((2, 1), 3))]
+    graphs += [("quasify(content((3,1),4))", content_quasi((3, 1), 4))]
+    for name, g in graphs:
+        for seed in range(WITNESS_SEEDS):
+            rng = random.Random(seed)
+            mutant = g
+            for _ in range(rng.randint(1, 3)):
+                mutant, _ = random_mutation(mutant, rng)
+            yield f"{name}\t{seed}", mutant
+
+
+def test_witness_text_is_pinned():
+    lines, texts = [], set()
+    for tag, g in witness_plan():
+        for fn in (*LQ_CHECKS, check_stembridge):
+            try:
+                report = fn(g)
+            except ValueError as exc:
+                lines.append(f"{tag}\t{fn.__name__}\t{type(exc).__name__}: {exc}")
+                continue
+            for rep in report.values() if isinstance(report, dict) else (report,):
+                for w in rep.witnesses:
+                    lines.append(f"{tag}\t{w.line()}")
+                    texts.add((w.axiom, re.sub(r"[-+]?\d+", "", w.required)))
+    assert texts == {(axiom, t) for axiom, ts in WITNESS_TEXTS.items() for t in ts}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WITNESS_DIGEST

@@ -99,6 +99,19 @@ def test_check_unknown_axiom_key(q32_file, capsys):
     assert "unknown axiom keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keys", ["", " ", ",", " , ,"])
+def test_check_without_axiom_keys_is_a_usage_error(q32_file, tmp_path, capsys, keys):
+    # a graph that fails Q1 must not pass because no checker ran
+    g = read_graph(q32_file)
+    g.set_epsilon("12", 1, 3)
+    bad = str(tmp_path / "bad")
+    write_graph(g, bad)
+    assert main(["check", bad, "--axioms", keys]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no axiom keys" in captured.err
+
+
 def test_check_missing_and_malformed_files(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent"), "--axioms", "all"]) == 2
     junk = tmp_path / "junk"
@@ -115,6 +128,23 @@ def test_boolean_rank_in_json_is_an_input_error(tmp_path, capsys):
         encoding="utf-8",
     )
     assert main(["decompose", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        '"vertices": 5, "edges": []',
+        '"vertices": [], "edges": 7',
+        '"vertices": [], "edges": [{"from": [1], "to": "1", "label": 1}]',
+    ],
+)
+def test_hostile_json_sections_are_input_errors(tmp_path, capsys, tail):
+    path = tmp_path / "hostile.json"
+    path.write_text('{"format": "qck-graph", "version": 1, "n": 2, ' + tail + "}\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
@@ -285,6 +315,13 @@ def test_fuzz_is_deterministic(q32_file, capsys):
     first = capsys.readouterr().out
     assert main(["fuzz", q32_file, "--count", "40", "--seed", "3"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_fuzz_negative_count_is_a_usage_error(q32_file, capsys):
+    assert main(["fuzz", q32_file, "--count", "-5", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "count" in captured.err
 
 
 def test_fuzz_rejects_incoherent_start(q32_file, tmp_path, capsys):

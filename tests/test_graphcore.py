@@ -395,6 +395,23 @@ def test_json_rejects_wrong_format_name():
         from_json(json.dumps(payload))
 
 
+@pytest.mark.parametrize("field,value", [("vertices", 5), ("edges", 7), ("vertices", None)])
+def test_json_rejects_non_list_sections(field, value):
+    payload = json.loads(to_json(std(2)))
+    payload[field] = value
+    with pytest.raises(GraphFormatError):
+        from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("end", ["from", "to"])
+@pytest.mark.parametrize("value", [[1], {"a": 1}])
+def test_json_rejects_edge_ends_that_are_not_ids(end, value):
+    payload = json.loads(to_json(std(2)))
+    payload["edges"][0][end] = value
+    with pytest.raises(GraphFormatError):
+        from_json(json.dumps(payload))
+
+
 def test_infinite_lengths_survive_roundtrip():
     g = qpow(3, 3)  # holds +inf entries
     assert any(not is_finite(g.eps(x, i)) for x in g.vertex_ids() for i in g.index_set)

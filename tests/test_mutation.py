@@ -4,7 +4,7 @@ import pytest
 
 import qck.mutation
 from qck.axioms import CRYSTAL_AXIOMS, QUASI_AXIOMS, family, run_checks, uncounted_length
-from qck.graphcore import POS_INF, QuasiCrystalGraph, is_seminormal, validate
+from qck.graphcore import NEG_INF, POS_INF, QuasiCrystalGraph, is_seminormal, validate
 from qck.mutation import (
     _AllBut,
     RADIUS,
@@ -138,6 +138,11 @@ def test_fuzz_result_lines():
     assert lines[2] == "silent\t1"
     assert lines[3] == "rate\t0.9000"
     assert lines[4].startswith("silent-case\tweight\t321")
+
+
+def test_fuzz_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count"):
+        fuzz_graph(qpow(2, 2), count=-1, seed=0)
 
 
 def test_fuzz_empty_run():
@@ -317,6 +322,8 @@ def test_uncounted_length_finds_the_first_bad_entry():
     assert uncounted_length(g, around={"11", "12"}) is None
     assert run_detectors(g)[:2] == ["validate", "seminormal"]
     assert "cases" not in run_detectors(g)
+    g.set_epsilon("11", 1, NEG_INF)
+    assert uncounted_length(g) == ("11", 1, NEG_INF)
 
 
 def _damaged(base, *edits):
