@@ -33,7 +33,6 @@ from .graphcore import (
     ext_str,
     is_crystal,
 )
-from .weightlattice import pairing, simple_root
 
 # The text each sense prints, as (up, down).
 _WORDS = {
@@ -59,14 +58,15 @@ _UP_WORDS, _DOWN_WORDS = (SimpleNamespace(**{k: p[d] for k, p in _WORDS.items()}
 
 class _Sense:
     """One reading direction of a dual pair of rules on g: ``e``, ``eps``
-    and ``phi`` are g's (e, eps, phi) up and its (f, phi, eps) down, ``d`` is
-    the step from i to j, and ``w`` the text the sense prints. A checker
-    holds ``senses = (up, down)``, so ``senses[j < i]`` reads j from i."""
+    and ``phi`` are g's row tables (g._e, g._eps, g._phi) up and
+    (g._f, g._phi, g._eps) down, so ``s.eps[x][i - 1]`` is the sense's eps_i(x).
+    ``d`` is the step from i to j, and ``w`` the text the sense prints. A
+    checker holds ``senses = (up, down)``, so ``senses[j < i]`` reads j from i."""
 
     def __init__(self, g: QuasiCrystalGraph, up: bool):
         self.up = up
         self.d = 1 if up else -1
-        self.e, self.eps, self.phi = (g.e, g.eps, g.phi) if up else (g.f, g.phi, g.eps)
+        self.e, self.eps, self.phi = (g._e, g._eps, g._phi) if up else (g._f, g._phi, g._eps)
         self.w = _UP_WORDS if up else _DOWN_WORDS
 
     def pair(self, a, b):
@@ -77,20 +77,19 @@ class _Sense:
 
 def check_lq1(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """eps_i(x) = 0 exactly when phi_{i+1}(x) = 0, for consecutive indices."""
+    EPS, PHI = g._eps, g._phi
     ws = []
     for x in g.anchors(around):
-        for i in g.index_set:
-            if i + 1 not in g.index_set:
-                continue
-            lhs = g.eps(x, i) == 0
-            rhs = g.phi(x, i + 1) == 0
-            if lhs != rhs:
+        ex, px = EPS[x], PHI[x]
+        for s in range(g.n - 2):  # i = s + 1 and i + 1 both indices
+            if (ex[s] == 0) != (px[s + 1] == 0):
+                i = s + 1
                 ws.append(
                     Witness(
                         "LQ1",
                         (x,),
                         (i, i + 1),
-                        f"eps_{i}={ext_str(g.eps(x, i))},phi_{i + 1}={ext_str(g.phi(x, i + 1))}",
+                        f"eps_{i}={ext_str(ex[s])},phi_{i + 1}={ext_str(px[s + 1])}",
                         "eps_i=0 iff phi_{i+1}=0",
                     )
                 )
@@ -101,17 +100,19 @@ def check_lq2(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Behaviour of neighbouring string lengths across each raising edge:
     LQ2.1 at distant indices, LQ2.2 (up) and LQ2.3 (down) at adjacent ones."""
     senses = (_Sense(g, True), _Sense(g, False))
+    EPS, indices = g._eps, g.index_set
     ws = []
     for x, i, y in g.raising_edges(around):
-        for j in g.index_set:
+        for j in indices:
+            t = j - 1
             if abs(i - j) > 1:
-                if g.eps(x, j) != g.eps(y, j):
+                if EPS[x][t] != EPS[y][t]:
                     ws.append(
                         Witness(
                             "LQ2.1",
                             (x, y),
                             (i, j),
-                            f"eps_{j}: {ext_str(g.eps(x, j))} -> {ext_str(g.eps(y, j))}",
+                            f"eps_{j}: {ext_str(EPS[x][t])} -> {ext_str(EPS[y][t])}",
                             "unchanged for |i-j|>1",
                         )
                     )
@@ -119,27 +120,27 @@ def check_lq2(g: QuasiCrystalGraph, around=None) -> AxiomReport:
             if j == i:
                 continue
             s = senses[j < i]
-            w = s.w
+            L, w = s.eps, s.w
             near, far = s.pair(x, y)
-            cond = s.eps(near, j) == POS_INF and s.eps(far, i) == 0
-            if (s.eps(x, j) != s.eps(y, j)) != cond:
+            cond = L[near][t] is POS_INF and L[far][i - 1] == 0
+            if (L[x][t] != L[y][t]) != cond:
                 ws.append(
                     Witness(
                         w.lq2,
                         (x, y),
                         (i, j),
-                        f"{w.eps}_{j}: {ext_str(s.eps(x, j))} -> {ext_str(s.eps(y, j))}, "
-                        f"{w.eps}_{i}({w.far})={ext_str(s.eps(far, i))}",
+                        f"{w.eps}_{j}: {ext_str(L[x][t])} -> {ext_str(L[y][t])}, "
+                        f"{w.eps}_{i}({w.far})={ext_str(L[far][i - 1])}",
                         f"change iff {w.eps}_{{i{w.pm}1}}({w.near})=+inf and {w.eps}_i({w.far})=0",
                     )
                 )
-            if cond and (s.eps(far, j) == 0 or s.eps(far, j) == POS_INF):
+            if cond and (L[far][t] == 0 or L[far][t] is POS_INF):
                 ws.append(
                     Witness(
                         w.lq2,
                         (x, y),
                         (i, j),
-                        f"{w.eps}_{j}({w.far})={ext_str(s.eps(far, j))}",
+                        f"{w.eps}_{j}({w.far})={ext_str(L[far][t])}",
                         f"finite positive {w.step} step",
                     )
                 )
@@ -148,18 +149,19 @@ def check_lq2(g: QuasiCrystalGraph, around=None) -> AxiomReport:
 
 def _check_lq3(g: QuasiCrystalGraph, around, s: _Sense) -> AxiomReport:
     """Defined operators of the sense at distinct indices commute."""
-    step = s.e
+    E = s.e
     ws = []
     for x in g.anchors(around):
-        for i in g.index_set:
-            a = step(x, i)
+        row = E[x]
+        for i in range(1, g.n):
+            a = row[i - 1]
             if a is None:
                 continue
             for j in range(i + 1, g.n):
-                b = step(x, j)
+                b = row[j - 1]
                 if b is None:
                     continue
-                ab, ba = step(a, j), step(b, i)
+                ab, ba = E[a][j - 1], E[b][i - 1]
                 if ab is None or ab != ba:
                     ws.append(
                         Witness(
@@ -186,12 +188,13 @@ def check_lq3p(g: QuasiCrystalGraph, around=None) -> AxiomReport:
 def uncounted_length(g: QuasiCrystalGraph, around=None):
     """The first (vertex, index, length) whose length is neither in Z>=0 nor
     +inf, or None when every string length counts a string."""
+    EPS, PHI = g._eps, g._phi
     for x in g.anchors(around):
-        for i in g.index_set:
-            for v in (g.eps(x, i), g.phi(x, i)):
+        for s, pair in enumerate(zip(EPS[x], PHI[x])):
+            for v in pair:
                 # a stored length is an int or +-inf: only -inf and ints < 0 are < 0
-                if v < 0:
-                    return x, i, v
+                if v is not POS_INF and v < 0:
+                    return x, s + 1, v
     return None
 
 
@@ -211,49 +214,48 @@ def check_local_ax_cases(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     at distant indices, cases 2a-2c (up) and 3a-3c (down) at adjacent ones."""
     _require_counting_lengths(g, "case analysis", around)
     senses = (_Sense(g, True), _Sense(g, False))
+    W, EPS, PHI, indices = g._wt, g._eps, g._phi, g.index_set
     ws = []
 
     def bad(case, x, y, i, j, observed, required):
         ws.append(Witness(case, (x, y), (i, j), observed, required))
 
+    def moves(x, y, t):
+        return (
+            f"eps: {ext_str(EPS[x][t])}->{ext_str(EPS[y][t])} "
+            f"phi: {ext_str(PHI[x][t])}->{ext_str(PHI[y][t])}"
+        )
+
     for x, i, y in g.raising_edges(around):
-        for j in g.index_set:
+        for j in indices:
+            t = j - 1
             if abs(i - j) > 1:
-                if g.eps(y, j) != g.eps(x, j) or g.phi(y, j) != g.phi(x, j):
-                    bad(
-                        "case-1",
-                        x,
-                        y,
-                        i,
-                        j,
-                        f"eps: {ext_str(g.eps(x, j))}->{ext_str(g.eps(y, j))} "
-                        f"phi: {ext_str(g.phi(x, j))}->{ext_str(g.phi(y, j))}",
-                        "both unchanged at distance > 1",
-                    )
+                if EPS[y][t] != EPS[x][t] or PHI[y][t] != PHI[x][t]:
+                    bad("case-1", x, y, i, j, moves(x, y, t), "both unchanged at distance > 1")
                 continue
             if j == i:
                 continue
             s = senses[j < i]
-            eps, phi, w = s.eps, s.phi, s.w
+            w = s.w
             near, far = s.pair(x, y)
-            if eps(near, j) != POS_INF:
-                if not (eps(far, j) == eps(near, j) and phi(far, j) == phi(near, j) - 1):
+            L_near, L_far, R_near, R_far = s.eps[near], s.eps[far], s.phi[near], s.phi[far]
+            if L_near[t] is not POS_INF:
+                if not (L_far[t] == L_near[t] and R_far[t] == R_near[t] - 1):
                     bad(
                         w.case + "a",
                         x,
                         y,
                         i,
                         j,
-                        f"eps: {ext_str(g.eps(x, j))}->{ext_str(g.eps(y, j))} "
-                        f"phi: {ext_str(g.phi(x, j))}->{ext_str(g.phi(y, j))}",
+                        moves(x, y, t),
                         ", ".join(s.pair(f"{w.eps} unchanged", f"{w.phi} {w.move} by 1")),
                     )
-            elif eps(far, i) > 0:
+            elif L_far[i - 1] > 0:
                 # every length at j but L(near, j) must be +inf as well
-                if not (eps(far, j) == POS_INF and phi(near, j) == POS_INF and phi(far, j) == POS_INF):
+                if not (L_far[t] is POS_INF and R_near[t] is POS_INF and R_far[t] is POS_INF):
                     rest = {
-                        f"{name}({end})": get(v, j)
-                        for name, get in (("eps", g.eps), ("phi", g.phi))
+                        f"{name}({end})": rows[v][t]
+                        for name, rows in (("eps", EPS), ("phi", PHI))
                         for end, v in (("x", x), ("y", y))
                     }
                     del rest[f"{w.eps}({w.near})"]
@@ -267,15 +269,16 @@ def check_local_ax_cases(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                         "all +inf while the chain continues",
                     )
             else:  # L(near, j) = +inf and L(far, i) = 0, L the sense's eps
-                predicted = -s.d * pairing(g.wt(far), simple_root(j, g.n))
-                if not (eps(far, j) == predicted and predicted > 0 and phi(far, j) == 0):
+                wf = W[far]
+                predicted = -s.d * (wf[t] - wf[j])
+                if not (L_far[t] == predicted and predicted > 0 and R_far[t] == 0):
                     bad(
                         w.case + "c",
                         x,
                         y,
                         i,
                         j,
-                        f"eps({w.far})={ext_str(g.eps(far, j))} phi({w.far})={ext_str(g.phi(far, j))}",
+                        f"eps({w.far})={ext_str(EPS[far][t])} phi({w.far})={ext_str(PHI[far][t])}",
                         " and ".join(
                             s.pair(
                                 f"{w.eps}({w.far})={w.neg}<wt({w.far}),alpha_{j}>={predicted}>0",
@@ -291,37 +294,38 @@ def check_cor_infs(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     after finitely many raising (infs.1) resp. lowering (infs.2) steps."""
     _require_counting_lengths(g, "freeze propagation", around)
     senses = (_Sense(g, True), _Sense(g, False))
+    indices = g.index_set
     ws = []
     limit = len(g) + 1
     for x, i, y in g.raising_edges(around):
         for s in senses:
             j = i + s.d
-            if j not in g.index_set:
+            if j not in indices:
                 continue
-            eps, w = s.eps, s.w
+            E, L, w = s.e, s.eps, s.w
             near, far = s.pair(x, y)
-            if eps(far, j) != POS_INF:
+            if L[far][j - 1] is not POS_INF:
                 continue
-            if eps(near, j) != POS_INF:
+            if L[near][j - 1] is not POS_INF:
                 ws.append(
                     Witness(
                         w.infs,
                         (x, y),
                         (i, j),
-                        f"{w.eps}_{j}({w.near})={ext_str(eps(near, j))}",
+                        f"{w.eps}_{j}({w.near})={ext_str(L[near][j - 1])}",
                         f"+inf must propagate {w.edge} the edge",
                     )
                 )
             z = far
             found = False
             for _ in range(limit):
-                if eps(z, i) == 0 or eps(z, i) == POS_INF:
+                if L[z][i - 1] == 0 or L[z][i - 1] is POS_INF:
                     break
-                nxt = s.e(z, i)
+                nxt = E[z][i - 1]
                 if nxt is None:
                     break
                 z = nxt
-                if eps(z, j) != 0 and eps(z, j) != POS_INF:
+                if L[z][j - 1] != 0 and L[z][j - 1] is not POS_INF:
                     found = True
                     break
             if not found:
@@ -340,12 +344,15 @@ def check_cor_infs(g: QuasiCrystalGraph, around=None) -> AxiomReport:
 # Not a dual pair: lemij.3 guards on eps_{i-1}(x), not phi_{i-1}(y), and prints eps first.
 def check_lemma_ij(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Paired eps/phi movement across a raising edge, as three biconditionals."""
+    EPS, PHI, indices = g._eps, g._phi, g.index_set
     ws = []
     for x, i, y in g.raising_edges(around):
-        for j in g.index_set:
+        ex, ey, px, py = EPS[x], EPS[y], PHI[x], PHI[y]
+        for j in indices:
             if abs(i - j) > 1:
-                lhs = g.eps(y, j) == g.eps(x, j)
-                rhs = g.phi(y, j) == g.phi(x, j)
+                t = j - 1
+                lhs = ey[t] == ex[t]
+                rhs = py[t] == px[t]
                 if lhs != rhs:
                     ws.append(
                         Witness(
@@ -356,30 +363,29 @@ def check_lemma_ij(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                             "eps unchanged iff phi unchanged",
                         )
                     )
-        if i + 1 in g.index_set and g.eps(x, i + 1) != POS_INF:
-            j = i + 1
-            lhs = g.eps(y, j) == g.eps(x, j)
-            rhs = g.phi(y, j) == g.phi(x, j) - 1
+        # slot i is index j = i + 1, slot i - 2 is index j = i - 1
+        if i + 1 in indices and ex[i] is not POS_INF:
+            lhs = ey[i] == ex[i]
+            rhs = py[i] == px[i] - 1
             if lhs != rhs:
                 ws.append(
                     Witness(
                         "lemij.2",
                         (x, y),
-                        (i, j),
+                        (i, i + 1),
                         f"eps same: {lhs}, phi dropped: {rhs}",
                         "eps unchanged iff phi drops by 1",
                     )
                 )
-        if i - 1 in g.index_set and g.eps(x, i - 1) != POS_INF:
-            j = i - 1
-            lhs = g.eps(y, j) == g.eps(x, j) + 1
-            rhs = g.phi(y, j) == g.phi(x, j)
+        if i - 1 in indices and ex[i - 2] is not POS_INF:
+            lhs = ey[i - 2] == ex[i - 2] + 1
+            rhs = py[i - 2] == px[i - 2]
             if lhs != rhs:
                 ws.append(
                     Witness(
                         "lemij.3",
                         (x, y),
-                        (i, j),
+                        (i, i - 1),
                         f"eps rose: {lhs}, phi same: {rhs}",
                         "eps rises by 1 iff phi unchanged",
                     )
@@ -387,12 +393,14 @@ def check_lemma_ij(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     return AxiomReport("lemij", ws)
 
 
-def _chain(start, seq, step):
+def _chain(rows: dict, start, seq):
+    """The vertex reached from start by the operators of rows at the indices
+    of seq, applied in order; None once one is undefined."""
     z = start
     for idx in seq:
         if z is None:
             return None
-        z = step(z, idx)
+        z = rows[z][idx - 1]
     return z
 
 
@@ -401,21 +409,22 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
     read up, S2' and S3' read down."""
     if not is_crystal(g, around):
         raise ValueError("Stembridge checks apply to crystals only (no +inf lengths)")
-    roots = {i: simple_root(i, g.n) for i in g.index_set}
     senses = (_Sense(g, True), _Sense(g, False))
+    EPS, indices = g._eps, g.index_set
     found = {axiom: [] for axiom in ("S1", "S2", "S2'", "S3", "S3'")}
 
     def bad(axiom, vertices, i, j, observed, required):
         found[axiom].append(Witness(axiom, vertices, (i, j), observed, required))
 
     for x, i, y in g.raising_edges(around):
-        for j in g.index_set:
+        for j in indices:
             if j == i:
                 continue
-            ex, ey = g.eps(x, j), g.eps(y, j)
+            ex, ey = EPS[x][j - 1], EPS[y][j - 1]
             if ey == ex:
                 continue
-            if ey == ex + 1 and pairing(roots[i], roots[j]) == -1:
+            # <alpha_i, alpha_j> = -1 exactly for adjacent indices
+            if ey == ex + 1 and abs(i - j) == 1:
                 continue
             bad(
                 "S1",
@@ -427,16 +436,16 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
             )
 
     for x in g.anchors(around):
-        for i in g.index_set:
-            for j in g.index_set:
+        for i in indices:
+            for j in indices:
                 if i == j:
                     continue
                 for s in senses:
-                    e, eps, phi, w = s.e, s.eps, s.phi, s.w
-                    y, z = e(x, i), e(x, j)
-                    if y is not None and eps(y, j) == eps(x, j) and eps(x, j) > 0:
-                        ij = e(z, i) if z is not None else None
-                        ji = e(y, j)
+                    E, L, R, w = s.e, s.eps, s.phi, s.w
+                    y, z = E[x][i - 1], E[x][j - 1]
+                    if y is not None and L[y][j - 1] == L[x][j - 1] and L[x][j - 1] > 0:
+                        ij = E[z][i - 1] if z is not None else None
+                        ji = E[y][j - 1]
                         if ij is None or ij != ji:
                             bad(
                                 "S2" + w.prime,
@@ -446,21 +455,21 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
                                 f"{w.e}_i {w.e}_j={ij} {w.e}_j {w.e}_i={ji}",
                                 "equal and defined",
                             )
-                        elif phi(x, i) != phi(z, i):
+                        elif R[x][i - 1] != R[z][i - 1]:
                             bad(
                                 "S2" + w.prime,
                                 (x,),
                                 i,
                                 j,
-                                f"{w.phi}_{i}({w.e}_{j}x)={ext_str(phi(z, i))}",
-                                f"{w.phi}_{i}(x)={ext_str(phi(x, i))}",
+                                f"{w.phi}_{i}({w.e}_{j}x)={ext_str(R[z][i - 1])}",
+                                f"{w.phi}_{i}(x)={ext_str(R[x][i - 1])}",
                             )
                     if j < i or y is None or z is None:
                         continue
-                    if eps(y, j) != eps(x, j) + 1 or eps(z, i) != eps(x, i) + 1:
+                    if L[y][j - 1] != L[x][j - 1] + 1 or L[z][i - 1] != L[x][i - 1] + 1:
                         continue
-                    left = _chain(x, (i, j, j, i), e)
-                    right = _chain(x, (j, i, i, j), e)
+                    left = _chain(E, x, (i, j, j, i))
+                    right = _chain(E, x, (j, i, i, j))
                     if left is None or left != right:
                         bad(
                             "S3" + w.prime,
@@ -471,24 +480,24 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
                             "equal and defined",
                         )
                         continue
-                    mid_l = _chain(x, (i, j, j), e)
-                    mid_r = _chain(x, (j, i, i), e)
-                    if phi(z, i) != phi(mid_l, i):
+                    mid_l = _chain(E, x, (i, j, j))
+                    mid_r = _chain(E, x, (j, i, i))
+                    if R[z][i - 1] != R[mid_l][i - 1]:
                         bad(
                             "S3" + w.prime,
                             (x,),
                             i,
                             j,
-                            f"{w.phi}_{i}({w.e}_{j}x)={ext_str(phi(z, i))} vs {ext_str(phi(mid_l, i))}",
+                            f"{w.phi}_{i}({w.e}_{j}x)={ext_str(R[z][i - 1])} vs {ext_str(R[mid_l][i - 1])}",
                             f"{w.phi}_i preserved across the double step",
                         )
-                    if phi(y, j) != phi(mid_r, j):
+                    if R[y][j - 1] != R[mid_r][j - 1]:
                         bad(
                             "S3" + w.prime,
                             (x,),
                             i,
                             j,
-                            f"{w.phi}_{j}({w.e}_{i}x)={ext_str(phi(y, j))} vs {ext_str(phi(mid_r, j))}",
+                            f"{w.phi}_{j}({w.e}_{i}x)={ext_str(R[y][j - 1])} vs {ext_str(R[mid_r][j - 1])}",
                             f"{w.phi}_j preserved across the double step",
                         )
 

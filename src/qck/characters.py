@@ -160,9 +160,10 @@ def character(obj) -> IntPolynomial:
     else:
         g = obj
         vertices = g.vertex_ids()
+    W = g._wt
     terms: dict[tuple[int, ...], int] = {}
     for x in vertices:
-        wt = g.wt(x)
+        wt = W[x]
         if any(c < 0 for c in wt):
             raise ValueError(
                 f"character needs non-negative weights; vertex {x!r} has {wt}"

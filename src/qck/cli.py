@@ -67,7 +67,7 @@ def _render(g, fmt: str) -> str:
 def _cmd_build(args) -> int:
     cap = args.size_cap if args.size_cap is not None else default_size_cap()
     if args.what == "std":
-        g = standard_crystal(args.n)
+        g = standard_crystal(args.n, size_cap=cap)
     elif args.what == "tensor-power":
         g = tensor_power(args.n, args.k, size_cap=cap)
     else:
@@ -182,9 +182,8 @@ def _component_ref(ref: str):
 def _cmd_iso(args) -> int:
     path1, idx1 = _component_ref(args.first)
     path2, idx2 = _component_ref(args.second)
-    g1 = read_graph(path1)
-    g2 = read_graph(path2) if path2 != path1 else g1
-    comps1, comps2 = components(g1), components(g2)
+    comps1 = components(read_graph(path1))
+    comps2 = components(read_graph(path2)) if path2 != path1 else comps1
     if idx1 > len(comps1) or idx2 > len(comps2):
         raise ValueError("component index out of range")
     witness = isomorphic(comps1[idx1 - 1], comps2[idx2 - 1])

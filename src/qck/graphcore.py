@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .weightlattice import Weight, add, pairing, simple_root
+from .weightlattice import Weight, add, simple_root
 
 FORMAT_NAME = "qck-graph"
 FORMAT_VERSION = 1
@@ -134,7 +134,11 @@ def parse_ext(tok: str):
 
 
 def _check_ext(v):
-    if isinstance(v, bool) or not isinstance(v, (int, Infinity)):
+    """v as stored: an int, or the POS_INF/NEG_INF singleton for any Infinity,
+    so that the readers may compare stored infinities by identity."""
+    if isinstance(v, Infinity):
+        return POS_INF if v.positive else NEG_INF
+    if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"expected int or +-inf, got {v!r}")
     return v
 
@@ -228,15 +232,27 @@ class QuasiCrystalGraph:
         return self.vertex_ids() if around is None else sorted(around)
 
     def add_vertex(self, vid: str, wt, eps, phi) -> None:
-        if not isinstance(vid, str) or not vid or any(c.isspace() for c in vid):
+        wt = self._new_weight(vid, wt)
+        self._put_vertex(vid, wt, [_check_ext(v) for v in eps], [_check_ext(v) for v in phi])
+
+    # add_vertex in two halves, split around its per-entry checks of eps and
+    # phi, which the file readers skip: their parsers produce only ints and
+    # the two infinities.
+
+    def _new_weight(self, vid, wt) -> Weight:
+        """Check a new vertex's id and weight; return the weight as a tuple."""
+        # split() cuts at exactly the characters isspace() accepts
+        if not isinstance(vid, str) or vid.split() != [vid]:
             raise ValueError(f"vertex id must be a non-empty string without spaces: {vid!r}")
         if vid in self._wt:
             raise ValueError(f"duplicate vertex id {vid!r}")
         wt = tuple(wt)
         if len(wt) != self.n or any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
             raise ValueError(f"weight of {vid!r} must be {self.n} ints, got {wt!r}")
-        eps = [_check_ext(v) for v in eps]
-        phi = [_check_ext(v) for v in phi]
+        return wt
+
+    def _put_vertex(self, vid: str, wt: Weight, eps: list, phi: list) -> None:
+        """Store a vertex with checked entries, once its rows have the right length."""
         if len(eps) != self.n - 1 or len(phi) != self.n - 1:
             raise ValueError(f"{vid!r}: need {self.n - 1} eps and phi entries")
         self._wt[vid] = wt
@@ -274,14 +290,13 @@ class QuasiCrystalGraph:
 
     def is_loop(self, x: str, i: int) -> bool:
         """Derived: an index where both string lengths are +inf."""
-        return self.eps(x, i) == POS_INF and self.phi(x, i) == POS_INF
+        return self.eps(x, i) is POS_INF and self.phi(x, i) is POS_INF
 
     def edges(self) -> list[tuple[str, int, str]]:
         """All lowering edges (x, i, f_i(x)), sorted."""
         out = []
         for x in self.vertex_ids():
-            for i in self.index_set:
-                y = self._f[x][i - 1]
+            for i, y in enumerate(self._f[x], start=1):
                 if y is not None:
                     out.append((x, i, y))
         return out
@@ -291,8 +306,7 @@ class QuasiCrystalGraph:
         With ``around``, only the edges whose source is in it."""
         out = []
         for x in self.anchors(around):
-            for i in self.index_set:
-                y = self._e[x][i - 1]
+            for i, y in enumerate(self._e[x], start=1):
                 if y is not None:
                     out.append((x, i, y))
         return out
@@ -374,27 +388,23 @@ def validate(g: QuasiCrystalGraph, around=None) -> AxiomReport:
 
     Covers: e/f mutually inverse with the weight/string-length bookkeeping
     across each edge; phi = eps + <wt, alpha_i> everywhere; indices with an
-    infinite string length carry no edge. Structural problems (dangling
-    targets, undefined extended arithmetic) are reported rather than raised.
+    infinite string length carry no edge. Dangling targets are reported
+    rather than raised.
     """
     ws: list[Witness] = []
-    ids = g._wt.keys()  # membership tests without a sort or a copy
+    W, EPS, PHI, E, F = g._wt, g._eps, g._phi, g._e, g._f
+    roots = [simple_root(i, g.n) for i in g.index_set]
     for x in g.anchors(around):
-        for i in g.index_set:
-            eps, phi = g.eps(x, i), g.phi(x, i)
-            ex, fx = g.e(x, i), g.f(x, i)
-            for tag, target in (("e", ex), ("f", fx)):
-                if target is not None and target not in ids:
-                    ws.append(
-                        Witness("structural", (x,), (i,), f"{tag}->{target}", "target must be a vertex")
-                    )
-            # phi = eps + <wt, alpha_i>
-            try:
-                expected_phi = eps + pairing(g.wt(x), simple_root(i, g.n))
-            except ExtIntArithmeticError as exc:
-                ws.append(Witness("structural", (x,), (i,), str(exc), "defined extended sum"))
-                expected_phi = None
-            if expected_phi is not None and phi != expected_phi:
+        wx = W[x]
+        for s, (eps, phi, ex, fx) in enumerate(zip(EPS[x], PHI[x], E[x], F[x])):
+            i = s + 1
+            if ex is not None and ex not in W:
+                ws.append(Witness("structural", (x,), (i,), f"e->{ex}", "target must be a vertex"))
+            if fx is not None and fx not in W:
+                ws.append(Witness("structural", (x,), (i,), f"f->{fx}", "target must be a vertex"))
+            # phi = eps + <wt, alpha_i>; an int plus +-inf is always defined
+            expected_phi = eps + (wx[s] - wx[s + 1])
+            if phi != expected_phi:
                 ws.append(
                     Witness(
                         "Q2",
@@ -404,107 +414,99 @@ def validate(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                         f"eps+<wt,alpha>={ext_str(expected_phi)}",
                     )
                 )
+            if ex is None and fx is None:
+                continue
             # infinite string lengths forbid edges
-            if eps == NEG_INF or phi == NEG_INF:
-                if ex is not None or fx is not None:
-                    ws.append(
-                        Witness("Q3", (x,), (i,), "edge at -inf index", "no e/f where a length is -inf")
-                    )
-            if eps == POS_INF or phi == POS_INF:
-                if ex is not None or fx is not None:
-                    ws.append(
-                        Witness("Q4", (x,), (i,), "edge at +inf index", "no e/f where a length is +inf")
-                    )
+            if eps is NEG_INF or phi is NEG_INF:
+                ws.append(Witness("Q3", (x,), (i,), "edge at -inf index", "no e/f where a length is -inf"))
+            if eps is POS_INF or phi is POS_INF:
+                ws.append(Witness("Q4", (x,), (i,), "edge at +inf index", "no e/f where a length is +inf"))
             # mutual inverse + bookkeeping along the raising edge
-            if ex is not None and ex in ids:
+            if ex is not None and ex in W:
                 y = ex
-                if g.f(y, i) != x:
+                if F[y][s] != x:
                     ws.append(
                         Witness(
                             "Q1",
                             (x, y),
                             (i,),
-                            f"f_{i}({y})={g.f(y, i)}",
+                            f"f_{i}({y})={F[y][s]}",
                             f"inverse of e_{i}({x})={y}",
                         )
                     )
-                if g.wt(y) != add(g.wt(x), simple_root(i, g.n)):
+                if W[y] != add(wx, roots[s]):
                     ws.append(
                         Witness(
                             "Q1",
                             (x, y),
                             (i,),
-                            f"wt({y})={g.wt(y)}",
+                            f"wt({y})={W[y]}",
                             f"wt({x})+alpha_{i}",
                         )
                     )
-                if g.eps(y, i) != eps - 1:
+                if EPS[y][s] != eps - 1:
                     ws.append(
                         Witness(
                             "Q1",
                             (x, y),
                             (i,),
-                            f"eps_{i}({y})={ext_str(g.eps(y, i))}",
+                            f"eps_{i}({y})={ext_str(EPS[y][s])}",
                             f"eps_{i}({x})-1={ext_str(eps - 1)}",
                         )
                     )
-                if g.phi(y, i) != phi + 1:
+                if PHI[y][s] != phi + 1:
                     ws.append(
                         Witness(
                             "Q1",
                             (x, y),
                             (i,),
-                            f"phi_{i}({y})={ext_str(g.phi(y, i))}",
+                            f"phi_{i}({y})={ext_str(PHI[y][s])}",
                             f"phi_{i}({x})+1={ext_str(phi + 1)}",
                         )
                     )
-            if fx is not None and fx in ids and g.e(fx, i) != x:
+            if fx is not None and fx in W and E[fx][s] != x:
                 ws.append(
                     Witness(
                         "Q1",
                         (x, fx),
                         (i,),
-                        f"e_{i}({fx})={g.e(fx, i)}",
+                        f"e_{i}({fx})={E[fx][s]}",
                         f"inverse of f_{i}({x})={fx}",
                     )
                 )
     return AxiomReport("validate", ws)
 
 
-def _chain_length(g: QuasiCrystalGraph, x: str, i: int, step) -> tuple[int, bool]:
-    """Length of the strict operator chain from x; flags chains exceeding |V|."""
+def _chain_length(rows: dict, x: str, s: int, limit: int) -> tuple[int, bool]:
+    """Length of the strict operator chain from x in slot s of rows (g._e or
+    g._f); flags chains exceeding limit."""
     k = 0
-    z = x
-    limit = len(g)
-    while True:
-        nxt = step(z, i)
-        if nxt is None:
-            return k, False
+    z = rows[x][s]
+    while z is not None:
         k += 1
         if k > limit:
             return k, True
-        z = nxt
+        z = rows[z][s]
+    return k, False
 
 
 def is_seminormal(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Finite string lengths must equal actual operator chain lengths."""
     ws: list[Witness] = []
+    limit = len(g)
     for x in g.anchors(around):
-        for i in g.index_set:
-            for field_name, length, step in (
-                ("eps", g.eps(x, i), g.e),
-                ("phi", g.phi(x, i), g.f),
-            ):
-                if length == POS_INF:
+        for field_name, lengths, rows in (("eps", g._eps[x], g._e), ("phi", g._phi[x], g._f)):
+            for s, length in enumerate(lengths):
+                if length is POS_INF:
                     continue
-                k, cyclic = _chain_length(g, x, i, step)
+                k, cyclic = _chain_length(rows, x, s, limit)
                 if cyclic:
                     ws.append(
                         Witness(
                             "seminormal",
                             (x,),
-                            (i,),
-                            f"{field_name} chain exceeds {len(g)} vertices",
+                            (s + 1,),
+                            f"{field_name} chain exceeds {limit} vertices",
                             "finite acyclic chain",
                         )
                     )
@@ -513,7 +515,7 @@ def is_seminormal(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                         Witness(
                             "seminormal",
                             (x,),
-                            (i,),
+                            (s + 1,),
                             f"{field_name}={ext_str(length)}",
                             f"chain length {k}",
                         )
@@ -523,18 +525,16 @@ def is_seminormal(g: QuasiCrystalGraph, around=None) -> AxiomReport:
 
 def is_crystal(g: QuasiCrystalGraph, around=None) -> bool:
     """True when no string length is +inf (hence no loops anywhere)."""
-    return all(
-        g.eps(x, i) != POS_INF and g.phi(x, i) != POS_INF
-        for x in g.anchors(around)
-        for i in g.index_set
+    EPS, PHI = g._eps, g._phi
+    return not any(
+        v is POS_INF for x in g.anchors(around) for row in (EPS[x], PHI[x]) for v in row
     )
 
 
 def highest_weight_vertices(g: QuasiCrystalGraph) -> list[str]:
     """Vertices with no raising edge at any index (loops do not count)."""
-    return [
-        x for x in g.vertex_ids() if all(g.e(x, i) is None for i in g.index_set)
-    ]
+    E = g._e
+    return [x for x in g.vertex_ids() if all(y is None for y in E[x])]
 
 
 # -- interchange formats -------------------------------------------------------
@@ -558,14 +558,10 @@ def _parse_csv(tok: str, what: str, where: str):
 
 def to_text(g: QuasiCrystalGraph) -> str:
     lines = [f"{FORMAT_NAME} v{FORMAT_VERSION}", f"n {g.n}"]
+    W, EPS, PHI = g._wt, g._eps, g._phi
     for x in g.vertex_ids():
         lines.append(
-            "vertex {} {} {} {}".format(
-                x,
-                _csv(str(c) for c in g.wt(x)),
-                _csv(ext_str(g.eps(x, i)) for i in g.index_set),
-                _csv(ext_str(g.phi(x, i)) for i in g.index_set),
-            )
+            f"vertex {x} {_csv(map(str, W[x]))} {_csv(map(ext_str, EPS[x]))} {_csv(map(ext_str, PHI[x]))}"
         )
     for x, i, y in g.edges():
         lines.append(f"edge {x} {y} {i}")
@@ -602,7 +598,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
             eps = _parse_csv(eps_tok, "eps", vid)
             phi = _parse_csv(phi_tok, "phi", vid)
             try:
-                g.add_vertex(vid, wt, eps, phi)
+                g._put_vertex(vid, g._new_weight(vid, wt), eps, phi)
             except ValueError as exc:
                 raise GraphFormatError(str(exc)) from None
         elif parts[0] == "edge":
@@ -616,7 +612,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
             i = int(label)
         except ValueError:
             raise GraphFormatError(f"bad edge label {label!r}") from None
-        if src not in g or dst not in g:
+        if src not in g._wt or dst not in g._wt:
             raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
         try:
             g.add_edge(src, i, dst)
@@ -650,9 +646,9 @@ def to_json(g: QuasiCrystalGraph) -> str:
         "vertices": [
             {
                 "id": x,
-                "wt": list(g.wt(x)),
-                "eps": [_ext_json(g.eps(x, i)) for i in g.index_set],
-                "phi": [_ext_json(g.phi(x, i)) for i in g.index_set],
+                "wt": list(g._wt[x]),
+                "eps": [_ext_json(v) for v in g._eps[x]],
+                "phi": [_ext_json(v) for v in g._phi[x]],
             }
             for x in g.vertex_ids()
         ],
@@ -689,7 +685,7 @@ def from_json(text: str) -> QuasiCrystalGraph:
         if not isinstance(wt, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
             raise GraphFormatError(f"{vid}: weight entries must be finite ints")
         try:
-            g.add_vertex(vid, wt, eps, phi)
+            g._put_vertex(vid, g._new_weight(vid, wt), eps, phi)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
     for rec in edges:
@@ -697,7 +693,7 @@ def from_json(text: str) -> QuasiCrystalGraph:
             src, dst, label = rec["from"], rec["to"], rec["label"]
         except (KeyError, TypeError) as exc:
             raise GraphFormatError(f"bad edge record {rec!r}: {exc}") from None
-        if not isinstance(src, str) or not isinstance(dst, str) or src not in g or dst not in g:
+        if not isinstance(src, str) or not isinstance(dst, str) or src not in g._wt or dst not in g._wt:
             raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
         if isinstance(label, bool) or not isinstance(label, int):
             raise GraphFormatError(f"bad edge label {label!r}")

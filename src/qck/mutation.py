@@ -83,6 +83,8 @@ class _Sampler:
     every draw on the same (restored) graph costs O(1)."""
 
     def __init__(self, g: QuasiCrystalGraph):
+        if not len(g) or g.n < 2:
+            raise ValueError("fuzz needs a graph with a vertex and an index to mutate")
         self.g = g
         self.ids = g.vertex_ids()
         self.pos = {v: k for k, v in enumerate(self.ids)}

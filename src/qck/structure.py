@@ -51,10 +51,9 @@ class Component:
             sub_g = QuasiCrystalGraph(g.n)
             members = set(self.vertices)
             for x in self.vertices:
-                sub_g.add_vertex(x, g.wt(x), [g.eps(x, i) for i in g.index_set], [g.phi(x, i) for i in g.index_set])
+                sub_g.add_vertex(x, g._wt[x], g._eps[x], g._phi[x])
             for x in self.vertices:
-                for i in g.index_set:
-                    y = g.f(x, i)
+                for i, y in enumerate(g._f[x], start=1):
                     if y is not None and y in members:
                         sub_g.add_edge(x, i, y)
             self._subgraph = sub_g
@@ -63,6 +62,7 @@ class Component:
 
 def components(g: QuasiCrystalGraph) -> list[Component]:
     """Connected components under e and f jointly, ordered by least vertex id."""
+    E, F = g._e, g._f
     seen: set[str] = set()
     comps: list[Component] = []
     for start in g.vertex_ids():
@@ -74,13 +74,12 @@ def components(g: QuasiCrystalGraph) -> list[Component]:
         while queue:
             x = queue.popleft()
             block.append(x)
-            for i in g.index_set:
-                for nbr in (g.e(x, i), g.f(x, i)):
-                    if nbr is not None and nbr not in seen:
-                        seen.add(nbr)
-                        queue.append(nbr)
+            for nbr in E[x] + F[x]:
+                if nbr is not None and nbr not in seen:
+                    seen.add(nbr)
+                    queue.append(nbr)
         block.sort()
-        hw = tuple(x for x in block if all(g.e(x, i) is None for i in g.index_set))
+        hw = tuple(x for x in block if all(y is None for y in E[x]))
         comps.append(Component(g, tuple(block), hw))
     comps.sort(key=lambda c: c.min_vertex)
     return comps
@@ -102,13 +101,12 @@ def is_bounded_above(c: Component) -> bool:
     On a coherent graph raising from x reaches hw iff lowering from hw
     reaches x, so this walks lowering edges from the highest-weight set.
     """
-    g = c.graph
+    F = c.graph._f
     reached: set[str] = set(c.hw_vertices)
     queue = deque(c.hw_vertices)
     while queue:
         x = queue.popleft()
-        for i in g.index_set:
-            y = g.f(x, i)
+        for y in F[x]:
             if y is not None and y not in reached:
                 reached.add(y)
                 queue.append(y)
@@ -117,19 +115,27 @@ def is_bounded_above(c: Component) -> bool:
 
 def rank_of(c: Component, x: str) -> int:
     """Number of lowering steps below the highest weight: <wt(u)-wt(x), rho>."""
-    u = unique_highest_weight(c)
-    g = c.graph
-    r = pairing(sub(g.wt(u), g.wt(x)), rho(g.n))
-    if r < 0:
-        raise TheoremViolation(
-            f"vertex {x!r} sits above the highest weight of its component",
-            [f"wt({u})={g.wt(u)} wt({x})={g.wt(x)}"],
-        )
-    return r
+    return _ranks(c, (x,))[x]
 
 
 def rank_table(c: Component) -> dict[str, int]:
-    return {x: rank_of(c, x) for x in c.vertices}
+    return _ranks(c, c.vertices)
+
+
+def _ranks(c: Component, xs) -> dict[str, int]:
+    u = unique_highest_weight(c)
+    W = c.graph._wt
+    r_n = rho(c.graph.n)
+    out = {}
+    for x in xs:
+        r = pairing(sub(W[u], W[x]), r_n)
+        if r < 0:
+            raise TheoremViolation(
+                f"vertex {x!r} sits above the highest weight of its component",
+                [f"wt({u})={W[u]} wt({x})={W[x]}"],
+            )
+        out[x] = r
+    return out
 
 
 def check_degree_one(c: Component) -> AxiomReport:
@@ -170,20 +176,19 @@ class IsoWitness:
             return problems
         if g1.n != g2.n:
             return [f"rank mismatch: {g1.n} vs {g2.n}"]
+        W1, EPS1, PHI1, E1, F1 = g1._wt, g1._eps, g1._phi, g1._e, g1._f
+        W2, EPS2, PHI2, E2, F2 = g2._wt, g2._eps, g2._phi, g2._e, g2._f
         for x, y in sorted(self.mapping.items()):
-            if g1.wt(x) != g2.wt(y):
-                problems.append(f"wt\t{x}\t{y}\t{g1.wt(x)} vs {g2.wt(y)}")
-            for i in g1.index_set:
-                if g1.eps(x, i) != g2.eps(y, i):
-                    problems.append(
-                        f"eps_{i}\t{x}\t{y}\t{ext_str(g1.eps(x, i))} vs {ext_str(g2.eps(y, i))}"
-                    )
-                if g1.phi(x, i) != g2.phi(y, i):
-                    problems.append(
-                        f"phi_{i}\t{x}\t{y}\t{ext_str(g1.phi(x, i))} vs {ext_str(g2.phi(y, i))}"
-                    )
-                for tag, step1, step2 in (("e", g1.e, g2.e), ("f", g1.f, g2.f)):
-                    a, b = step1(x, i), step2(y, i)
+            if W1[x] != W2[y]:
+                problems.append(f"wt\t{x}\t{y}\t{W1[x]} vs {W2[y]}")
+            for s in range(g1.n - 1):
+                i = s + 1
+                if EPS1[x][s] != EPS2[y][s]:
+                    problems.append(f"eps_{i}\t{x}\t{y}\t{ext_str(EPS1[x][s])} vs {ext_str(EPS2[y][s])}")
+                if PHI1[x][s] != PHI2[y][s]:
+                    problems.append(f"phi_{i}\t{x}\t{y}\t{ext_str(PHI1[x][s])} vs {ext_str(PHI2[y][s])}")
+                for tag, rows1, rows2 in (("e", E1, E2), ("f", F1, F2)):
+                    a, b = rows1[x][s], rows2[y][s]
                     a_img = self.mapping.get(a) if a is not None else None
                     if a_img != b:
                         problems.append(f"{tag}_{i}\t{x}\t{y}\t{a}->{a_img} vs {b}")
@@ -200,16 +205,16 @@ def isomorphic(c1: Component, c2: Component) -> IsoWitness | None:
     g1, g2 = c1.graph, c2.graph
     u1 = unique_highest_weight(c1)
     u2 = unique_highest_weight(c2)
-    if g1.n != g2.n or g1.wt(u1) != g2.wt(u2):
+    if g1.n != g2.n or g1._wt[u1] != g2._wt[u2]:
         return None
 
+    F1, F2 = g1._f, g2._f
     theta = {u1: u2}
     queue = deque([u1])
     while queue:
         x = queue.popleft()
         y = theta[x]
-        for i in g1.index_set:
-            a, b = g1.f(x, i), g2.f(y, i)
+        for i, (a, b) in enumerate(zip(F1[x], F2[y]), start=1):
             if (a is None) != (b is None):
                 raise TheoremViolation(
                     "equal highest weights but mismatched lowering edges",

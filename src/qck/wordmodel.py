@@ -68,10 +68,15 @@ def _join_ids(left_id: str, right_id: str, n: int) -> str:
     return f"{right_id}-{left_id}"
 
 
-def standard_crystal(n: int) -> QuasiCrystalGraph:
-    """The n-vertex chain: wt(j) = e_j, lowering edges j -> j+1 labelled j."""
+def standard_crystal(n: int, size_cap: int | None = None) -> QuasiCrystalGraph:
+    """The n-vertex chain: wt(j) = e_j, lowering edges j -> j+1 labelled j.
+
+    It stores n * (n - 1) string lengths, which the size cap bounds."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
+    cap = default_size_cap() if size_cap is None else size_cap
+    if n * (n - 1) > cap:
+        raise SizeCapExceeded(f"{n}*{n - 1} = {n * (n - 1)} string lengths exceeds the size cap {cap}")
     g = QuasiCrystalGraph(n)
     for j in range(1, n + 1):
         wt = [0] * n
@@ -301,7 +306,7 @@ def _power(n: int, k: int, size_cap, blocking: bool) -> QuasiCrystalGraph:
     cap = default_size_cap() if size_cap is None else size_cap
     if n**k > cap:
         raise SizeCapExceeded(f"{n}^{k} = {n**k} vertices exceeds the size cap {cap}")
-    base = standard_crystal(n)
+    base = standard_crystal(n, size_cap=cap)
     g = base
     for _ in range(k - 1):
         g = _product(g, base, blocking=blocking)

@@ -6,6 +6,7 @@ The cached graphs are mutable; tests that want to damage one must work on a
 
 from __future__ import annotations
 
+import random
 from functools import lru_cache
 
 from qck import (
@@ -15,6 +16,7 @@ from qck import (
     standard_crystal,
     tensor_power,
 )
+from qck.mutation import random_mutation
 from qck.weightlattice import partitions_of
 
 # (n, k) pairs kept small enough that every axiom check stays fast.
@@ -82,3 +84,24 @@ def crystal_corpus():
         for shape, n in content_cases()
     ]
     return graphs
+
+
+# Seeds per graph of the mutated corpus.
+WITNESS_SEEDS = 40
+
+
+def witness_plan():
+    """The mutated corpus: 40 seeded mutants, of 1-3 random_mutation edits
+    each, of 12 corpus graphs, as (tag, mutant) pairs."""
+    graphs = [(f"qpow{nk}", qpow(*nk)) for nk in ((2, 4), (3, 3), (3, 4), (4, 2), (4, 3))]
+    graphs += [(f"tpow{nk}", tpow(*nk)) for nk in ((2, 4), (3, 3), (4, 2))]
+    graphs += [("std(4)", std(4)), ("std(5)", std(5))]
+    graphs += [("content((2,1),3)", content_crystal((2, 1), 3))]
+    graphs += [("quasify(content((3,1),4))", content_quasi((3, 1), 4))]
+    for name, g in graphs:
+        for seed in range(WITNESS_SEEDS):
+            rng = random.Random(seed)
+            mutant = g
+            for _ in range(rng.randint(1, 3)):
+                mutant, _ = random_mutation(mutant, rng)
+            yield f"{name}\t{seed}", mutant

@@ -2,11 +2,14 @@
 
 Each function recomputes a quantity from first principles (usually by
 exhaustive enumeration) so the tests can compare two unrelated code paths.
-Nothing here imports qck at module level. Two retired slow paths are kept
-as differential oracles and import qck inside their bodies:
-``content_component_via_power`` (content crystals by power-then-pick) and
-``fuzz_via_copies`` (fuzz by copy and full battery).  Keep everything
-small-input only.
+Nothing here imports qck at module level. Retired slow paths are kept as
+differential oracles and import qck inside their bodies:
+``content_component_via_power`` (content crystals by power-then-pick),
+``fuzz_via_copies`` (fuzz by copy and full battery), and the whole-graph
+readers as they were written over the guarded per-entry accessors
+(``validate_via_accessors``, ``seminormal_via_accessors``,
+``components_via_accessors``, ``text_via_accessors``,
+``json_via_accessors``). Keep everything small-input only.
 """
 
 from __future__ import annotations
@@ -205,3 +208,196 @@ def fuzz_via_copies(g, count: int, seed: int):
         else:
             silent.append((m, "unclassified gap"))
     return FuzzResult(count, detected, silent)
+
+
+def validate_via_accessors(g):
+    """graphcore.validate, reading every entry through g.eps(x, i) and the
+    other guarded accessors."""
+    from qck.graphcore import NEG_INF, POS_INF, AxiomReport, ExtIntArithmeticError, Witness, ext_str
+    from qck.weightlattice import add, pairing, simple_root
+
+    ws = []
+    ids = g._wt.keys()
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            eps, phi = g.eps(x, i), g.phi(x, i)
+            ex, fx = g.e(x, i), g.f(x, i)
+            for tag, target in (("e", ex), ("f", fx)):
+                if target is not None and target not in ids:
+                    ws.append(
+                        Witness("structural", (x,), (i,), f"{tag}->{target}", "target must be a vertex")
+                    )
+            try:
+                expected_phi = eps + pairing(g.wt(x), simple_root(i, g.n))
+            except ExtIntArithmeticError as exc:
+                ws.append(Witness("structural", (x,), (i,), str(exc), "defined extended sum"))
+                expected_phi = None
+            if expected_phi is not None and phi != expected_phi:
+                ws.append(
+                    Witness(
+                        "Q2", (x,), (i,), f"phi={ext_str(phi)}", f"eps+<wt,alpha>={ext_str(expected_phi)}"
+                    )
+                )
+            if eps == NEG_INF or phi == NEG_INF:
+                if ex is not None or fx is not None:
+                    ws.append(
+                        Witness("Q3", (x,), (i,), "edge at -inf index", "no e/f where a length is -inf")
+                    )
+            if eps == POS_INF or phi == POS_INF:
+                if ex is not None or fx is not None:
+                    ws.append(
+                        Witness("Q4", (x,), (i,), "edge at +inf index", "no e/f where a length is +inf")
+                    )
+            if ex is not None and ex in ids:
+                y = ex
+                if g.f(y, i) != x:
+                    ws.append(
+                        Witness("Q1", (x, y), (i,), f"f_{i}({y})={g.f(y, i)}", f"inverse of e_{i}({x})={y}")
+                    )
+                if g.wt(y) != add(g.wt(x), simple_root(i, g.n)):
+                    ws.append(Witness("Q1", (x, y), (i,), f"wt({y})={g.wt(y)}", f"wt({x})+alpha_{i}"))
+                if g.eps(y, i) != eps - 1:
+                    ws.append(
+                        Witness(
+                            "Q1",
+                            (x, y),
+                            (i,),
+                            f"eps_{i}({y})={ext_str(g.eps(y, i))}",
+                            f"eps_{i}({x})-1={ext_str(eps - 1)}",
+                        )
+                    )
+                if g.phi(y, i) != phi + 1:
+                    ws.append(
+                        Witness(
+                            "Q1",
+                            (x, y),
+                            (i,),
+                            f"phi_{i}({y})={ext_str(g.phi(y, i))}",
+                            f"phi_{i}({x})+1={ext_str(phi + 1)}",
+                        )
+                    )
+            if fx is not None and fx in ids and g.e(fx, i) != x:
+                ws.append(
+                    Witness("Q1", (x, fx), (i,), f"e_{i}({fx})={g.e(fx, i)}", f"inverse of f_{i}({x})={fx}")
+                )
+    return AxiomReport("validate", ws)
+
+
+def seminormal_via_accessors(g):
+    """graphcore.is_seminormal, walking each chain through g.e and g.f."""
+    from qck.graphcore import POS_INF, AxiomReport, Witness, ext_str
+
+    ws = []
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            for field_name, length, step in (("eps", g.eps(x, i), g.e), ("phi", g.phi(x, i), g.f)):
+                if length == POS_INF:
+                    continue
+                k, z, cyclic = 0, x, False
+                while True:
+                    nxt = step(z, i)
+                    if nxt is None:
+                        break
+                    k += 1
+                    if k > len(g):
+                        cyclic = True
+                        break
+                    z = nxt
+                if cyclic:
+                    ws.append(
+                        Witness(
+                            "seminormal",
+                            (x,),
+                            (i,),
+                            f"{field_name} chain exceeds {len(g)} vertices",
+                            "finite acyclic chain",
+                        )
+                    )
+                elif length != k:
+                    ws.append(
+                        Witness("seminormal", (x,), (i,), f"{field_name}={ext_str(length)}", f"chain length {k}")
+                    )
+    return AxiomReport("seminormal", ws)
+
+
+def components_via_accessors(g) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
+    """(vertices, highest-weight vertices) of each component, in the order of
+    structure.components, found through g.e and g.f."""
+    seen: set[str] = set()
+    comps = []
+    for start in g.vertex_ids():
+        if start in seen:
+            continue
+        block = []
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            x = queue.popleft()
+            block.append(x)
+            for i in g.index_set:
+                for nbr in (g.e(x, i), g.f(x, i)):
+                    if nbr is not None and nbr not in seen:
+                        seen.add(nbr)
+                        queue.append(nbr)
+        block.sort()
+        hw = tuple(x for x in block if all(g.e(x, i) is None for i in g.index_set))
+        comps.append((tuple(block), hw))
+    comps.sort(key=lambda c: c[0][0])
+    return comps
+
+
+def text_via_accessors(g) -> str:
+    """graphcore.to_text through the accessors."""
+    from qck.graphcore import FORMAT_NAME, FORMAT_VERSION, ext_str
+
+    def csv(values):
+        values = list(values)
+        return ",".join(values) if values else "-"
+
+    lines = [f"{FORMAT_NAME} v{FORMAT_VERSION}", f"n {g.n}"]
+    for x in g.vertex_ids():
+        lines.append(
+            "vertex {} {} {} {}".format(
+                x,
+                csv(str(c) for c in g.wt(x)),
+                csv(ext_str(g.eps(x, i)) for i in g.index_set),
+                csv(ext_str(g.phi(x, i)) for i in g.index_set),
+            )
+        )
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            if g.f(x, i) is not None:
+                lines.append(f"edge {x} {g.f(x, i)} {i}")
+    return "\n".join(lines) + "\n"
+
+
+def json_via_accessors(g) -> str:
+    """graphcore.to_json through the accessors."""
+    import json
+
+    from qck.graphcore import FORMAT_NAME, FORMAT_VERSION, Infinity
+
+    def ext(v):
+        return repr(v) if isinstance(v, Infinity) else v
+
+    doc = {
+        "format": FORMAT_NAME,
+        "version": FORMAT_VERSION,
+        "n": g.n,
+        "vertices": [
+            {
+                "id": x,
+                "wt": list(g.wt(x)),
+                "eps": [ext(g.eps(x, i)) for i in g.index_set],
+                "phi": [ext(g.phi(x, i)) for i in g.index_set],
+            }
+            for x in g.vertex_ids()
+        ],
+        "edges": [
+            {"from": x, "to": g.f(x, i), "label": i}
+            for x in g.vertex_ids()
+            for i in g.index_set
+            if g.f(x, i) is not None
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"

@@ -1,5 +1,4 @@
 import hashlib
-import random
 import re
 
 import pytest
@@ -15,11 +14,10 @@ from qck.axioms import (
     check_stembridge,
 )
 from qck.graphcore import POS_INF, validate, is_seminormal
-from qck.mutation import random_mutation
 from qck.quasify import quasify
 from qck.wordmodel import quasi_tensor_power, standard_crystal, tensor_power
 
-from corpus import content_cases, content_crystal, content_quasi, qpow, quasi_corpus, std, tpow
+from corpus import content_cases, content_crystal, content_quasi, qpow, quasi_corpus, std, tpow, witness_plan
 
 
 LQ_CHECKS = (
@@ -320,7 +318,6 @@ def test_quasified_output_passes_core_checks():
 # Every witness line (and every refusal) of every checker on 40 seeded
 # mutants of 12 corpus graphs. The digest pins the text byte for byte.
 WITNESS_DIGEST = "da6a90192f5d08427b9c833c4452e9f9378b4870cd6b2bd289ba6e6c09e5fc7e"
-WITNESS_SEEDS = 40
 
 # (axiom, required text with its numbers stripped): every witness text the
 # checkers can print. The plan must reach each of them.
@@ -349,21 +346,6 @@ WITNESS_TEXTS = {
     "S3": ("equal and defined", "phi_i preserved across the double step", "phi_j preserved across the double step"),
     "S3'": ("equal and defined", "eps_i preserved across the double step", "eps_j preserved across the double step"),
 }
-
-
-def witness_plan():
-    graphs = [(f"qpow{nk}", qpow(*nk)) for nk in ((2, 4), (3, 3), (3, 4), (4, 2), (4, 3))]
-    graphs += [(f"tpow{nk}", tpow(*nk)) for nk in ((2, 4), (3, 3), (4, 2))]
-    graphs += [("std(4)", std(4)), ("std(5)", std(5))]
-    graphs += [("content((2,1),3)", content_crystal((2, 1), 3))]
-    graphs += [("quasify(content((3,1),4))", content_quasi((3, 1), 4))]
-    for name, g in graphs:
-        for seed in range(WITNESS_SEEDS):
-            rng = random.Random(seed)
-            mutant = g
-            for _ in range(rng.randint(1, 3)):
-                mutant, _ = random_mutation(mutant, rng)
-            yield f"{name}\t{seed}", mutant
 
 
 def test_witness_text_is_pinned():

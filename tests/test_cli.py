@@ -1,10 +1,14 @@
+import hashlib
 import shutil
 import subprocess
 
 import pytest
 
+import qck.cli
+import qck.wordmodel
 from qck.cli import main
 from qck.graphcore import QuasiCrystalGraph, read_graph, write_graph
+from qck.structure import components
 
 from corpus import qpow
 
@@ -62,6 +66,28 @@ def test_build_size_cap_refuses_blowup(capsys):
     assert main(["build", "tensor-power", "--n", "3", "--k", "20", "--size-cap", "100"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+def test_build_std_respects_the_size_cap(capsys):
+    assert main(["build", "std", "--n", "5", "--size-cap", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 5*4 = 20 string lengths exceeds the size cap 10\n"
+    assert main(["build", "std", "--n", "5", "--size-cap", "20"]) == 0
+    assert capsys.readouterr().out.count("\nvertex ") == 5
+
+
+def test_build_std_over_the_default_cap_refuses_before_building(monkeypatch, capsys):
+    monkeypatch.delenv("QCK_SIZE_CAP", raising=False)
+
+    def no_graph(n):
+        raise AssertionError("built a graph past the size cap")
+
+    monkeypatch.setattr(qck.wordmodel, "QuasiCrystalGraph", no_graph)
+    assert main(["build", "std", "--n", "1001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 # --- check -----------------------------------------------------------------
@@ -276,11 +302,85 @@ def test_iso_different_weights_prints_none(q33_file, capsys):
     assert capsys.readouterr().out == "NONE\n"
 
 
+def test_iso_in_one_file_builds_the_components_once(q33_file, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return components(g)
+
+    monkeypatch.setattr(qck.cli, "components", counted)
+    assert main(["iso", f"{q33_file}#2", f"{q33_file}#3"]) == 0
+    assert capsys.readouterr().out == "121\t211\n131\t311\n132\t312\n232\t322\n"
+    assert len(calls) == 1
+    copy = str(tmp_path / "q33copy")
+    shutil.copy(q33_file, copy)
+    assert main(["iso", f"{q33_file}#2", f"{copy}#3"]) == 0
+    assert capsys.readouterr().out == "121\t211\n131\t311\n132\t312\n232\t322\n"
+    assert len(calls) == 3
+
+
 def test_iso_bad_references(q33_file, capsys):
     assert main(["iso", q33_file, f"{q33_file}#2"]) == 2
     assert main(["iso", f"{q33_file}#0", f"{q33_file}#2"]) == 2
     assert main(["iso", f"{q33_file}#99", f"{q33_file}#2"]) == 2
     capsys.readouterr()
+
+
+# --- stdout pinned -----------------------------------------------------------
+
+# sha256 of the stdout of each pipeline command on q(3,6) as text and t(3,5)
+# as JSON, with the exit codes, and of the two files the builds write. The
+# digests were computed before the graph readers read rows directly.
+PIPELINE_DIGESTS = {
+    "build q36": (0, "874fd9b12f45ed781853794d79ad6160a3e90bf882cb545d068443a8199b3338"),
+    "build t35": (0, "029398ebcb7194b986e27d8d37f9d088a5e8e9f09fc883161e90b5e54536aa8a"),
+    "check q36": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "decompose q36": (0, "8f59fc76e49ed29e20ef64bed6f899c4795ed518f56a8fe8bfa43121e1441d5a"),
+    "char q36": (0, "277ba205c9e193af91d3de742e8c4325f4ef0e93f1f586773f219fe667396239"),
+    "iso q36": (0, "d5bf7566dfed6497f8819bc9e449cdb451f1fa892fe5ac2c94c579e64ca712eb"),
+    "iso-none q36": (1, "51cfd463b6af8a57b3380487f986abf10f137073e9be453e44a7e9a5b4c0e72b"),
+    "check t35": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "decompose t35": (0, "cf7c17066eedf99a9fd67ccd40d0c373e432f92c0bb2317dcd0e06024d33d152"),
+    "char t35": (0, "7ff2ab02c828e7ef193a441631b1973f2cf25ced9f7daa836a564831b2f8bf27"),
+    "iso t35": (0, "08afb80facdfe3c3636a6a48791fc35357fb192a4676dbfc189c8c8fcf3cb92a"),
+    "iso-none t35": (1, "51cfd463b6af8a57b3380487f986abf10f137073e9be453e44a7e9a5b4c0e72b"),
+    "check t35 quasi keys": (1, "4b0c240cc31ff04acb0c67f92aaebe511762c60c05b99a3ad22fa05173b816f7"),
+    "check q36cut": (1, "d505f57a2af64518110d6895d1d03f577766a7a8fb5d91db01d9f1d9de7a50c1"),
+}
+
+
+def pipeline_outputs(tmp_path, capsys) -> dict:
+    """{label: (exit code, sha256 of stdout or of the written file)}."""
+    q, t, cut = tmp_path / "q36", tmp_path / "t35.json", tmp_path / "q36cut"
+    out = {}
+
+    def run(label, argv, written=None):
+        rc = main([str(a) for a in argv])
+        data = capsys.readouterr().out.encode()
+        if written is not None:
+            data = written.read_bytes()
+        out[label] = (rc, hashlib.sha256(data).hexdigest())
+
+    run("build q36", ["build", "qtensor-power", "--n", "3", "--k", "6", "-o", q], q)
+    run("build t35", ["build", "tensor-power", "--n", "3", "--k", "5", "--format", "json", "-o", t], t)
+    for tag, path in (("q36", q), ("t35", t)):
+        run(f"check {tag}", ["check", path, "--axioms", "all"])
+        run(f"decompose {tag}", ["decompose", path])
+        run(f"char {tag}", ["char", "--per-component", path])
+        run(f"iso {tag}", ["iso", f"{path}#2", f"{path}#3"])
+        run(f"iso-none {tag}", ["iso", f"{path}#1", f"{path}#2"])
+    run("check t35 quasi keys", ["check", t, "--axioms", "lq1,lq2,lq3,lq3p,cases,infs,lemij"])
+    # q(3,6) without its first edge line: seminormal witnesses
+    lines = q.read_text(encoding="utf-8").splitlines(keepends=True)
+    first_edge = next(k for k, ln in enumerate(lines) if ln.startswith("edge "))
+    cut.write_text("".join(lines[:first_edge] + lines[first_edge + 1 :]), encoding="utf-8")
+    run("check q36cut", ["check", cut, "--axioms", "all"])
+    return out
+
+
+def test_pipeline_stdout_is_pinned(tmp_path, capsys):
+    assert pipeline_outputs(tmp_path, capsys) == PIPELINE_DIGESTS
 
 
 # --- export ------------------------------------------------------------------
@@ -322,6 +422,21 @@ def test_fuzz_negative_count_is_a_usage_error(q32_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "count" in captured.err
+
+
+@pytest.mark.parametrize("count", ["3", "0"])
+def test_fuzz_with_nothing_to_mutate_is_an_input_error(tmp_path, capsys, count):
+    one = str(tmp_path / "s1")
+    assert main(["build", "std", "--n", "1", "-o", one]) == 0
+    empty = tmp_path / "empty.json"
+    empty.write_text(
+        '{"format": "qck-graph", "version": 1, "n": 2, "vertices": [], "edges": []}\n', encoding="utf-8"
+    )
+    for path in (one, str(empty)):
+        assert main(["fuzz", path, "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fuzz needs a graph with a vertex and an index to mutate\n"
 
 
 def test_fuzz_rejects_incoherent_start(q32_file, tmp_path, capsys):

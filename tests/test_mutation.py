@@ -151,6 +151,15 @@ def test_fuzz_empty_run():
     assert result.rate == 1.0
 
 
+@pytest.mark.parametrize("count", [3, 0])
+@pytest.mark.parametrize("g", [std(1), QuasiCrystalGraph(2)], ids=["no index", "no vertex"])
+def test_fuzz_refuses_a_graph_with_nothing_to_mutate(g, count):
+    with pytest.raises(ValueError, match="^fuzz needs a graph with a vertex and an index to mutate$"):
+        fuzz_graph(g, count=count, seed=0)
+    with pytest.raises(ValueError, match="^fuzz needs a graph with a vertex and an index to mutate$"):
+        random_mutation(g, random.Random(0))
+
+
 # --- fuzz by in-place edits, checked against the copy-and-full-battery path ---
 
 ACCEPTANCE_PLAN = [

@@ -1,0 +1,226 @@
+"""Differential gate for the whole-graph readers.
+
+validate, is_seminormal, components and the text/JSON writers read the
+vertex rows directly. The oracles in oracles.py are the same readers written
+over the guarded per-entry accessors; both must agree on every mutant of the
+mutated corpus. The file readers must refuse hostile input with the same
+error type and message as before they stopped going through add_vertex.
+"""
+
+import json
+import random
+
+import pytest
+
+from qck.graphcore import (
+    NEG_INF,
+    POS_INF,
+    GraphFormatError,
+    Infinity,
+    QuasiCrystalGraph,
+    from_json,
+    from_text,
+    is_seminormal,
+    to_json,
+    to_text,
+    validate,
+)
+from qck.structure import components
+
+import oracles
+from corpus import std, witness_plan
+
+
+@pytest.fixture(scope="module")
+def mutants():
+    return list(witness_plan())
+
+
+def test_validate_matches_the_accessor_oracle(mutants):
+    for tag, g in mutants:
+        assert validate(g).lines() == oracles.validate_via_accessors(g).lines(), tag
+
+
+def test_seminormal_matches_the_accessor_oracle(mutants):
+    for tag, g in mutants:
+        assert is_seminormal(g).lines() == oracles.seminormal_via_accessors(g).lines(), tag
+
+
+def test_around_keeps_the_oracle_witnesses_anchored_there(mutants):
+    rng = random.Random(6)
+    for tag, g in mutants[::7]:
+        near = set(rng.sample(g.vertex_ids(), len(g) // 3))
+        for fast, oracle in (
+            (validate, oracles.validate_via_accessors),
+            (is_seminormal, oracles.seminormal_via_accessors),
+        ):
+            want = [w.line() for w in oracle(g).witnesses if w.vertices[0] in near]
+            assert fast(g, around=near).lines() == want, tag
+
+
+def test_components_match_the_accessor_oracle(mutants):
+    for tag, g in mutants:
+        got = [(c.vertices, c.hw_vertices) for c in components(g)]
+        assert got == oracles.components_via_accessors(g), tag
+
+
+def reread(reader, payload) -> str:
+    """The text of the graph the reader loads from payload, or its refusal."""
+    try:
+        return to_text(reader(payload))
+    except GraphFormatError as exc:
+        return f"refused: {exc}"
+
+
+def test_writers_match_the_accessor_oracles_and_round_trip(mutants):
+    # the files keep f only, so a mutant whose e-table disagrees reloads as
+    # another graph, or is refused when two f edges meet; either way the
+    # two formats must load alike
+    loaded = 0
+    for tag, g in mutants:
+        text, doc = to_text(g), to_json(g)
+        assert text == oracles.text_via_accessors(g), tag
+        assert doc == oracles.json_via_accessors(g), tag
+        back = reread(from_text, text)
+        assert back == reread(from_json, doc), tag
+        assert back == text or back.startswith("refused: "), tag
+        loaded += back == text
+    assert loaded > len(mutants) // 2
+
+
+# ------------------------------------------------------------ canonical infinities
+
+
+def test_stored_infinities_are_the_two_singletons():
+    g = QuasiCrystalGraph(3)
+    g.add_vertex("a", (1, 1, 0), [Infinity(True), Infinity(False)], [Infinity(True), 0])
+    assert g.eps("a", 1) is POS_INF and g.eps("a", 2) is NEG_INF and g.phi("a", 1) is POS_INF
+    g.set_epsilon("a", 2, Infinity(True))
+    g.set_phi("a", 2, Infinity(False))
+    assert g.eps("a", 2) is POS_INF and g.phi("a", 2) is NEG_INF
+    assert g.is_loop("a", 1)
+
+
+def test_fresh_infinities_validate_like_the_singletons():
+    fresh = QuasiCrystalGraph(2)
+    fresh.add_vertex("v", (1, 1), (Infinity(True),), (Infinity(False),))
+    fresh.add_vertex("w", (1, 0), (Infinity(False),), (0,))
+    same = QuasiCrystalGraph(2)
+    same.add_vertex("v", (1, 1), (POS_INF,), (NEG_INF,))
+    same.add_vertex("w", (1, 0), (NEG_INF,), (0,))
+    assert fresh == same
+    assert validate(fresh).lines() == validate(same).lines() == oracles.validate_via_accessors(same).lines()
+    assert validate(fresh).lines()  # the mixed infinities break Q2
+
+
+# ------------------------------------------------------------ hostile input
+
+
+def hostile_reads():
+    """(label, reader, payload) for every refusal the file readers make."""
+    text = to_text(std(2))
+    vertex = next(ln for ln in text.splitlines() if ln.startswith("vertex"))
+    cases = [
+        ("text no header", from_text, "n 3\n"),
+        ("text empty", from_text, "# nothing\n"),
+        ("text version", from_text, "qck-graph v99\nn 3\n"),
+        ("text rank", from_text, "qck-graph v1\nn x\n"),
+        ("text duplicate vertex", from_text, text + vertex + "\n"),
+        ("text dangling edge", from_text, text + "edge 2 9 1\n"),
+        ("text label out of range", from_text, text + "edge 1 2 7\n"),
+        ("text label not an int", from_text, text + "edge 1 2 a\n"),
+        ("text edge set twice", from_text, text + "edge 1 2 1\n"),
+        ("text short vertex line", from_text, text + "vertex 9 1,0\n"),
+        ("text weight length", from_text, text + "vertex 9 1,0,0 0 1\n"),
+        ("text infinite weight", from_text, text + "vertex 9 +inf,0 0 1\n"),
+        ("text bad eps", from_text, text + "vertex 9 1,0 x 1\n"),
+        ("text eps count", from_text, text + "vertex 9 1,0 0,0 1\n"),
+        ("text unknown record", from_text, text + "arc 1 2 1\n"),
+    ]
+    doc = json.loads(to_json(std(2)))
+
+    def edit(change):
+        d = json.loads(json.dumps(doc))
+        change(d)
+        return json.dumps(d)
+
+    def vertex_field(key, value):
+        return lambda d: d["vertices"][0].__setitem__(key, value)
+
+    cases += [
+        ("json format", from_json, edit(lambda d: d.__setitem__("format", "something-else"))),
+        ("json version", from_json, edit(lambda d: d.__setitem__("version", 2))),
+        ("json boolean rank", from_json, edit(lambda d: d.__setitem__("n", True))),
+        ("json vertices not a list", from_json, edit(lambda d: d.__setitem__("vertices", 5))),
+        ("json edges not a list", from_json, edit(lambda d: d.__setitem__("edges", 7))),
+        ("json vertices null", from_json, edit(lambda d: d.__setitem__("vertices", None))),
+        ("json boolean length", from_json, edit(lambda d: d["vertices"][0]["eps"].__setitem__(0, True))),
+        ("json bad length", from_json, edit(lambda d: d["vertices"][0]["eps"].__setitem__(0, "x"))),
+        ("json id with a space", from_json, edit(vertex_field("id", "a b"))),
+        ("json empty id", from_json, edit(vertex_field("id", ""))),
+        ("json int id", from_json, edit(vertex_field("id", 7))),
+        ("json duplicate id", from_json, edit(vertex_field("id", "2"))),
+        ("json weight length", from_json, edit(vertex_field("wt", [1, 0, 0]))),
+        ("json boolean weight", from_json, edit(vertex_field("wt", [True, 0]))),
+        ("json eps count", from_json, edit(vertex_field("eps", [0, 0]))),
+        ("json missing phi", from_json, edit(lambda d: d["vertices"][0].pop("phi"))),
+        ("json edge without label", from_json, edit(lambda d: d["edges"][0].pop("label"))),
+        ("json edge end a list", from_json, edit(lambda d: d["edges"][0].__setitem__("from", [1]))),
+        ("json edge end a dict", from_json, edit(lambda d: d["edges"][0].__setitem__("to", {"a": 1}))),
+        ("json boolean label", from_json, edit(lambda d: d["edges"][0].__setitem__("label", True))),
+        ("json label out of range", from_json, edit(lambda d: d["edges"][0].__setitem__("label", 3))),
+        ("json edge set twice", from_json, edit(lambda d: d["edges"].append(dict(d["edges"][0])))),
+    ]
+    return cases
+
+
+# (error type, message) of each hostile read, recorded before the readers
+# stopped calling add_vertex per vertex.
+HOSTILE_REFUSALS = {
+    "text no header": ("GraphFormatError", "bad header 'n 3'; expected 'qck-graph v1'"),
+    "text empty": ("GraphFormatError", "empty graph file"),
+    "text version": ("GraphFormatError", "unsupported format version 'v99'"),
+    "text rank": ("GraphFormatError", "bad rank line 'n x'"),
+    "text duplicate vertex": ("GraphFormatError", "duplicate vertex id '1'"),
+    "text dangling edge": ("GraphFormatError", "edge references unknown vertex: 2 -> 9"),
+    "text label out of range": ("GraphFormatError", "operator index 7 out of range 1..1"),
+    "text label not an int": ("GraphFormatError", "bad edge label 'a'"),
+    "text edge set twice": ("GraphFormatError", "f_1('1') already set"),
+    "text short vertex line": ("GraphFormatError", "bad vertex line 'vertex 9 1,0'"),
+    "text weight length": ("GraphFormatError", "weight of '9' must be 2 ints, got (1, 0, 0)"),
+    "text infinite weight": ("GraphFormatError", "9: weight entries must be finite ints"),
+    "text bad eps": ("GraphFormatError", "9: bad eps: not an extended integer: 'x'"),
+    "text eps count": ("GraphFormatError", "'9': need 1 eps and phi entries"),
+    "text unknown record": ("GraphFormatError", "unknown record 'arc'"),
+    "json format": ("GraphFormatError", "not a qck-graph document"),
+    "json version": ("GraphFormatError", "unsupported format version 2"),
+    "json boolean rank": ("GraphFormatError", "missing integer field 'n'"),
+    "json vertices not a list": ("GraphFormatError", "fields 'vertices' and 'edges' must be lists"),
+    "json edges not a list": ("GraphFormatError", "fields 'vertices' and 'edges' must be lists"),
+    "json vertices null": ("GraphFormatError", "fields 'vertices' and 'edges' must be lists"),
+    "json boolean length": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got True"),
+    "json bad length": ("GraphFormatError", "1: not an extended integer: 'x'"),
+    "json id with a space": ("GraphFormatError", "vertex id must be a non-empty string without spaces: 'a b'"),
+    "json empty id": ("GraphFormatError", "vertex id must be a non-empty string without spaces: ''"),
+    "json int id": ("GraphFormatError", "vertex id must be a non-empty string without spaces: 7"),
+    "json duplicate id": ("GraphFormatError", "duplicate vertex id '2'"),
+    "json weight length": ("GraphFormatError", "weight of '1' must be 2 ints, got (1, 0, 0)"),
+    "json boolean weight": ("GraphFormatError", "1: weight entries must be finite ints"),
+    "json eps count": ("GraphFormatError", "'1': need 1 eps and phi entries"),
+    "json missing phi": ("GraphFormatError", "bad vertex record {'id': '1', 'wt': [1, 0], 'eps': [0]}: 'phi'"),
+    "json edge without label": ("GraphFormatError", "bad edge record {'from': '1', 'to': '2'}: 'label'"),
+    "json edge end a list": ("GraphFormatError", "edge references unknown vertex: [1] -> 2"),
+    "json edge end a dict": ("GraphFormatError", "edge references unknown vertex: 1 -> {'a': 1}"),
+    "json boolean label": ("GraphFormatError", "bad edge label True"),
+    "json label out of range": ("GraphFormatError", "operator index 3 out of range 1..1"),
+    "json edge set twice": ("GraphFormatError", "f_1('1') already set"),
+}
+
+
+def test_hostile_reads_keep_their_refusals():
+    got = {}
+    for label, reader, payload in hostile_reads():
+        with pytest.raises(GraphFormatError) as exc:
+            reader(payload)
+        got[label] = (type(exc.value).__name__, str(exc.value))
+    assert got == HOSTILE_REFUSALS

@@ -168,6 +168,19 @@ def test_size_cap_blocks_large_builds():
     assert len(tensor_power(2, 3, size_cap=8)) == 8
 
 
+def test_size_cap_bounds_the_standard_crystal(monkeypatch):
+    # it stores n * (n - 1) string lengths
+    with pytest.raises(SizeCapExceeded, match="20 string lengths"):
+        standard_crystal(5, size_cap=19)
+    assert len(standard_crystal(5, size_cap=20)) == 5
+    with pytest.raises(SizeCapExceeded):
+        tensor_power(5, 1, size_cap=19)  # the power passes its cap on
+    monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
+    with pytest.raises(SizeCapExceeded):
+        standard_crystal(1001)
+    assert len(standard_crystal(2)) == 2
+
+
 def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv(SIZE_CAP_ENV, "10")
     assert default_size_cap() == 10
