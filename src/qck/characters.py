@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .quasify import crystal_of_content, quasify
-from .structure import Component, components, unique_highest_weight
+from .structure import Component, components
 from .weightlattice import check_composition, check_partition, descent_composition, enumerate_syt
 
 

@@ -21,7 +21,6 @@ from .graphcore import (
     to_json,
     to_text,
     validate,
-    write_graph,
 )
 from .quasify import count_quasi_components, quasify
 from .structure import TheoremViolation, components, isomorphic, rank_table

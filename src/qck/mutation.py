@@ -26,9 +26,11 @@ from .graphcore import (
 
 _LENGTH_POOL = [0, 1, 2, 3, -1, POS_INF]
 
-# The note for a mutant no checker flags: it passed validate and seminormal
-# on the way, so it is a valid graph in its own right.
+# The notes for a mutant no checker flags. It is a valid graph when it moves
+# the weight of a vertex whose string lengths are all +inf, which no axiom
+# constrains; any other one is a gap in the battery and lowers the rate.
 VALID_NOTE = "mutant is itself a coherent seminormal quasi-crystal"
+GAP_NOTE = "unclassified gap"
 
 # How far, in e/f steps, a local rule walks from its anchor (S3's e_i e_j^2 e_i).
 RADIUS = 4
@@ -211,7 +213,9 @@ class FuzzResult:
 
     @property
     def rate(self) -> float:
-        return self.detected / self.total if self.total else 1.0
+        """Detected over the mutants that are not themselves valid graphs."""
+        scored = self.total - sum(note == VALID_NOTE for _, note in self.silent)
+        return self.detected / scored if scored else 1.0
 
     def lines(self) -> list[str]:
         out = [
@@ -262,5 +266,7 @@ def fuzz_graph(g: QuasiCrystalGraph, count: int, seed: int) -> FuzzResult:
         if caught:
             detected += 1
         else:
-            silent.append((edit.mutation, VALID_NOTE))
+            m = edit.mutation
+            frozen = all(g.eps(m.vertex, i) == POS_INF == g.phi(m.vertex, i) for i in g.index_set)
+            silent.append((m, VALID_NOTE if m.kind == "weight" and frozen else GAP_NOTE))
     return FuzzResult(count, detected, silent)

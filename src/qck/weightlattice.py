@@ -86,10 +86,6 @@ def partitions_of(m: int, max_parts: int | None = None) -> Iterator[Partition]:
     yield from gen(m, m, ())
 
 
-def _is_valid_tableau_shape(rows: tuple[int, ...]) -> bool:
-    return all(rows[k] >= rows[k + 1] for k in range(len(rows) - 1))
-
-
 def enumerate_syt(shape) -> list[Tableau]:
     """All standard fillings of a partition shape, entries 1..m.
 

@@ -1,5 +1,10 @@
 """Standard rank-n crystal, tensor and quasi-tensor products, and their powers.
 
+The product rule is written once, in ``_pair_row``: it gives the row of a
+pair from the rows of its two factors. ``_product`` applies it to every pair
+of vertices of two graphs; ``WordCrystal`` applies it to one letter prepended
+to a word, which is how the powers and the content crystals are built.
+
 Vertices of products are identified with words over {1..n}: the pair (x, y)
 with x on the left carries the word of y followed by the word of x, so the
 left-iterated k-th power has the length-k words as vertex ids (digit strings
@@ -9,9 +14,10 @@ for n <= 9, dash-separated otherwise).
 from __future__ import annotations
 
 import os
+from operator import add
 
 from .graphcore import POS_INF, QuasiCrystalGraph, is_crystal
-from .weightlattice import Weight, pairing, simple_root
+from .weightlattice import Weight
 
 Word = tuple[int, ...]
 
@@ -68,6 +74,15 @@ def _join_ids(left_id: str, right_id: str, n: int) -> str:
     return f"{right_id}-{left_id}"
 
 
+def _letter_row(c: int, n: int, at=None) -> tuple:
+    """The row (wt, eps, phi, e, f) of the letter c: wt = e_c, eps_i = [c = i + 1],
+    phi_i = [c = i], and e_i and f_i, where they act, name ``at``."""
+    wt = tuple(1 if a == c else 0 for a in range(1, n + 1))
+    eps = [1 if c == i + 1 else 0 for i in range(1, n)]
+    phi = [1 if c == i else 0 for i in range(1, n)]
+    return wt, eps, phi, [at if v else None for v in eps], [at if v else None for v in phi]
+
+
 def standard_crystal(n: int, size_cap: int | None = None) -> QuasiCrystalGraph:
     """The n-vertex chain: wt(j) = e_j, lowering edges j -> j+1 labelled j.
 
@@ -79,139 +94,122 @@ def standard_crystal(n: int, size_cap: int | None = None) -> QuasiCrystalGraph:
         raise SizeCapExceeded(f"{n}*{n - 1} = {n * (n - 1)} string lengths exceeds the size cap {cap}")
     g = QuasiCrystalGraph(n)
     for j in range(1, n + 1):
-        wt = [0] * n
-        wt[j - 1] = 1
-        eps = [1 if i + 1 == j else 0 for i in range(1, n)]
-        phi = [1 if i == j else 0 for i in range(1, n)]
+        wt, eps, phi, _, _ = _letter_row(j, n)
         g.add_vertex(word_to_id((j,), n), wt, eps, phi)
     for j in range(1, n):
         g.add_edge(word_to_id((j,), n), j, word_to_id((j + 1,), n))
     return g
 
 
-def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> QuasiCrystalGraph:
-    """Shared product core; blocking=True gives the quasi version.
+def _pair_row(left: tuple, right: tuple, blocking: bool) -> tuple:
+    """The row (wt, eps, phi, e, f) of the pair (left, right) from the rows of
+    its factors, whose e and f entries already name targets in the product.
+    blocking=True gives the quasi version.
 
-    Per index i on a pair (x, x'):
-      - with blocking, phi_i(x) > 0 and eps_i(x') > 0 freezes the index: both
-        string lengths become +inf and no edge exists there;
-      - otherwise eps = max(eps_i(x), eps_i(x') - <wt(x), alpha_i>),
-        phi = max(phi_i(x) + <wt(x'), alpha_i>, phi_i(x')),
-        e acts on the left iff phi_i(x) >= eps_i(x'), f on the left iff
-        phi_i(x) > eps_i(x').
-    Raising/lowering tables are built independently from those rules; their
+    Per index i:
+      - with blocking, phi_i(left) > 0 and eps_i(right) > 0 freezes the
+        index: both string lengths become +inf and neither e nor f acts;
+      - otherwise eps = max(eps_i(left), eps_i(right) - <wt(left), alpha_i>),
+        phi = max(phi_i(left) + <wt(right), alpha_i>, phi_i(right)),
+        e acts on the left iff phi_i(left) >= eps_i(right), f on the left iff
+        phi_i(left) > eps_i(right).
+    The e and f entries are picked independently by those rules; their
     mutual inverseness is a checked property, not an assumption.
     """
-    if a.n != b.n:
-        raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
-    n = a.n
+    wt_l, eps_l, phi_l, e_l, f_l = left
+    wt_r, eps_r, phi_r, e_r, f_r = right
+    eps, phi, e, f = [], [], [], []
+    for s in range(len(eps_l)):  # slot s is index i = s + 1
+        phi_s, eps_s = phi_l[s], eps_r[s]
+        if blocking and phi_s > 0 and eps_s > 0:
+            eps.append(POS_INF)
+            phi.append(POS_INF)
+            e.append(None)
+            f.append(None)
+            continue
+        eps.append(max(eps_l[s], eps_s - (wt_l[s] - wt_l[s + 1])))
+        phi.append(max(phi_s + (wt_r[s] - wt_r[s + 1]), phi_r[s]))
+        e.append(e_l[s] if phi_s >= eps_s else e_r[s])
+        f.append(f_l[s] if phi_s > eps_s else f_r[s])
+    return tuple(map(add, wt_l, wt_r)), tuple(eps), tuple(phi), tuple(e), tuple(f)
+
+
+def _build(n: int, rows: dict, edges) -> QuasiCrystalGraph:
+    """The graph of rows {id: (wt, eps, phi, ...)}, in their order, and of
+    edge rows (id, e, f) whose entries are ids or None."""
     g = QuasiCrystalGraph(n)
-    roots = {i: simple_root(i, n) for i in range(1, n)}
-
-    pairs = [(xa, xb) for xa in a.vertex_ids() for xb in b.vertex_ids()]
-    ids = {(xa, xb): _join_ids(xa, xb, n) for xa, xb in pairs}
-
-    actions: dict[tuple[str, str], list] = {}
-    for xa, xb in pairs:
-        wt_a, wt_b = a.wt(xa), b.wt(xb)
-        eps_row, phi_row, acts = [], [], []
-        for i in range(1, n):
-            phi_a, eps_b = a.phi(xa, i), b.eps(xb, i)
-            if blocking and phi_a > 0 and eps_b > 0:
-                eps_row.append(POS_INF)
-                phi_row.append(POS_INF)
-                acts.append((None, None))
-                continue
-            eps_row.append(max(a.eps(xa, i), eps_b - pairing(wt_a, roots[i])))
-            phi_row.append(max(phi_a + pairing(wt_b, roots[i]), b.phi(xb, i)))
-            if phi_a >= eps_b:
-                ea = a.e(xa, i)
-                e_target = (ea, xb) if ea is not None else None
-            else:
-                eb = b.e(xb, i)
-                e_target = (xa, eb) if eb is not None else None
-            if phi_a > eps_b:
-                fa = a.f(xa, i)
-                f_target = (fa, xb) if fa is not None else None
-            else:
-                fb = b.f(xb, i)
-                f_target = (xa, fb) if fb is not None else None
-            acts.append((e_target, f_target))
-        g.add_vertex(
-            ids[(xa, xb)],
-            tuple(p + q for p, q in zip(wt_a, wt_b)),
-            eps_row,
-            phi_row,
-        )
-        actions[(xa, xb)] = acts
-
-    for pair, acts in actions.items():
-        for slot, (e_target, f_target) in enumerate(acts):
-            i = slot + 1
-            if e_target is not None:
-                g.set_raising(ids[pair], i, ids[e_target])
-            if f_target is not None:
-                g.set_lowering(ids[pair], i, ids[f_target])
+    for vid, row in rows.items():
+        g.add_vertex(vid, *row[:3])
+    for vid, e, f in edges:
+        for i, y, z in zip(g.index_set, e, f):
+            if y is not None:
+                g.set_raising(vid, i, y)
+            if z is not None:
+                g.set_lowering(vid, i, z)
     return g
 
 
+def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> QuasiCrystalGraph:
+    """Every pair of a vertex of a and a vertex of b, by ``_pair_row`` on the
+    factors' stored rows; blocking=True gives the quasi version."""
+    if a.n != b.n:
+        raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
+    n = a.n
+
+    def row(h, x, target):
+        """x's row in h, with its e and f entries mapped into the product."""
+        e = [None if y is None else target(y) for y in h._e[x]]
+        f = [None if y is None else target(y) for y in h._f[x]]
+        return h._wt[x], h._eps[x], h._phi[x], e, f
+
+    rows = {}
+    for xa in a.vertex_ids():
+        for xb in b.vertex_ids():
+            left = row(a, xa, lambda y: _join_ids(y, xb, n))
+            right = row(b, xb, lambda y: _join_ids(xa, y, n))
+            rows[_join_ids(xa, xb, n)] = _pair_row(left, right, blocking)
+    return _build(n, rows, ((vid, row[3], row[4]) for vid, row in rows.items()))
+
+
 class WordCrystal:
-    """The left-iterated power ``tensor_power(n, k)``, evaluated lazily on words.
+    """The left-iterated power of the standard crystal, evaluated on words;
+    blocking=True gives the quasi power, as in ``_product``.
 
-    This is the same product as ``_product(rest, standard_crystal(n),
-    blocking=False)``, applied to one word at a time instead of to every
-    word: the word ``(c,) + rest`` is the pair (rest, c), so its weight is
-    wt(rest) + e_c and per index i it takes eps/phi and the side e and f act
-    on from exactly the rule in ``_product``'s docstring.
-
-    Words are interned as nodes, a node being a first letter plus the node
-    of the rest (node 0 is the empty word), and the rule is memoized per
-    node, that is over suffixes. A row records the position of the letter
-    e_i/f_i would change rather than the target word, so a new node costs
-    O(n) given the row of its rest, and f_i at position p makes at most
-    p + 1 new nodes.
+    The word ``(c,) + rest`` is the pair (rest, c), so its row is
+    ``_pair_row`` of the rows of rest and of the letter c. Words are interned
+    as nodes, a node being a first letter plus the node of the rest (node 0
+    is the empty word), and rows are memoized per node, that is over
+    suffixes. e and f entries are the position, counted from the end of the
+    word, of the letter they change, so a suffix's entries hold in every word
+    that ends with it and a new node costs O(n) given the row of its rest.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, blocking: bool = False):
         if not isinstance(n, int) or n < 2:
             raise ValueError("power constructions need n >= 2")
         self.n = n
-        none = (None,) * (n - 1)
+        self._blocking = blocking
         self._cells: list[tuple[int, int]] = [(0, 0)]  # node -> (letter, rest node)
+        self._depth = [0]  # node -> word length
         self._nodes: dict[tuple[int, int], int] = {}
-        # node -> (wt, eps, phi, e position, f position)
-        self._rows: list[tuple] = [((0,) * n, (0,) * (n - 1), (0,) * (n - 1), none, none)]
+        self._rows: list[tuple] = [_letter_row(0, n)]  # no letter is 0: the empty word's zero row
+        self._letters: list[list[tuple]] = []  # length of rest -> letter -> the letter's row
 
-    def _rule(self, c: int, rest_row: tuple) -> tuple:
-        """The row of ``(c,) + rest`` from the row of rest."""
-        wt_r, eps_r, phi_r, e_r, f_r = rest_row
-        wt = list(wt_r)
-        wt[c - 1] += 1
-        eps, phi, e_at, f_at = [], [], [], []
-        for s in range(self.n - 1):  # slot s is index i = s + 1
-            eps_c = 1 if c == s + 2 else 0
-            phi_c = 1 if c == s + 1 else 0
-            eps.append(max(eps_r[s], eps_c - (wt_r[s] - wt_r[s + 1])))
-            phi.append(max(phi_r[s] + phi_c - eps_c, phi_c))
-            if phi_r[s] >= eps_c:
-                e_at.append(None if e_r[s] is None else e_r[s] + 1)
-            else:
-                e_at.append(0 if eps_c else None)
-            if phi_r[s] > eps_c:
-                f_at.append(None if f_r[s] is None else f_r[s] + 1)
-            else:
-                f_at.append(0 if phi_c else None)
-        return tuple(wt), tuple(eps), tuple(phi), tuple(e_at), tuple(f_at)
-
-    def _prepend(self, c: int, rest: int) -> int:
-        """The node of the word ``(c,) + word(rest)``."""
-        node = self._nodes.get((c, rest))
-        if node is None:
-            node = len(self._cells)
-            self._nodes[(c, rest)] = node
-            self._cells.append((c, rest))
-            self._rows.append(self._rule(c, self._rows[rest]))
-        return node
+    def _prepend(self, letters, rest: int) -> int:
+        """The node of the word ``tuple(letters) + word(rest)``."""
+        for c in reversed(letters):
+            node = self._nodes.get((c, rest))
+            if node is None:
+                node = len(self._cells)
+                self._nodes[(c, rest)] = node
+                self._cells.append((c, rest))
+                p = self._depth[rest]
+                if p == len(self._letters):
+                    self._letters.append([_letter_row(a, self.n, p) for a in range(1, self.n + 1)])
+                self._depth.append(p + 1)
+                self._rows.append(_pair_row(self._rows[rest], self._letters[p][c - 1], self._blocking))
+            rest = node
+        return rest
 
     def word(self, node: int) -> Word:
         letters = []
@@ -220,20 +218,16 @@ class WordCrystal:
             letters.append(c)
         return tuple(letters)
 
-    def f(self, node: int, i: int) -> int | None:
-        """The node of f_i applied to the node's word, or None."""
-        p = self._rows[node][4][i - 1]
-        if p is None:
-            return None
+    def _step(self, node: int, p: int, d: int) -> int:
+        """The node of the word with its letter at position p from the end
+        changed by d: f_i acts there with d = 1 and e_i with d = -1."""
         head = []
-        for _ in range(p):
+        for _ in range(self._depth[node] - 1 - p):
             c, node = self._cells[node]
             head.append(c)
         c, node = self._cells[node]
-        node = self._prepend(c + 1, node)
-        for c in reversed(head):
-            node = self._prepend(c, node)
-        return node
+        head.append(c + d)
+        return self._prepend(head, node)
 
     def highest_weight_words(self, content) -> list[int]:
         """The nodes of every highest-weight word of the given content.
@@ -251,7 +245,7 @@ class WordCrystal:
                 continue
             for c in range(1, self.n + 1):
                 if left[c - 1]:
-                    node = self._prepend(c, rest)
+                    node = self._prepend((c,), rest)
                     if all(p is None for p in self._rows[node][3]):
                         stack.append((node, left[: c - 1] + (left[c - 1] - 1,) + left[c:]))
         return out
@@ -262,28 +256,29 @@ class WordCrystal:
         todo = [top]
         while todo:
             node = todo.pop()
-            for i in range(1, self.n):
-                y = self.f(node, i)
-                if y is not None and y not in seen:
-                    seen.add(y)
-                    todo.append(y)
+            for p in self._rows[node][4]:
+                if p is not None:
+                    y = self._step(node, p, 1)
+                    if y not in seen:
+                        seen.add(y)
+                        todo.append(y)
         return seen
 
     def graph(self, nodes) -> QuasiCrystalGraph:
-        """The subgraph of the power on the given nodes, built edge by edge
-        from the lowering operators as ``Component.subgraph`` does."""
-        n = self.n
-        g = QuasiCrystalGraph(n)
-        ids = {x: word_to_id(self.word(x), n) for x in nodes}
-        for x, vid in sorted(ids.items(), key=lambda item: item[1]):
-            wt, eps, phi, _, _ = self._rows[x]
-            g.add_vertex(vid, wt, eps, phi)
-        for x, vid in ids.items():
-            for i in range(1, n):
-                y = self.f(x, i)
-                if y is not None and y in ids:
-                    g.add_edge(vid, i, ids[y])
-        return g
+        """The subgraph of the power on the given nodes. Its e and f tables
+        are both read off the rows' positions, so ``validate`` still tests
+        each against the other."""
+        ids = {x: word_to_id(self.word(x), self.n) for x in nodes}
+
+        def target(x, p, d):
+            return None if p is None else ids.get(self._step(x, p, d))
+
+        rows = {ids[x]: self._rows[x] for x in sorted(ids, key=ids.get)}
+        edges = (
+            (vid, [target(x, p, -1) for p in self._rows[x][3]], [target(x, p, 1) for p in self._rows[x][4]])
+            for x, vid in ids.items()
+        )
+        return _build(self.n, rows, edges)
 
 
 def tensor(a: QuasiCrystalGraph, b: QuasiCrystalGraph) -> QuasiCrystalGraph:
@@ -299,18 +294,19 @@ def quasi_tensor(a: QuasiCrystalGraph, b: QuasiCrystalGraph) -> QuasiCrystalGrap
 
 
 def _power(n: int, k: int, size_cap, blocking: bool) -> QuasiCrystalGraph:
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("power constructions need n >= 2")
+    """The graph of all n^k words, grown level by level by prepending letters."""
+    words = WordCrystal(n, blocking)
     if not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     cap = default_size_cap() if size_cap is None else size_cap
     if n**k > cap:
         raise SizeCapExceeded(f"{n}^{k} = {n**k} vertices exceeds the size cap {cap}")
-    base = standard_crystal(n, size_cap=cap)
-    g = base
-    for _ in range(k - 1):
-        g = _product(g, base, blocking=blocking)
-    return g
+    if k == 1:  # for k > 1, n * (n - 1) < n**k: the standard crystal's cap holds too
+        return standard_crystal(n, size_cap=cap)
+    level = [0]
+    for _ in range(k):
+        level = [words._prepend((c,), rest) for rest in level for c in range(1, n + 1)]
+    return words.graph(level)
 
 
 def tensor_power(n: int, k: int, size_cap: int | None = None) -> QuasiCrystalGraph:

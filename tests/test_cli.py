@@ -5,9 +5,10 @@ import subprocess
 import pytest
 
 import qck.cli
+import qck.mutation
 import qck.wordmodel
 from qck.cli import main
-from qck.graphcore import QuasiCrystalGraph, read_graph, write_graph
+from qck.graphcore import AxiomReport, QuasiCrystalGraph, read_graph, write_graph
 from qck.structure import components
 
 from corpus import qpow
@@ -408,6 +409,28 @@ def test_export_dot(q33_file, capsys):
 def test_fuzz_reports_rate(q32_file, capsys):
     assert main(["fuzz", q32_file, "--count", "25", "--seed", "9"]) == 0
     assert capsys.readouterr().out == "total\t25\ndetected\t25\nsilent\t0\nrate\t1.0000\n"
+
+
+def test_fuzz_rate_leaves_out_valid_mutants(tmp_path, capsys):
+    # the 17 silent mutants here are all weight edits of fully frozen
+    # vertices, which are themselves coherent seminormal quasi-crystals
+    q38 = str(tmp_path / "q38")
+    assert main(["build", "qtensor-power", "--n", "3", "--k", "8", "-o", q38]) == 0
+    assert main(["fuzz", q38, "--count", "64", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["total\t64", "detected\t47", "silent\t17", "rate\t1.0000"]
+    assert len(lines) == 4 + 17
+    assert all(ln.endswith("\tmutant is itself a coherent seminormal quasi-crystal") for ln in lines[4:])
+
+
+def test_fuzz_exits_1_when_the_battery_misses_damage(q32_file, monkeypatch, capsys):
+    monkeypatch.setattr(qck.mutation, "family", lambda g: {})
+    monkeypatch.setattr(qck.mutation, "is_seminormal", lambda g, around=None: AxiomReport("seminormal"))
+    monkeypatch.setattr(qck.mutation, "validate", lambda g, around=None: AxiomReport("validate"))
+    assert main(["fuzz", q32_file, "--count", "25", "--seed", "9"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:4] == ["total\t25", "detected\t0", "silent\t25", "rate\t0.0000"]
+    assert all(ln.endswith("\tunclassified gap") for ln in lines[4:])
 
 
 def test_fuzz_is_deterministic(q32_file, capsys):

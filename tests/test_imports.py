@@ -1,0 +1,41 @@
+"""qck imports nothing outside the standard library at runtime."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qck"
+
+
+def top_level_imports(path: Path) -> set[str]:
+    """The top-level module of every absolute import in one source file;
+    relative imports are qck's own modules."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found.add("qck" if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_top_level_imports_reads_every_form(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "import os.path, json as j\nfrom numpy import array\nfrom . import graphcore\n"
+        "from .axioms import family\ndef f():\n    import networkx\n",
+        encoding="utf-8",
+    )
+    assert top_level_imports(src) == {"os", "json", "numpy", "qck", "networkx"}
+
+
+def test_runtime_imports_are_stdlib_only():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) >= 10
+    bad = {
+        (path.name, module)
+        for path in sources
+        for module in top_level_imports(path)
+        if module != "qck" and module not in sys.stdlib_module_names
+    }
+    assert bad == set()

@@ -4,10 +4,11 @@ import pytest
 
 import qck.mutation
 from qck.axioms import CRYSTAL_AXIOMS, QUASI_AXIOMS, family, run_checks, uncounted_length
-from qck.graphcore import NEG_INF, POS_INF, QuasiCrystalGraph, is_seminormal, validate
+from qck.graphcore import NEG_INF, POS_INF, AxiomReport, QuasiCrystalGraph, is_seminormal, validate
 from qck.mutation import (
     _AllBut,
     RADIUS,
+    GAP_NOTE,
     VALID_NOTE,
     FuzzResult,
     Mutation,
@@ -138,6 +139,33 @@ def test_fuzz_result_lines():
     assert lines[2] == "silent\t1"
     assert lines[3] == "rate\t0.9000"
     assert lines[4].startswith("silent-case\tweight\t321")
+
+
+def test_fuzz_rate_is_over_the_mutants_that_are_not_valid_graphs():
+    valid = (Mutation("weight", "321", 1, "(1,1,1)->(2,1,1)"), VALID_NOTE)
+    result = FuzzResult(10, 8, [valid, valid])
+    assert result.lines()[:4] == ["total\t10", "detected\t8", "silent\t2", "rate\t1.0000"]
+    assert FuzzResult(10, 7, [valid, valid, (valid[0], "unclassified gap")]).rate == 7 / 8
+    assert FuzzResult(3, 0, [valid] * 3).rate == 1.0
+
+
+def _blind_battery(monkeypatch):
+    # validate and seminormal pass everything, and no axiom runs
+    monkeypatch.setattr(qck.mutation, "validate", lambda g, around=None: AxiomReport("validate"))
+    monkeypatch.setattr(qck.mutation, "is_seminormal", lambda g, around=None: AxiomReport("seminormal"))
+    monkeypatch.setattr(qck.mutation, "family", lambda g: {})
+
+
+def test_fuzz_rate_counts_damage_the_battery_misses(monkeypatch):
+    g = qpow(3, 8)
+    _blind_battery(monkeypatch)
+    result = fuzz_graph(g, count=64, seed=1)
+    assert result.detected == 0 and len(result.silent) == 64
+    frozen = {x for x in g.vertex_ids() if all(g.eps(x, i) == POS_INF == g.phi(x, i) for i in g.index_set)}
+    valid = [m for m, note in result.silent if note == VALID_NOTE]
+    assert valid and all(m.kind == "weight" and m.vertex in frozen for m in valid)
+    assert all(note == GAP_NOTE for m, note in result.silent if m not in valid)
+    assert result.rate == 0.0
 
 
 def test_fuzz_rejects_a_negative_count():

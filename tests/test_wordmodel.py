@@ -17,7 +17,9 @@ from qck.wordmodel import (
     word_to_id,
 )
 
-from corpus import qpow, std, tpow
+from corpus import content_crystal, content_quasi, qpow, std, tpow
+
+import oracles
 
 
 @st.composite
@@ -196,3 +198,74 @@ def test_all_corpus_powers_validate():
         assert is_seminormal(qpow(n, k)).passed
         assert validate(tpow(n, k)).passed
         assert is_seminormal(tpow(n, k)).passed
+
+
+# --- one product rule, checked against the retired pairwise products --------
+
+# n = 10 and 11 check the dash-separated ids, whose order is not the word order
+POWER_CASES = [(n, k) for n in (2, 3, 4) for k in range(1, 6)] + [(10, 2), (11, 2)]
+
+
+@pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
+@pytest.mark.parametrize("n,k", POWER_CASES)
+def test_power_matches_pairwise_products(n, k, blocking):
+    fast = (quasi_tensor_power if blocking else tensor_power)(n, k)
+    slow = oracles.power_via_products(n, k, blocking)
+    assert fast == slow
+    assert fast.raising_edges() == slow.raising_edges()
+
+
+@pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
+@pytest.mark.parametrize(
+    "n,k,cap", [(1, 2, None), ("3", 0, None), (3, 0, None), (2, 4, 8), (5, 1, 19), (10, 7, None)]
+)
+def test_power_refusals_match_pairwise_products(monkeypatch, n, k, cap, blocking):
+    monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
+    with pytest.raises(Exception) as fast:
+        (quasi_tensor_power if blocking else tensor_power)(n, k, size_cap=cap)
+    with pytest.raises(Exception) as slow:
+        oracles.power_via_products(n, k, blocking, size_cap=cap)
+    assert (fast.type, str(fast.value)) == (slow.type, str(slow.value))
+
+
+PRODUCT_CASES = [
+    # a loop in the left factor (quasi only: tensor refuses it)
+    ("quasi", lambda: qpow(2, 2), lambda: std(2)),
+    ("quasi", lambda: qpow(3, 2), lambda: qpow(3, 1)),
+    # a quasified content crystal, on either side
+    ("quasi", lambda: content_quasi((2, 1), 3), lambda: std(3)),
+    ("quasi", lambda: std(3), lambda: content_quasi((2, 1), 3)),
+    ("tensor", lambda: content_crystal((2, 1), 3), lambda: std(3)),
+    # factors of unequal size
+    ("tensor", lambda: std(3), lambda: tpow(3, 2)),
+    ("tensor", lambda: tpow(2, 3), lambda: std(2)),
+    ("quasi", lambda: qpow(2, 3), lambda: qpow(2, 2)),
+    ("quasi", lambda: std(1), lambda: std(1)),
+]
+
+
+@pytest.mark.parametrize("kind,left,right", PRODUCT_CASES)
+def test_product_matches_pairwise_products(kind, left, right):
+    a, b = left(), right()
+    fast = (quasi_tensor if kind == "quasi" else tensor)(a, b)
+    slow = oracles.product_via_pairs(a, b, kind == "quasi")
+    assert fast == slow
+    assert fast.raising_edges() == slow.raising_edges()
+
+
+@pytest.mark.parametrize(
+    "kind,left,right",
+    [
+        ("tensor", lambda: std(2), lambda: std(3)),  # rank mismatch
+        ("quasi", lambda: std(3), lambda: std(2)),
+        ("tensor", lambda: qpow(2, 2), lambda: std(2)),  # not a crystal
+        ("tensor", lambda: std(2), lambda: qpow(2, 2)),
+    ],
+)
+def test_product_refusals_match_pairwise_products(kind, left, right):
+    a, b = left(), right()
+    with pytest.raises(Exception) as fast:
+        (quasi_tensor if kind == "quasi" else tensor)(a, b)
+    with pytest.raises(Exception) as slow:
+        oracles.product_via_pairs(a, b, kind == "quasi")
+    assert (fast.type, str(fast.value)) == (slow.type, str(slow.value))
