@@ -15,6 +15,7 @@ from .graphcore import (
     POS_INF,
     QuasiCrystalGraph,
     Witness,
+    dumps,
     from_json,
     from_text,
     highest_weight_vertices,

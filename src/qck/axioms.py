@@ -17,8 +17,10 @@ not such a pair (lemij.3 guards on eps_{i-1}(x), where the mirror of
 lemij.2 would read phi_{i-1}(y)), so ``check_lemma_ij`` is written out.
 
 ``family`` is the one definition of which of these checkers a graph answers
-to; the CLI's ``check --axioms all``, ``mutation.run_detectors`` and
-``mutation.fuzz_graph`` all read it.
+to, and ``battery`` the one definition of the gated verdict: validate, then
+seminormal (``CORE``), then the family. The CLI's ``check --axioms all`` and
+``mutation.fuzz_graph`` run ``battery``; ``mutation.run_detectors`` reads
+``family`` ungated.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from .graphcore import (
     Witness,
     ext_str,
     is_crystal,
+    is_seminormal,
+    validate,
 )
 
 # The text each sense prints, as (up, down).
@@ -504,6 +508,8 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
     return {axiom.replace("'", "p"): AxiomReport(axiom, ws) for axiom, ws in found.items()}
 
 
+# The coherence gates every battery runs first, in order.
+CORE = {"q": validate, "seminormal": is_seminormal}
 # The local axioms a graph answers to, by its class. Keys are the CLI's
 # --axioms names.
 CRYSTAL_AXIOMS = {"stembridge": check_stembridge}
@@ -535,3 +541,14 @@ def run_checks(g: QuasiCrystalGraph, checkers: dict, around=None):
             yield from sorted(rep.items())
         else:
             yield key, rep
+
+
+def battery(g: QuasiCrystalGraph, checkers=None, around=None):
+    """Yield (name, report) for each CORE gate in order, stopping after the
+    first that fails; then run_checks over ``checkers``, by default the
+    graph's family. Later checkers assume the earlier gates hold."""
+    for key, rep in run_checks(g, CORE, around):
+        yield key, rep
+        if not rep.passed:
+            return
+    yield from run_checks(g, family(g) if checkers is None else checkers, around)

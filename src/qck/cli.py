@@ -12,32 +12,18 @@ import sys
 from collections import Counter
 
 from . import characters, mutation
-from .axioms import CRYSTAL_AXIOMS, QUASI_AXIOMS, family, run_checks
-from .graphcore import (
-    GraphFormatError,
-    is_seminormal,
-    read_graph,
-    to_dot,
-    to_json,
-    to_text,
-    validate,
-)
+from .axioms import CORE, CRYSTAL_AXIOMS, QUASI_AXIOMS, battery, run_checks
+from .graphcore import dumps, read_graph, validate
 from .quasify import count_quasi_components, quasify
 from .structure import TheoremViolation, components, isomorphic, rank_table
 from .weightlattice import enumerate_syt
-from .wordmodel import (
-    SizeCapExceeded,
-    default_size_cap,
-    quasi_tensor_power,
-    standard_crystal,
-    tensor_power,
-)
+from .wordmodel import default_size_cap, quasi_tensor_power, standard_crystal, tensor_power
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
 EXIT_USAGE = 2
 
-_CHECKS = {"q": validate, "seminormal": is_seminormal, **QUASI_AXIOMS, **CRYSTAL_AXIOMS}
+_CHECKS = {**CORE, **QUASI_AXIOMS, **CRYSTAL_AXIOMS}
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -55,14 +41,6 @@ def _emit(payload: str, out_path: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _render(g, fmt: str) -> str:
-    if fmt == "json":
-        return to_json(g)
-    if fmt == "dot":
-        return to_dot(g)
-    return to_text(g)
-
-
 def _cmd_build(args) -> int:
     cap = args.size_cap if args.size_cap is not None else default_size_cap()
     if args.what == "std":
@@ -71,7 +49,7 @@ def _cmd_build(args) -> int:
         g = tensor_power(args.n, args.k, size_cap=cap)
     else:
         g = quasi_tensor_power(args.n, args.k, size_cap=cap)
-    _emit(_render(g, args.format), args.output)
+    _emit(dumps(g, args.format), args.output)
     return EXIT_OK
 
 
@@ -80,34 +58,18 @@ def _cmd_check(args) -> int:
     requested = [k.strip() for k in args.axioms.split(",") if k.strip()]
     if not requested:
         raise ValueError("no axiom keys given")
-    lines: list[str] = []
-    found = False
-
-    def run(checkers: dict) -> None:
-        nonlocal found
-        for _, rep in run_checks(g, checkers):
-            if not rep.passed:
-                found = True
-            lines.extend(rep.lines())
-
     if requested == ["all"]:
-        # gated pipeline: later checkers assume the earlier ones hold, and
-        # the family depends on the graph's class (axioms.family)
-        for key in ("q", "seminormal"):
-            run({key: _CHECKS[key]})
-            if found:
-                for ln in lines:
-                    print(ln)
-                return EXIT_WITNESS
-        run(family(g))
+        reports = battery(g)
     else:
         unknown = [k for k in requested if k not in _CHECKS]
         if unknown:
             raise ValueError(f"unknown axiom keys: {', '.join(unknown)}")
-        run({k: chk for k, chk in _CHECKS.items() if k in requested})
+        reports = run_checks(g, {k: chk for k, chk in _CHECKS.items() if k in requested})
+    # collect before printing, so a refusal partway through prints no witness
+    lines = [ln for _, rep in reports for ln in rep.lines()]
     for ln in lines:
         print(ln)
-    return EXIT_WITNESS if found else EXIT_OK
+    return EXIT_WITNESS if lines else EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
@@ -136,7 +98,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_quasify(args) -> int:
     g = read_graph(args.file)
     q = quasify(g)
-    _emit(_render(q, args.format), args.output)
+    _emit(dumps(q, args.format), args.output)
     return EXIT_OK
 
 
@@ -196,7 +158,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_export(args) -> int:
     g = read_graph(args.file)
-    _emit(_render(g, args.fmt), args.output)
+    _emit(dumps(g, args.fmt), args.output)
     return EXIT_OK
 
 
@@ -287,10 +249,8 @@ def main(argv=None) -> int:
         for ln in exc.lines():
             print(ln)
         return EXIT_WITNESS
-    except (GraphFormatError, SizeCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (OSError, ValueError) as exc:
+        # GraphFormatError and SizeCapExceeded are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .weightlattice import Weight, add, simple_root
+from .weightlattice import Weight
 
 FORMAT_NAME = "qck-graph"
 FORMAT_VERSION = 1
@@ -393,7 +393,6 @@ def validate(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """
     ws: list[Witness] = []
     W, EPS, PHI, E, F = g._wt, g._eps, g._phi, g._e, g._f
-    roots = [simple_root(i, g.n) for i in g.index_set]
     for x in g.anchors(around):
         wx = W[x]
         for s, (eps, phi, ex, fx) in enumerate(zip(EPS[x], PHI[x], E[x], F[x])):
@@ -434,7 +433,8 @@ def validate(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                             f"inverse of e_{i}({x})={y}",
                         )
                     )
-                if W[y] != add(wx, roots[s]):
+                # wt(x) + alpha_i: coordinate i up by one, i + 1 down by one
+                if W[y] != wx[:s] + (wx[s] + 1, wx[s + 1] - 1) + wx[s + 2 :]:
                     ws.append(
                         Witness(
                             "Q1",
@@ -581,8 +581,9 @@ def from_text(text: str) -> QuasiCrystalGraph:
     if len(lines) < 2 or not lines[1].startswith("n "):
         raise GraphFormatError("missing 'n <rank>' line")
     try:
-        n = int(lines[1].split()[1])
-    except (IndexError, ValueError):
+        _, rank = lines[1].split()
+        n = int(rank)
+    except ValueError:
         raise GraphFormatError(f"bad rank line {lines[1]!r}") from None
     g = QuasiCrystalGraph(n)
     edges = []
@@ -678,10 +679,13 @@ def from_json(text: str) -> QuasiCrystalGraph:
         try:
             vid = rec["id"]
             wt = rec["wt"]
-            eps = [_ext_from_json(v, vid) for v in rec["eps"]]
-            phi = [_ext_from_json(v, vid) for v in rec["phi"]]
+            eps, phi = rec["eps"], rec["phi"]
         except (KeyError, TypeError) as exc:
             raise GraphFormatError(f"bad vertex record {rec!r}: {exc}") from None
+        if not isinstance(eps, list) or not isinstance(phi, list):
+            raise GraphFormatError(f"{vid}: eps and phi must be lists")
+        eps = [_ext_from_json(v, vid) for v in eps]
+        phi = [_ext_from_json(v, vid) for v in phi]
         if not isinstance(wt, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
             raise GraphFormatError(f"{vid}: weight entries must be finite ints")
         try:
@@ -754,14 +758,18 @@ def read_graph(path: str) -> QuasiCrystalGraph:
         return loads(fh.read())
 
 
-def write_graph(g: QuasiCrystalGraph, path: str, fmt: str = "text") -> None:
+def dumps(g: QuasiCrystalGraph, fmt: str = "text") -> str:
+    """Serialize g as "text", "json" or "dot"; the writer side of ``loads``."""
     if fmt == "text":
-        payload = to_text(g)
-    elif fmt == "json":
-        payload = to_json(g)
-    elif fmt == "dot":
-        payload = to_dot(g)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        return to_text(g)
+    if fmt == "json":
+        return to_json(g)
+    if fmt == "dot":
+        return to_dot(g)
+    raise ValueError(f"unknown format {fmt!r}")
+
+
+def write_graph(g: QuasiCrystalGraph, path: str, fmt: str = "text") -> None:
+    payload = dumps(g, fmt)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(payload)

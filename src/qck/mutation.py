@@ -6,7 +6,9 @@ least one checker reports a witness.
 
 ``random_mutation`` edits a copy of the graph. ``fuzz_graph`` edits the
 caller's graph in place, re-checks only the anchors that can read x (see
-``region``), and undoes the edit before drawing the next one.
+``region``), and undoes the edit before drawing the next one. It checks with
+``axioms.battery``, the gated verdict of ``check --axioms all``;
+``run_detectors`` runs the same checkers ungated and names every one that flags.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .axioms import COUNTING_LEMMAS, CRYSTAL_AXIOMS, family, run_checks, uncounted_length
+from .axioms import COUNTING_LEMMAS, CORE, CRYSTAL_AXIOMS, battery, family, run_checks, uncounted_length
 from .graphcore import (
     POS_INF,
     QuasiCrystalGraph,
@@ -240,12 +242,13 @@ def fuzz_graph(g: QuasiCrystalGraph, count: int, seed: int) -> FuzzResult:
     """
     if count < 0:
         raise ValueError(f"fuzz count must be >= 0, got {count}")
-    if not validate(g).passed or not is_seminormal(g).passed:
-        raise ValueError("fuzz needs a coherent seminormal graph to start from")
     # a class change (+inf gained or lost) breaks Q2 at x, so while local
     # validate passes the mutant keeps g's family
     checkers = family(g)
-    flagged = {w.vertices[0] for _, rep in run_checks(g, checkers) for w in rep.witnesses}
+    reports = list(battery(g, checkers))
+    if not all(rep.passed for _, rep in reports[: len(CORE)]):
+        raise ValueError("fuzz needs a coherent seminormal graph to start from")
+    flagged = {w.vertices[0] for _, rep in reports for w in rep.witnesses}
     sampler = _Sampler(g)
     rng = random.Random(seed)
     detected = 0
@@ -255,11 +258,8 @@ def fuzz_graph(g: QuasiCrystalGraph, count: int, seed: int) -> FuzzResult:
         near = region(g, edit.mutation.vertex)
         edit.apply()
         try:
-            caught = (
-                not validate(g, around=near).passed
-                or not is_seminormal(g, around=near).passed
-                or not flagged <= near
-                or any(not rep.passed for _, rep in run_checks(g, checkers, around=near))
+            caught = not flagged <= near or any(
+                not rep.passed for _, rep in battery(g, checkers, around=near)
             )
         finally:
             edit.undo()

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+import qck.axioms
 import qck.cli
 import qck.mutation
 import qck.wordmodel
@@ -89,6 +90,19 @@ def test_build_std_over_the_default_cap_refuses_before_building(monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "raw,err",
+    [
+        ("abc", "error: QCK_SIZE_CAP must be an integer, got 'abc'\n"),
+        ("0", "error: QCK_SIZE_CAP must be positive\n"),
+    ],
+)
+def test_build_with_a_bad_size_cap_variable_is_an_input_error(monkeypatch, capsys, raw, err):
+    monkeypatch.setenv("QCK_SIZE_CAP", raw)
+    assert main(["build", "std", "--n", "3"]) == 2
+    assert capsys.readouterr() == ("", err)
 
 
 # --- check -----------------------------------------------------------------
@@ -321,6 +335,21 @@ def test_iso_in_one_file_builds_the_components_once(q33_file, tmp_path, monkeypa
     assert len(calls) == 3
 
 
+def test_iso_of_a_component_with_two_tops_is_a_theorem_violation(tmp_path, capsys):
+    path = tmp_path / "two-tops"
+    path.write_text(
+        "qck-graph v1\nn 3\n"
+        "vertex a 1,0,0 0,0 1,0\nvertex b 0,1,0 0,0 0,1\nvertex c 0,0,1 1,1 0,0\n"
+        "edge a c 1\nedge b c 2\n",
+        encoding="utf-8",
+    )
+    assert main(["iso", f"{path}#1", f"{path}#1"]) == 1
+    assert capsys.readouterr() == (
+        "component at 'a' has 2 highest-weight vertices\nhighest-weight\ta\nhighest-weight\tb\n",
+        "",
+    )
+
+
 def test_iso_bad_references(q33_file, capsys):
     assert main(["iso", q33_file, f"{q33_file}#2"]) == 2
     assert main(["iso", f"{q33_file}#0", f"{q33_file}#2"]) == 2
@@ -425,8 +454,8 @@ def test_fuzz_rate_leaves_out_valid_mutants(tmp_path, capsys):
 
 def test_fuzz_exits_1_when_the_battery_misses_damage(q32_file, monkeypatch, capsys):
     monkeypatch.setattr(qck.mutation, "family", lambda g: {})
-    monkeypatch.setattr(qck.mutation, "is_seminormal", lambda g, around=None: AxiomReport("seminormal"))
-    monkeypatch.setattr(qck.mutation, "validate", lambda g, around=None: AxiomReport("validate"))
+    monkeypatch.setitem(qck.axioms.CORE, "seminormal", lambda g, around=None: AxiomReport("seminormal"))
+    monkeypatch.setitem(qck.axioms.CORE, "q", lambda g, around=None: AxiomReport("validate"))
     assert main(["fuzz", q32_file, "--count", "25", "--seed", "9"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[:4] == ["total\t25", "detected\t0", "silent\t25", "rate\t0.0000"]

@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 from hypothesis import given, strategies as st
 import pytest
@@ -225,6 +226,29 @@ def test_validate_q1_weight_witness():
     g.set_weight("y", (1, 0))
     report = validate(g)
     assert any(w.axiom == "Q1" and "wt" in w.observed for w in report.witnesses)
+
+
+def test_validate_q1_weight_witness_reads_every_coordinate():
+    # e_2 x must be wt(x) + alpha_2 = (0, 1, 0, 0): moved by one from
+    # coordinate 3 to 2, and equal in coordinates 1 and 4
+    for wy in ((0, 1, 0, 0), (1, 1, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 2, -1, 0)):
+        g = QuasiCrystalGraph(4)
+        g.add_vertex("x", (0, 0, 1, 0), (0, 1, 0), (0, 0, 1))
+        g.add_vertex("y", wy, (0, 0, 0), (1, 1, 0))
+        g.add_edge("y", 2, "x")
+        line = f"Q1\tx,y\t2\twt(y)={wy}\twt(x)+alpha_2"
+        assert (line in validate(g).lines()) == (wy != (0, 1, 0, 0)), wy
+
+
+def test_validate_set_up_does_not_grow_with_the_rank_squared():
+    g = QuasiCrystalGraph(4000)
+    tracemalloc.start()
+    try:
+        assert validate(g).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_set_operators_reject_unknown_targets():

@@ -136,6 +136,9 @@ def hostile_reads():
         ("text bad eps", from_text, text + "vertex 9 1,0 x 1\n"),
         ("text eps count", from_text, text + "vertex 9 1,0 0,0 1\n"),
         ("text unknown record", from_text, text + "arc 1 2 1\n"),
+        ("text no rank line", from_text, "qck-graph v1\n" + vertex + "\n"),
+        ("text short edge line", from_text, text + "edge 1 2\n"),
+        ("text rank line with junk", from_text, "qck-graph v1\nn 3 junk more\n"),
     ]
     doc = json.loads(to_json(std(2)))
 
@@ -170,12 +173,16 @@ def hostile_reads():
         ("json boolean label", from_json, edit(lambda d: d["edges"][0].__setitem__("label", True))),
         ("json label out of range", from_json, edit(lambda d: d["edges"][0].__setitem__("label", 3))),
         ("json edge set twice", from_json, edit(lambda d: d["edges"].append(dict(d["edges"][0])))),
+        ("json invalid", from_json, "{oops"),
+        ("json eps a string", from_json, edit(vertex_field("eps", "0"))),
+        ("json phi a dict", from_json, edit(vertex_field("phi", {"1": 0}))),
     ]
     return cases
 
 
 # (error type, message) of each hostile read, recorded before the readers
-# stopped calling add_vertex per vertex.
+# stopped calling add_vertex per vertex. The rank line with junk and the
+# eps/phi that are not lists were read silently before they were refused.
 HOSTILE_REFUSALS = {
     "text no header": ("GraphFormatError", "bad header 'n 3'; expected 'qck-graph v1'"),
     "text empty": ("GraphFormatError", "empty graph file"),
@@ -214,6 +221,15 @@ HOSTILE_REFUSALS = {
     "json boolean label": ("GraphFormatError", "bad edge label True"),
     "json label out of range": ("GraphFormatError", "operator index 3 out of range 1..1"),
     "json edge set twice": ("GraphFormatError", "f_1('1') already set"),
+    "text no rank line": ("GraphFormatError", "missing 'n <rank>' line"),
+    "text short edge line": ("GraphFormatError", "bad edge line 'edge 1 2'"),
+    "text rank line with junk": ("GraphFormatError", "bad rank line 'n 3 junk more'"),
+    "json invalid": (
+        "GraphFormatError",
+        "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    ),
+    "json eps a string": ("GraphFormatError", "1: eps and phi must be lists"),
+    "json phi a dict": ("GraphFormatError", "1: eps and phi must be lists"),
 }
 
 

@@ -241,6 +241,9 @@ PRODUCT_CASES = [
     ("tensor", lambda: tpow(2, 3), lambda: std(2)),
     ("quasi", lambda: qpow(2, 3), lambda: qpow(2, 2)),
     ("quasi", lambda: std(1), lambda: std(1)),
+    # from n = 10 on, a pair's id joins its factors' ids with a dash
+    ("tensor", lambda: tpow(10, 2), lambda: std(10)),
+    ("quasi", lambda: qpow(10, 2), lambda: std(10)),
 ]
 
 
