@@ -440,14 +440,17 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
             )
 
     for x in g.anchors(around):
-        for i in indices:
-            for j in indices:
-                if i == j:
+        for s in senses:
+            E, L, R, w = s.e, s.eps, s.phi, s.w
+            for i in indices:
+                y = E[x][i - 1]
+                if y is None:  # S2 and S3 both start from e_i x
                     continue
-                for s in senses:
-                    E, L, R, w = s.e, s.eps, s.phi, s.w
-                    y, z = E[x][i - 1], E[x][j - 1]
-                    if y is not None and L[y][j - 1] == L[x][j - 1] and L[x][j - 1] > 0:
+                for j in indices:
+                    if i == j:
+                        continue
+                    z = E[x][j - 1]
+                    if L[y][j - 1] == L[x][j - 1] and L[x][j - 1] > 0:
                         ij = E[z][i - 1] if z is not None else None
                         ji = E[y][j - 1]
                         if ij is None or ij != ji:
@@ -468,7 +471,7 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
                                 f"{w.phi}_{i}({w.e}_{j}x)={ext_str(R[z][i - 1])}",
                                 f"{w.phi}_{i}(x)={ext_str(R[x][i - 1])}",
                             )
-                    if j < i or y is None or z is None:
+                    if j < i or z is None:
                         continue
                     if L[y][j - 1] != L[x][j - 1] + 1 or L[z][i - 1] != L[x][i - 1] + 1:
                         continue

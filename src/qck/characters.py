@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .quasify import crystal_of_content, quasify
 from .structure import Component, components
@@ -182,26 +183,16 @@ def fundamental_qsym(alpha, n: int) -> IntPolynomial:
     weakly increasing words of length |alpha| with a strict rise at every
     descent position (the partial sums of alpha except the last)."""
     comp = check_composition(alpha)
-    m = sum(comp)
-    descents = set()
-    acc = 0
-    for part in comp[:-1]:
-        acc += part
-        descents.add(acc)
-    terms: dict[tuple[int, ...], int] = {}
-
-    # (position, previous letter, exponents so far); a stack, not recursion,
-    # so long compositions do not hit the interpreter's recursion limit
-    todo = [(0, 1, (0,) * n)]
-    while todo:
-        pos, prev, expo = todo.pop()
-        if pos == m:
-            terms[expo] = terms.get(expo, 0) + 1
-            continue
-        lo = prev + 1 if pos in descents else prev
-        for v in range(max(lo, 1), n + 1):
-            todo.append((pos + 1, v, expo[: v - 1] + (expo[v - 1] + 1,) + expo[v:]))
-    return IntPolynomial(n, terms)
+    descents = set(accumulate(comp[:-1]))
+    level = [(1, (0,) * n)]  # (last letter, exponents) of each word so far
+    for pos in range(sum(comp)):
+        top = n - sum(d > pos for d in descents)  # leaves room for the rises still to come
+        level = [
+            (v, expo[: v - 1] + (expo[v - 1] + 1,) + expo[v:])
+            for prev, expo in level
+            for v in range(prev + (pos in descents), top + 1)
+        ]
+    return IntPolynomial(n, Counter(expo for _, expo in level))
 
 
 @dataclass
@@ -241,16 +232,10 @@ def verify_schur_decomposition(shape, n: int) -> SchurDecompositionReport:
     over standard tableaux, and that the quasified components realize those
     terms one-for-one."""
     parts = check_partition(shape)
-    tableaux = enumerate_syt(parts)
-    term_comps = sorted(descent_composition(t) for t in tableaux)
+    content = crystal_of_content(parts, n)  # holds the size cap before any tableau is listed
+    term_comps = sorted(descent_composition(t) for t in enumerate_syt(parts))
     f_terms = [fundamental_qsym(a, n) for a in term_comps]
-
-    content = crystal_of_content(parts, n)
-    lhs = character(content)
-    rhs = IntPolynomial.zero(n)
-    for poly in f_terms:
-        rhs = rhs + poly
-    identity_ok = lhs == rhs
+    identity_ok = character(content) == sum(f_terms, IntPolynomial.zero(n))
 
     q = quasify(content)
     comps = components(q)
@@ -279,7 +264,7 @@ def verify_schur_decomposition(shape, n: int) -> SchurDecompositionReport:
             mismatches.append(f"component {hw}: character differs from F({alpha})")
         records.append((hw, alpha, ok))
 
-    multiset_ok = Counter(p for p in f_terms) == Counter(comp_chars)
+    multiset_ok = Counter(f_terms) == Counter(comp_chars)
 
     return SchurDecompositionReport(
         shape=parts,

@@ -16,8 +16,8 @@ from .axioms import CORE, CRYSTAL_AXIOMS, QUASI_AXIOMS, battery, run_checks
 from .graphcore import dumps, read_graph, validate
 from .quasify import count_quasi_components, quasify
 from .structure import TheoremViolation, components, isomorphic, rank_table
-from .weightlattice import enumerate_syt
-from .wordmodel import default_size_cap, quasi_tensor_power, standard_crystal, tensor_power
+from .weightlattice import syt_count
+from .wordmodel import positive_cap, quasi_tensor_power, standard_crystal, tensor_power
 
 EXIT_OK = 0
 EXIT_WITNESS = 1
@@ -42,7 +42,7 @@ def _emit(payload: str, out_path: str | None) -> None:
 
 
 def _cmd_build(args) -> int:
-    cap = args.size_cap if args.size_cap is not None else default_size_cap()
+    cap = None if args.size_cap is None else positive_cap(args.size_cap, "--size-cap")
     if args.what == "std":
         g = standard_crystal(args.n, size_cap=cap)
     elif args.what == "tensor-power":
@@ -105,7 +105,7 @@ def _cmd_quasify(args) -> int:
 def _cmd_count(args) -> int:
     shape = _parse_shape(args.shape)
     got = count_quasi_components(shape, args.n)
-    expected = len(enumerate_syt(shape))
+    expected = syt_count(shape)
     ok = got == expected
     print(f"components\t{got}")
     print(f"standard-tableaux\t{expected}")

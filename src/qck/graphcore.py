@@ -122,7 +122,7 @@ class GraphFormatError(ValueError):
     """Malformed interchange text/JSON."""
 
 
-def parse_ext(tok: str):
+def _ext(tok: str):
     if tok == "+inf":
         return POS_INF
     if tok == "-inf":
@@ -131,6 +131,19 @@ def parse_ext(tok: str):
         return int(tok)
     except ValueError:
         raise GraphFormatError(f"not an extended integer: {tok!r}") from None
+
+
+def _plain(tok: str) -> str:
+    """tok, refused where int() would read a form the writers never write:
+    underscores (1_0) and non-ASCII digits. A comma-separated field passes
+    when each of its tokens does, so the text reader checks a field once."""
+    if not tok.isascii() or "_" in tok:
+        raise GraphFormatError(f"not an extended integer: {tok!r}")
+    return tok
+
+
+def parse_ext(tok: str):
+    return _ext(_plain(tok))
 
 
 def _check_ext(v):
@@ -551,7 +564,7 @@ def _parse_csv(tok: str, what: str, where: str):
     if tok == "-":
         return []
     try:
-        return [parse_ext(t) for t in tok.split(",")]
+        return [_ext(t) for t in _plain(tok).split(",")]
     except ValueError as exc:
         raise GraphFormatError(f"{where}: bad {what}: {exc}") from None
 
@@ -582,7 +595,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError("missing 'n <rank>' line")
     try:
         _, rank = lines[1].split()
-        n = int(rank)
+        n = int(_plain(rank))
     except ValueError:
         raise GraphFormatError(f"bad rank line {lines[1]!r}") from None
     g = QuasiCrystalGraph(n)
@@ -610,7 +623,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
             raise GraphFormatError(f"unknown record {parts[0]!r}")
     for src, dst, label in edges:
         try:
-            i = int(label)
+            i = int(_plain(label))
         except ValueError:
             raise GraphFormatError(f"bad edge label {label!r}") from None
         if src not in g._wt or dst not in g._wt:
@@ -663,7 +676,7 @@ def to_json(g: QuasiCrystalGraph) -> str:
 def from_json(text: str) -> QuasiCrystalGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # json recurses once per nesting level
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise GraphFormatError(f"not a {FORMAT_NAME} document")

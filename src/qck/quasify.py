@@ -13,7 +13,7 @@ import enum
 from .axioms import check_stembridge
 from .graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, validate
 from .structure import components
-from .weightlattice import check_partition, pairing, simple_root, ssyt_count, syt_count
+from .weightlattice import check_partition, ssyt_count, syt_count
 from .wordmodel import SizeCapExceeded, WordCrystal, default_size_cap, word_to_id
 
 
@@ -55,12 +55,8 @@ def quasify(c: QuasiCrystalGraph) -> QuasiCrystalGraph:
         for i in c.index_set:
             keep = c.eps(x, i) == c.wt(x)[i]
             kept[(x, i)] = keep
-            if keep:
-                eps_row.append(c.eps(x, i))
-                phi_row.append(c.eps(x, i) + pairing(c.wt(x), simple_root(i, c.n)))
-            else:
-                eps_row.append(POS_INF)
-                phi_row.append(POS_INF)
+            eps_row.append(c.eps(x, i) if keep else POS_INF)
+            phi_row.append(c.phi(x, i) if keep else POS_INF)  # phi = eps + <wt, alpha_i>, as validate checked
         q.add_vertex(x, c.wt(x), eps_row, phi_row)
     for x in c.vertex_ids():
         for i in c.index_set:

@@ -6,7 +6,8 @@ quotients by (1,...,1).
 
 from __future__ import annotations
 
-from math import factorial
+from collections import Counter
+from math import prod
 from typing import Iterator
 
 Weight = tuple[int, ...]
@@ -89,48 +90,21 @@ def partitions_of(m: int, max_parts: int | None = None) -> Iterator[Partition]:
 def enumerate_syt(shape) -> list[Tableau]:
     """All standard fillings of a partition shape, entries 1..m.
 
-    Built by peeling the largest entry off every removable corner, so the
-    output order is deterministic. Rows increase left to right, columns top
-    to bottom, each of 1..m used once.
+    Grown one entry at a time: entry k goes at the end of every row that is
+    shorter than its part and, below the first row, shorter than the row
+    above. Rows increase left to right, columns top to bottom, each of 1..m
+    used once; the output is sorted.
     """
     parts = check_partition(shape)
-    m = sum(parts)
-
-    memo: dict[tuple[int, ...], list[Tableau]] = {(): [()]}
-
-    # depth-first over smaller shapes with an explicit stack, so long shapes
-    # do not run into the interpreter's recursion limit
-    todo = [parts]
-    while todo:
-        rows = todo[-1]
-        if rows in memo:
-            todo.pop()
-            continue
-        corners = []
-        for r in range(len(rows)):
-            # cell (r, rows[r]-1) is a removable corner iff the next row is shorter
-            if r + 1 < len(rows) and rows[r + 1] >= rows[r]:
-                continue
-            corners.append((r, tuple(c for c in rows[:r] + (rows[r] - 1,) + rows[r + 1:] if c > 0)))
-        missing = [smaller for _, smaller in corners if smaller not in memo]
-        if missing:
-            todo.extend(missing)
-            continue
-        todo.pop()
-        k = sum(rows)
-        out: list[Tableau] = []
-        for r, smaller in corners:
-            for t in memo[smaller]:
-                grown = [list(row) for row in t]
-                while len(grown) <= r:
-                    grown.append([])
-                grown[r].append(k)
-                out.append(tuple(tuple(row) for row in grown))
-        memo[rows] = out
-
-    result = memo[parts]
-    assert all(sum(len(row) for row in t) == m for t in result)
-    return sorted(result)
+    level: list[Tableau] = [((),) * len(parts)]
+    for k in range(1, sum(parts) + 1):
+        level = [
+            t[:r] + (t[r] + (k,),) + t[r + 1:]
+            for t in level
+            for r in range(len(parts))
+            if len(t[r]) < parts[r] and (r == 0 or len(t[r]) < len(t[r - 1]))
+        ]
+    return sorted(level)
 
 
 def _cells_with_hooks(parts: Partition) -> list[tuple[int, int, int]]:
@@ -141,24 +115,24 @@ def _cells_with_hooks(parts: Partition) -> list[tuple[int, int, int]]:
     ]
 
 
+def _quotient(num, den) -> int:
+    """prod(num) // prod(den) for an exact quotient, equal factors cancelled
+    first: the hook formulas divide |shape|!-sized products."""
+    num, den = Counter(num), Counter(den)
+    return prod(a**k for a, k in (num - den).items()) // prod(b**k for b, k in (den - num).items())
+
+
 def syt_count(shape) -> int:
     """Number of standard tableaux of a partition shape (hook-length formula)."""
     parts = check_partition(shape)
-    hooks = 1
-    for _, _, h in _cells_with_hooks(parts):
-        hooks *= h
-    return factorial(sum(parts)) // hooks
+    return _quotient(range(1, sum(parts) + 1), (h for _, _, h in _cells_with_hooks(parts)))
 
 
 def ssyt_count(shape, n: int) -> int:
     """Number of semistandard tableaux of a partition shape with entries in
     1..n (hook-content formula)."""
-    parts = check_partition(shape)
-    num = den = 1
-    for r, c, h in _cells_with_hooks(parts):
-        num *= n + c - r
-        den *= h
-    return num // den
+    cells = _cells_with_hooks(check_partition(shape))
+    return _quotient((n + c - r for r, c, _ in cells), (h for _, _, h in cells))
 
 
 def syt_shape(t: Tableau) -> Partition:

@@ -29,17 +29,21 @@ class SizeCapExceeded(ValueError):
     """A requested construction would be larger than the size cap allows."""
 
 
-def default_size_cap() -> int:
-    raw = os.environ.get(SIZE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_CAP
+def positive_cap(raw, source: str) -> int:
+    """raw as a size cap, an int of at least 1; ``source`` names the setting
+    in the one-line refusal."""
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{SIZE_CAP_ENV} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{source} must be an integer, got {raw!r}") from None
     if cap < 1:
-        raise ValueError(f"{SIZE_CAP_ENV} must be positive")
+        raise ValueError(f"{source} must be positive")
     return cap
+
+
+def default_size_cap() -> int:
+    raw = os.environ.get(SIZE_CAP_ENV)
+    return DEFAULT_SIZE_CAP if raw is None else positive_cap(raw, SIZE_CAP_ENV)
 
 
 def word_to_id(word: Word, n: int) -> str:

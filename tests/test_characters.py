@@ -4,6 +4,8 @@ from collections import Counter
 from hypothesis import given, strategies as st
 import pytest
 
+import qck.characters
+
 from qck.characters import (
     IntPolynomial,
     SchurDecompositionReport,
@@ -14,7 +16,7 @@ from qck.characters import (
 )
 from qck.structure import components
 from qck.weightlattice import partitions_of
-from qck.wordmodel import standard_crystal
+from qck.wordmodel import SizeCapExceeded, standard_crystal
 
 from corpus import content_crystal, qpow, std, tpow
 
@@ -211,6 +213,11 @@ def test_fundamental_of_a_long_composition_needs_no_deep_recursion():
     assert fundamental_qsym((600, 500), 2) == IntPolynomial.monomial(2, (600, 500))
 
 
+def test_fundamental_grows_only_words_that_can_finish():
+    # without dropping dead words this grows 2^30 strictly increasing prefixes; one finishes
+    assert fundamental_qsym((1,) * 30, 30) == IntPolynomial.monomial(30, (1,) * 30)
+
+
 def test_fundamental_rejects_bad_compositions():
     with pytest.raises(ValueError):
         fundamental_qsym((1, 0, 2), 3)
@@ -263,3 +270,13 @@ def test_schur_decomposition_report_failure_paths():
     assert "multiset\tFAIL" in lines
     assert lines[-1] == "result\tFAIL"
     assert any(line.startswith("mismatch\t") for line in lines)
+
+
+def test_schur_decomposition_over_the_cap_lists_no_tableau(monkeypatch):
+    def no_tableaux(shape):
+        raise AssertionError("listed standard tableaux past the size cap")
+
+    monkeypatch.setattr(qck.characters, "enumerate_syt", no_tableaux)
+    monkeypatch.setenv("QCK_SIZE_CAP", "100")
+    with pytest.raises(SizeCapExceeded):
+        verify_schur_decomposition((4, 4, 4, 4), 4)

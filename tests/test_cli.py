@@ -1,6 +1,7 @@
 import hashlib
 import shutil
 import subprocess
+import time
 
 import pytest
 
@@ -105,6 +106,12 @@ def test_build_with_a_bad_size_cap_variable_is_an_input_error(monkeypatch, capsy
     assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_build_with_a_bad_size_cap_flag_is_an_input_error(capsys, cap):
+    assert main(["build", "std", "--n", "3", "--size-cap", cap]) == 2
+    assert capsys.readouterr() == ("", "error: --size-cap must be positive\n")
+
+
 # --- check -----------------------------------------------------------------
 
 
@@ -160,6 +167,15 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     assert main(["check", str(junk), "--axioms", "all"]) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 2
+
+
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"format": ' + "[" * 200_000 + "]" * 200_000 + "}\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid JSON:") and captured.err.count("\n") == 1
 
 
 def test_boolean_rank_in_json_is_an_input_error(tmp_path, capsys):
@@ -254,6 +270,15 @@ def test_count_matches_tableaux(capsys):
     assert capsys.readouterr().out == "components\t3\nstandard-tableaux\t3\nstatus\tPASS\n"
 
 
+def test_count_on_a_high_rank_standard_crystal_is_quick(capsys):
+    # the standard crystal B(300): 300 vertices and 299 indices
+    started = time.monotonic()
+    assert main(["count", "--shape", "1", "--n", "300"]) == 0
+    elapsed = time.monotonic() - started
+    assert capsys.readouterr().out == "components\t1\nstandard-tableaux\t1\nstatus\tPASS\n"
+    assert elapsed < 10.0, f"count took {elapsed:.1f}s"
+
+
 def test_count_rejects_bad_shape(capsys):
     assert main(["count", "--shape", "1,2", "--n", "3"]) == 2
     assert main(["count", "--shape", "spam", "--n", "3"]) == 2
@@ -295,6 +320,11 @@ def test_verify_schur_passes(capsys):
     assert "component\t121\tF(2,1)\tPASS" in out
     assert "component\t221\tF(1,2)\tPASS" in out
     assert out[-1] == "result\tPASS"
+
+
+def test_verify_schur_without_variables_is_an_input_error(capsys):
+    assert main(["verify", "schur", "--shape", "2,1", "--n", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: shape (2, 1) has more than n=0 parts\n")
 
 
 # --- iso ---------------------------------------------------------------------

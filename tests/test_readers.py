@@ -139,6 +139,11 @@ def hostile_reads():
         ("text no rank line", from_text, "qck-graph v1\n" + vertex + "\n"),
         ("text short edge line", from_text, text + "edge 1 2\n"),
         ("text rank line with junk", from_text, "qck-graph v1\nn 3 junk more\n"),
+        ("text rank with an underscore", from_text, "qck-graph v1\nn 1_0\n"),
+        ("text weight with an underscore", from_text, text + "vertex 9 1_0,0 0 1\n"),
+        ("text weight with a non-ASCII digit", from_text, text + "vertex 9 0,\u0661 1 0\n"),
+        ("text phi with an underscore", from_text, text + "vertex 9 1,0 0 1_0\n"),
+        ("text label with a non-ASCII digit", from_text, text + "edge 1 2 \u0661\n"),
     ]
     doc = json.loads(to_json(std(2)))
 
@@ -176,6 +181,8 @@ def hostile_reads():
         ("json invalid", from_json, "{oops"),
         ("json eps a string", from_json, edit(vertex_field("eps", "0"))),
         ("json phi a dict", from_json, edit(vertex_field("phi", {"1": 0}))),
+        ("json length with a non-ASCII digit", from_json, edit(vertex_field("eps", ["\u0661"]))),
+        ("json nested too deeply", from_json, '{"format": ' + "[" * 200_000 + "]" * 200_000 + "}"),
     ]
     return cases
 
@@ -183,6 +190,8 @@ def hostile_reads():
 # (error type, message) of each hostile read, recorded before the readers
 # stopped calling add_vertex per vertex. The rank line with junk and the
 # eps/phi that are not lists were read silently before they were refused.
+# So were integers with underscores or non-ASCII digits, which int() reads
+# but the writers never write; deep JSON nesting raised RecursionError.
 HOSTILE_REFUSALS = {
     "text no header": ("GraphFormatError", "bad header 'n 3'; expected 'qck-graph v1'"),
     "text empty": ("GraphFormatError", "empty graph file"),
@@ -230,6 +239,16 @@ HOSTILE_REFUSALS = {
     ),
     "json eps a string": ("GraphFormatError", "1: eps and phi must be lists"),
     "json phi a dict": ("GraphFormatError", "1: eps and phi must be lists"),
+    "text rank with an underscore": ("GraphFormatError", "bad rank line 'n 1_0'"),
+    "text weight with an underscore": ("GraphFormatError", "9: bad weight: not an extended integer: '1_0,0'"),
+    "text weight with a non-ASCII digit": ("GraphFormatError", "9: bad weight: not an extended integer: '0,\u0661'"),
+    "text phi with an underscore": ("GraphFormatError", "9: bad phi: not an extended integer: '1_0'"),
+    "text label with a non-ASCII digit": ("GraphFormatError", "bad edge label '\u0661'"),
+    "json length with a non-ASCII digit": ("GraphFormatError", "1: not an extended integer: '\u0661'"),
+    "json nested too deeply": (
+        "GraphFormatError",
+        "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
+    ),
 }
 
 

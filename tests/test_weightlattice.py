@@ -143,6 +143,16 @@ def test_syt_of_a_long_row_needs_no_deep_recursion():
     assert enumerate_syt((3000,)) == [(tuple(range(1, 3001)),)]
 
 
+def test_syt_of_a_long_column_is_one_tableau():
+    assert enumerate_syt((1,) * 3000) == [tuple((k,) for k in range(1, 3001))]
+
+
+def test_hook_formulas_on_a_long_row_cancel_before_multiplying():
+    # 100000! has about 456,000 digits; the quotients are tiny
+    assert syt_count((100000,)) == 1
+    assert ssyt_count((100000,), 2) == 100001
+
+
 def test_syt_known_counts():
     # dimensions for all shapes with five cells
     table = {
