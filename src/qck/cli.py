@@ -13,7 +13,7 @@ from collections import Counter
 
 from . import characters, mutation
 from .axioms import CORE, CRYSTAL_AXIOMS, QUASI_AXIOMS, battery, run_checks
-from .graphcore import dumps, read_graph, validate
+from .graphcore import _plain, dumps, read_graph, validate
 from .quasify import count_quasi_components, quasify
 from .structure import TheoremViolation, components, isomorphic, rank_table
 from .weightlattice import syt_count
@@ -26,9 +26,18 @@ EXIT_USAGE = 2
 _CHECKS = {**CORE, **QUASI_AXIOMS, **CRYSTAL_AXIOMS}
 
 
+def _int(text: str) -> int:
+    """An integer flag, read by the file readers' plain-integer rule; other
+    text is a usage error worded as argparse words it for type=int."""
+    try:
+        return int(_plain(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_shape(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(int(_plain(p)) for p in text.split(","))
     except ValueError:
         raise ValueError(f"bad shape {text!r}; expected comma-separated ints like 2,1") from None
 
@@ -135,9 +144,12 @@ def _cmd_verify(args) -> int:
 
 def _component_ref(ref: str):
     path, sep, idx = ref.rpartition("#")
-    if not sep or not idx.isdigit() or int(idx) < 1:
-        raise ValueError(f"bad component reference {ref!r}; expected FILE#INDEX with INDEX >= 1")
-    return path, int(idx)
+    try:
+        if sep and idx.isdigit() and int(_plain(idx)) >= 1:
+            return path, int(idx)
+    except ValueError:
+        pass
+    raise ValueError(f"bad component reference {ref!r}; expected FILE#INDEX with INDEX >= 1")
 
 
 def _cmd_iso(args) -> int:
@@ -178,11 +190,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct a graph and print/save it")
     p.add_argument("what", choices=["std", "tensor-power", "qtensor-power"])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--n", type=_int, required=True)
+    p.add_argument("--k", type=_int, default=1)
     p.add_argument("-o", "--output")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--size-cap", type=int, default=None)
+    p.add_argument("--size-cap", type=_int, default=None)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("check", help="run axiom checkers, print witnesses")
@@ -202,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="quasi component count vs standard tableaux")
     p.add_argument("--shape", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("char", help="character polynomial of a graph file")
@@ -213,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a decomposition identity")
     p.add_argument("property", choices=["schur"])
     p.add_argument("--shape", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int, required=True)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("iso", help="compare two components given as FILE#INDEX")
@@ -229,8 +241,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fuzz", help="mutate a graph and score checker detection")
     p.add_argument("file")
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=_int, default=100)
+    p.add_argument("--seed", type=_int, default=0)
     p.set_defaults(func=_cmd_fuzz)
 
     return parser

@@ -249,8 +249,8 @@ class QuasiCrystalGraph:
         self._put_vertex(vid, wt, [_check_ext(v) for v in eps], [_check_ext(v) for v in phi])
 
     # add_vertex in two halves, split around its per-entry checks of eps and
-    # phi, which the file readers skip: their parsers produce only ints and
-    # the two infinities.
+    # phi, which the file readers and the constructors skip: their rows hold
+    # only ints and the two infinities.
 
     def _new_weight(self, vid, wt) -> Weight:
         """Check a new vertex's id and weight; return the weight as a tuple."""
@@ -264,15 +264,17 @@ class QuasiCrystalGraph:
             raise ValueError(f"weight of {vid!r} must be {self.n} ints, got {wt!r}")
         return wt
 
-    def _put_vertex(self, vid: str, wt: Weight, eps: list, phi: list) -> None:
-        """Store a vertex with checked entries, once its rows have the right length."""
+    def _put_vertex(self, vid: str, wt: Weight, eps: list, phi: list, e=None, f=None) -> None:
+        """Store a vertex with checked entries, once its rows have the right length:
+        the one path by which rows enter a graph. The lists are stored as given,
+        not copied; e and f, lists of ids or None, default to no edge."""
         if len(eps) != self.n - 1 or len(phi) != self.n - 1:
             raise ValueError(f"{vid!r}: need {self.n - 1} eps and phi entries")
         self._wt[vid] = wt
         self._eps[vid] = eps
         self._phi[vid] = phi
-        self._e[vid] = [None] * (self.n - 1)
-        self._f[vid] = [None] * (self.n - 1)
+        self._e[vid] = [None] * (self.n - 1) if e is None else e
+        self._f[vid] = [None] * (self.n - 1) if f is None else f
 
     def _slot(self, i: int) -> int:
         if not 1 <= i <= self.n - 1:
@@ -362,11 +364,8 @@ class QuasiCrystalGraph:
 
     def copy(self) -> "QuasiCrystalGraph":
         g = QuasiCrystalGraph(self.n)
-        g._wt = dict(self._wt)
-        g._eps = {v: list(row) for v, row in self._eps.items()}
-        g._phi = {v: list(row) for v, row in self._phi.items()}
-        g._e = {v: list(row) for v, row in self._e.items()}
-        g._f = {v: list(row) for v, row in self._f.items()}
+        for v, wt in self._wt.items():
+            g._put_vertex(v, wt, list(self._eps[v]), list(self._phi[v]), list(self._e[v]), list(self._f[v]))
         return g
 
     def __eq__(self, other):
@@ -598,6 +597,8 @@ def from_text(text: str) -> QuasiCrystalGraph:
         n = int(_plain(rank))
     except ValueError:
         raise GraphFormatError(f"bad rank line {lines[1]!r}") from None
+    if n < 1:
+        raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(n)
     edges = []
     for ln in lines[2:]:
@@ -687,6 +688,8 @@ def from_json(text: str) -> QuasiCrystalGraph:
     vertices, edges = doc.get("vertices", []), doc.get("edges", [])
     if not isinstance(vertices, list) or not isinstance(edges, list):
         raise GraphFormatError("fields 'vertices' and 'edges' must be lists")
+    if doc["n"] < 1:
+        raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(doc["n"])
     for rec in vertices:
         try:

@@ -49,22 +49,17 @@ def quasify(c: QuasiCrystalGraph) -> QuasiCrystalGraph:
     (i+1)-th weight entry; elsewhere keep the crystal operators."""
     _require_compliant_crystal(c)
     q = QuasiCrystalGraph(c.n)
-    kept: dict[tuple[str, int], bool] = {}
     for x in c.vertex_ids():
-        eps_row, phi_row = [], []
-        for i in c.index_set:
-            keep = c.eps(x, i) == c.wt(x)[i]
-            kept[(x, i)] = keep
-            eps_row.append(c.eps(x, i) if keep else POS_INF)
-            phi_row.append(c.phi(x, i) if keep else POS_INF)  # phi = eps + <wt, alpha_i>, as validate checked
-        q.add_vertex(x, c.wt(x), eps_row, phi_row)
-    for x in c.vertex_ids():
-        for i in c.index_set:
-            if kept[(x, i)]:
-                y = c.e(x, i)
-                if y is not None:
-                    q.set_raising(x, i, y)
-                    q.set_lowering(y, i, x)
+        wt = c._wt[x]
+        # validate checked that eps_i - wt_{i+1} is constant along each i-string,
+        # so both ends of an edge agree on keeping it and the e and f rows are
+        # each filtered at their own vertex; phi = eps + <wt, alpha_i> goes with eps
+        keep = [v == wt[s + 1] for s, v in enumerate(c._eps[x])]
+        eps = [v if k else POS_INF for v, k in zip(c._eps[x], keep)]
+        phi = [v if k else POS_INF for v, k in zip(c._phi[x], keep)]
+        e = [y if k else None for y, k in zip(c._e[x], keep)]
+        f = [y if k else None for y, k in zip(c._f[x], keep)]
+        q._put_vertex(x, wt, eps, phi, e, f)
     return q
 
 
@@ -101,7 +96,7 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
     Only those components are walked, from their highest-weight words: the
     walk visits f^shape * #SSYT(shape, n) words of |shape| letters, rather
     than all n^|shape| words, and that letter count is held to the size cap
-    before it starts.
+    before it starts, as is the count of n - 1 string lengths per word.
     """
     parts = check_partition(shape)
     if len(parts) > n:
@@ -112,6 +107,11 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
     if tops * fillings * m > cap:
         raise SizeCapExceeded(
             f"content {parts} at n={n} walks {tops}*{fillings} words of {m} letters,"
+            f" more than the size cap {cap}"
+        )
+    if tops * fillings * (n - 1) > cap:  # for shape (1,), standard_crystal's n * (n - 1)
+        raise SizeCapExceeded(
+            f"content {parts} at n={n} stores {tops}*{fillings} rows of {n - 1} string lengths,"
             f" more than the size cap {cap}"
         )
     target = parts + (0,) * (n - len(parts))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from operator import add
 
-from .graphcore import POS_INF, QuasiCrystalGraph, is_crystal
+from .graphcore import POS_INF, QuasiCrystalGraph, _plain, is_crystal
 from .weightlattice import Weight
 
 Word = tuple[int, ...]
@@ -30,10 +30,10 @@ class SizeCapExceeded(ValueError):
 
 
 def positive_cap(raw, source: str) -> int:
-    """raw as a size cap, an int of at least 1; ``source`` names the setting
-    in the one-line refusal."""
+    """raw (an int, or a string read by the readers' plain-integer rule) as a size
+    cap, an int of at least 1; ``source`` names the setting in the one-line refusal."""
     try:
-        cap = int(raw)
+        cap = int(_plain(raw)) if isinstance(raw, str) else raw
     except ValueError:
         raise ValueError(f"{source} must be an integer, got {raw!r}") from None
     if cap < 1:
@@ -78,13 +78,13 @@ def _join_ids(left_id: str, right_id: str, n: int) -> str:
     return f"{right_id}-{left_id}"
 
 
-def _letter_row(c: int, n: int, at=None) -> tuple:
+def _letter_row(c: int, n: int, up=None, down=None) -> tuple:
     """The row (wt, eps, phi, e, f) of the letter c: wt = e_c, eps_i = [c = i + 1],
-    phi_i = [c = i], and e_i and f_i, where they act, name ``at``."""
+    phi_i = [c = i], and e_i and f_i, where they act, name ``up`` and ``down``."""
     wt = tuple(1 if a == c else 0 for a in range(1, n + 1))
     eps = [1 if c == i + 1 else 0 for i in range(1, n)]
     phi = [1 if c == i else 0 for i in range(1, n)]
-    return wt, eps, phi, [at if v else None for v in eps], [at if v else None for v in phi]
+    return wt, eps, phi, [up if v else None for v in eps], [down if v else None for v in phi]
 
 
 def standard_crystal(n: int, size_cap: int | None = None) -> QuasiCrystalGraph:
@@ -97,11 +97,9 @@ def standard_crystal(n: int, size_cap: int | None = None) -> QuasiCrystalGraph:
     if n * (n - 1) > cap:
         raise SizeCapExceeded(f"{n}*{n - 1} = {n * (n - 1)} string lengths exceeds the size cap {cap}")
     g = QuasiCrystalGraph(n)
+    ids = [None] + [word_to_id((j,), n) for j in range(1, n + 1)] + [None]
     for j in range(1, n + 1):
-        wt, eps, phi, _, _ = _letter_row(j, n)
-        g.add_vertex(word_to_id((j,), n), wt, eps, phi)
-    for j in range(1, n):
-        g.add_edge(word_to_id((j,), n), j, word_to_id((j + 1,), n))
+        g._put_vertex(ids[j], *_letter_row(j, n, ids[j - 1], ids[j + 1]))
     return g
 
 
@@ -138,21 +136,6 @@ def _pair_row(left: tuple, right: tuple, blocking: bool) -> tuple:
     return tuple(map(add, wt_l, wt_r)), tuple(eps), tuple(phi), tuple(e), tuple(f)
 
 
-def _build(n: int, rows: dict, edges) -> QuasiCrystalGraph:
-    """The graph of rows {id: (wt, eps, phi, ...)}, in their order, and of
-    edge rows (id, e, f) whose entries are ids or None."""
-    g = QuasiCrystalGraph(n)
-    for vid, row in rows.items():
-        g.add_vertex(vid, *row[:3])
-    for vid, e, f in edges:
-        for i, y, z in zip(g.index_set, e, f):
-            if y is not None:
-                g.set_raising(vid, i, y)
-            if z is not None:
-                g.set_lowering(vid, i, z)
-    return g
-
-
 def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> QuasiCrystalGraph:
     """Every pair of a vertex of a and a vertex of b, by ``_pair_row`` on the
     factors' stored rows; blocking=True gives the quasi version."""
@@ -166,13 +149,14 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
         f = [None if y is None else target(y) for y in h._f[x]]
         return h._wt[x], h._eps[x], h._phi[x], e, f
 
-    rows = {}
+    g = QuasiCrystalGraph(n)
     for xa in a.vertex_ids():
         for xb in b.vertex_ids():
             left = row(a, xa, lambda y: _join_ids(y, xb, n))
             right = row(b, xb, lambda y: _join_ids(xa, y, n))
-            rows[_join_ids(xa, xb, n)] = _pair_row(left, right, blocking)
-    return _build(n, rows, ((vid, row[3], row[4]) for vid, row in rows.items()))
+            wt, eps, phi, e, f = _pair_row(left, right, blocking)
+            g._put_vertex(_join_ids(xa, xb, n), wt, list(eps), list(phi), list(e), list(f))
+    return g
 
 
 class WordCrystal:
@@ -209,7 +193,7 @@ class WordCrystal:
                 self._cells.append((c, rest))
                 p = self._depth[rest]
                 if p == len(self._letters):
-                    self._letters.append([_letter_row(a, self.n, p) for a in range(1, self.n + 1)])
+                    self._letters.append([_letter_row(a, self.n, p, p) for a in range(1, self.n + 1)])
                 self._depth.append(p + 1)
                 self._rows.append(_pair_row(self._rows[rest], self._letters[p][c - 1], self._blocking))
             rest = node
@@ -274,15 +258,14 @@ class WordCrystal:
         each against the other."""
         ids = {x: word_to_id(self.word(x), self.n) for x in nodes}
 
-        def target(x, p, d):
-            return None if p is None else ids.get(self._step(x, p, d))
+        def targets(x, positions, d):
+            return [None if p is None else ids.get(self._step(x, p, d)) for p in positions]
 
-        rows = {ids[x]: self._rows[x] for x in sorted(ids, key=ids.get)}
-        edges = (
-            (vid, [target(x, p, -1) for p in self._rows[x][3]], [target(x, p, 1) for p in self._rows[x][4]])
-            for x, vid in ids.items()
-        )
-        return _build(self.n, rows, edges)
+        g = QuasiCrystalGraph(self.n)
+        for x in sorted(ids, key=ids.get):
+            wt, eps, phi, e, f = self._rows[x]
+            g._put_vertex(ids[x], wt, list(eps), list(phi), targets(x, e, -1), targets(x, f, 1))
+        return g
 
 
 def tensor(a: QuasiCrystalGraph, b: QuasiCrystalGraph) -> QuasiCrystalGraph:

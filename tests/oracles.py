@@ -12,7 +12,8 @@ power-then-pick),
 readers as they were written over the guarded per-entry accessors
 (``validate_via_accessors``, ``seminormal_via_accessors``,
 ``components_via_accessors``, ``text_via_accessors``,
-``json_via_accessors``). Keep everything small-input only.
+``json_via_accessors``), and ``quasify_via_accessors`` (quasify through the
+accessors and the guarded setters). Keep everything small-input only.
 """
 
 from __future__ import annotations
@@ -482,3 +483,30 @@ def json_via_accessors(g) -> str:
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def quasify_via_accessors(c):
+    """quasify.quasify reading c through the guarded accessors and writing
+    its result through add_vertex, set_raising and set_lowering."""
+    from qck.graphcore import POS_INF, QuasiCrystalGraph
+    from qck.quasify import _require_compliant_crystal
+
+    _require_compliant_crystal(c)
+    q = QuasiCrystalGraph(c.n)
+    kept = {}
+    for x in c.vertex_ids():
+        eps_row, phi_row = [], []
+        for i in c.index_set:
+            keep = c.eps(x, i) == c.wt(x)[i]
+            kept[(x, i)] = keep
+            eps_row.append(c.eps(x, i) if keep else POS_INF)
+            phi_row.append(c.phi(x, i) if keep else POS_INF)
+        q.add_vertex(x, c.wt(x), eps_row, phi_row)
+    for x in c.vertex_ids():
+        for i in c.index_set:
+            if kept[(x, i)]:
+                y = c.e(x, i)
+                if y is not None:
+                    q.set_raising(x, i, y)
+                    q.set_lowering(y, i, x)
+    return q

@@ -112,6 +112,65 @@ def test_build_with_a_bad_size_cap_flag_is_an_input_error(capsys, cap):
     assert capsys.readouterr() == ("", "error: --size-cap must be positive\n")
 
 
+# --- integer arguments ----------------------------------------------------
+#
+# The CLI reads integers by the file readers' rule: ASCII digits, no "_".
+
+
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [
+        (["build", "std", "--n", "\u0663"], "--n", "\u0663"),
+        (["build", "tensor-power", "--n", "2", "--k", "1_0"], "--k", "1_0"),
+        (["build", "std", "--n", "3", "--size-cap", "1_0"], "--size-cap", "1_0"),
+        (["count", "--shape", "1", "--n", "\u00b3"], "--n", "\u00b3"),
+        (["verify", "schur", "--shape", "1", "--n", "1_0"], "--n", "1_0"),
+        (["fuzz", "graph.txt", "--count", "1_0"], "--count", "1_0"),
+        (["fuzz", "graph.txt", "--seed", "\u0663"], "--seed", "\u0663"),
+    ],
+)
+def test_integer_flags_refuse_what_the_readers_refuse(capsys, argv, flag, value):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+def test_integer_flags_are_refused_as_a_plain_int_refuses(capsys):
+    assert main(["build", "std", "--n", "x"]) == 2
+    plain = capsys.readouterr().err.splitlines()[-1]
+    assert main(["build", "std", "--n", "1_0"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == plain.replace("'x'", "'1_0'")
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
+@pytest.mark.parametrize("shape", ["2_1", "\u0662,1", "2,\u00b9"])
+def test_shapes_refuse_what_the_readers_refuse(capsys, command, shape):
+    argv = ["count"] if command == "count" else ["verify", "schur"]
+    assert main(argv + ["--shape", shape, "--n", "3"]) == 2
+    expected = f"error: bad shape {shape!r}; expected comma-separated ints like 2,1\n"
+    assert capsys.readouterr() == ("", expected)
+
+
+@pytest.mark.parametrize("index", ["\u0661", "\u00b2", "1_0"])
+def test_component_indices_refuse_what_the_readers_refuse(q33_file, capsys, index):
+    ref = f"{q33_file}#{index}"
+    assert main(["iso", ref, f"{q33_file}#1"]) == 2
+    expected = f"error: bad component reference {ref!r}; expected FILE#INDEX with INDEX >= 1\n"
+    assert capsys.readouterr() == ("", expected)
+
+
+def test_size_cap_variable_refuses_what_the_readers_refuse(monkeypatch, capsys):
+    monkeypatch.setenv("QCK_SIZE_CAP", "1_0")
+    assert main(["build", "std", "--n", "3"]) == 2
+    assert capsys.readouterr() == ("", "error: QCK_SIZE_CAP must be an integer, got '1_0'\n")
+
+
+def test_a_negative_seed_is_still_an_integer(q32_file, capsys):
+    assert main(["fuzz", q32_file, "--count", "4", "--seed", "-3"]) == 0
+    assert capsys.readouterr().out.startswith("total\t4\n")
+
+
 # --- check -----------------------------------------------------------------
 
 
@@ -277,6 +336,23 @@ def test_count_on_a_high_rank_standard_crystal_is_quick(capsys):
     elapsed = time.monotonic() - started
     assert capsys.readouterr().out == "components\t1\nstandard-tableaux\t1\nstatus\tPASS\n"
     assert elapsed < 10.0, f"count took {elapsed:.1f}s"
+
+
+@pytest.mark.parametrize("command", ["count", "verify"])
+def test_count_past_the_cap_on_string_lengths_refuses_at_once(monkeypatch, capsys, command):
+    # B(1001) stores 1001 rows of 1000 string lengths, past the default cap,
+    # though its walk of 1001 one-letter words is not; `build std` refuses it too
+    monkeypatch.delenv("QCK_SIZE_CAP", raising=False)
+    argv = ["count"] if command == "count" else ["verify", "schur"]
+    started = time.monotonic()
+    assert main(argv + ["--shape", "1", "--n", "1001"]) == 2
+    elapsed = time.monotonic() - started
+    expected = (
+        "error: content (1,) at n=1001 stores 1*1001 rows of 1000 string lengths,"
+        " more than the size cap 1000000\n"
+    )
+    assert capsys.readouterr() == ("", expected)
+    assert elapsed < 1.0, f"refusing took {elapsed:.2f}s"
 
 
 def test_count_rejects_bad_shape(capsys):

@@ -12,7 +12,7 @@ from qck.structure import components, unique_highest_weight
 from qck.weightlattice import enumerate_syt, partitions_of
 from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, id_to_word, word_content
 
-from corpus import content_cases, content_crystal, content_quasi, qpow, std, tpow
+from corpus import content_cases, content_crystal, content_quasi, crystal_corpus, qpow, std, tpow
 
 import oracles
 
@@ -94,6 +94,67 @@ def test_quasify_rejects_non_seminormal_input():
     g.set_phi("1", 2, 1)
     with pytest.raises(ValueError, match="seminormal"):
         quasify(g)
+
+
+def swap_index_rows(g, u, v, i):
+    """A copy of g in which u and v, of equal weight, trade their i-th string
+    lengths and i-edges, edited through the guarded setters."""
+    h = g.copy()
+    eps, phi = {x: h.eps(x, i) for x in (u, v)}, {x: h.phi(x, i) for x in (u, v)}
+    ups, downs = {x: h.e(x, i) for x in (u, v)}, {x: h.f(x, i) for x in (u, v)}
+    for x, y in ((u, v), (v, u)):
+        h.set_epsilon(x, i, eps[y])
+        h.set_phi(x, i, phi[y])
+        h.set_raising(x, i, ups[y])
+        h.set_lowering(x, i, downs[y])
+    for x in (u, v):
+        if h.e(x, i) is not None:
+            h.set_lowering(h.e(x, i), i, x)
+        if h.f(x, i) is not None:
+            h.set_raising(h.f(x, i), i, x)
+    return h
+
+
+def test_quasify_rejects_non_local_input():
+    # coherent, seminormal and connected, but not a Stembridge crystal
+    g = swap_index_rows(content_crystal((3, 1), 3), "1132", "1231", 1)
+    assert validate(g).passed and is_seminormal(g).passed and len(components(g)) == 1
+    with pytest.raises(ValueError, match="local crystal axioms; failing: S1, S2, S2p, S3, S3p"):
+        quasify(g)
+
+
+def quasify_refusal_inputs():
+    """The inputs of the test_quasify_rejects_* tests above."""
+    shifted = std(3).copy()
+    for x in shifted.vertex_ids():
+        shifted.set_weight(x, tuple(w - 1 for w in shifted.wt(x)))
+    incoherent = std(3).copy()
+    incoherent.set_epsilon("3", 2, 2)
+    not_seminormal = std(3).copy()
+    not_seminormal.set_epsilon("1", 2, 1)
+    not_seminormal.set_phi("1", 2, 1)
+    not_local = swap_index_rows(content_crystal((3, 1), 3), "1132", "1231", 1)
+    return [tpow(3, 2), qpow(3, 2), shifted, incoherent, not_seminormal, not_local]
+
+
+def test_quasify_matches_the_accessor_oracle():
+    for name, g in crystal_corpus():
+        for comp in components(g):
+            c = comp.subgraph()
+            q, want = quasify(c), oracles.quasify_via_accessors(c)
+            assert q == want and q.raising_edges() == want.raising_edges(), (name, comp.min_vertex)
+
+
+def test_quasify_refusals_match_the_accessor_oracle():
+    refusals = set()
+    for g in quasify_refusal_inputs():
+        with pytest.raises(ValueError) as got:
+            quasify(g)
+        with pytest.raises(ValueError) as want:
+            oracles.quasify_via_accessors(g)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+        refusals.add(str(got.value))
+    assert len(refusals) == 6
 
 
 # ------------------------------------------------------------- classification
@@ -233,6 +294,20 @@ def test_content_crystal_size_cap_counts_the_walk(monkeypatch):
     monkeypatch.setenv(SIZE_CAP_ENV, "109")
     with pytest.raises(SizeCapExceeded):
         crystal_of_content((10,), 2)
+
+
+def test_content_crystal_size_cap_counts_the_string_lengths(monkeypatch):
+    # (1) at n=11 walks 11 one-letter words but stores 11 rows of 10 lengths,
+    # as many as standard_crystal(11)
+    monkeypatch.setenv(SIZE_CAP_ENV, "109")
+    with pytest.raises(SizeCapExceeded, match=r"stores 1\*11 rows of 10 string lengths"):
+        crystal_of_content((1,), 11)
+    monkeypatch.setenv(SIZE_CAP_ENV, "110")
+    assert crystal_of_content((1,), 11) == std(11)
+    # the letters are still checked first: (2,1) at n=3 walks 48 letters, stores 32 lengths
+    monkeypatch.setenv(SIZE_CAP_ENV, "40")
+    with pytest.raises(SizeCapExceeded, match="words of 3 letters"):
+        crystal_of_content((2, 1), 3)
 
 
 def test_content_crystal_rejects_bad_shapes():

@@ -113,6 +113,20 @@ def test_fresh_infinities_validate_like_the_singletons():
     assert validate(fresh).lines()  # the mixed infinities break Q2
 
 
+def test_copy_is_equal_and_independent_on_the_mutated_corpus(mutants):
+    for tag, g in mutants:
+        h = g.copy()
+        assert h == g and h.raising_edges() == g.raising_edges(), tag
+        for table in ("_eps", "_phi", "_e", "_f"):
+            rows, copied = getattr(g, table), getattr(h, table)
+            assert not any(copied[x] is rows[x] for x in rows), (tag, table)
+        x = g.vertex_ids()[0]
+        before = (g.eps(x, 1), g.f(x, 1))
+        h.set_epsilon(x, 1, 99)
+        h.set_lowering(x, 1, None if before[1] is not None else x)
+        assert h != g and (g.eps(x, 1), g.f(x, 1)) == before, tag
+
+
 # ------------------------------------------------------------ hostile input
 
 
@@ -144,6 +158,8 @@ def hostile_reads():
         ("text weight with a non-ASCII digit", from_text, text + "vertex 9 0,\u0661 1 0\n"),
         ("text phi with an underscore", from_text, text + "vertex 9 1,0 0 1_0\n"),
         ("text label with a non-ASCII digit", from_text, text + "edge 1 2 \u0661\n"),
+        ("text rank zero", from_text, "qck-graph v1\nn 0\n"),
+        ("text negative rank", from_text, "qck-graph v1\nn -3\n"),
     ]
     doc = json.loads(to_json(std(2)))
 
@@ -183,6 +199,8 @@ def hostile_reads():
         ("json phi a dict", from_json, edit(vertex_field("phi", {"1": 0}))),
         ("json length with a non-ASCII digit", from_json, edit(vertex_field("eps", ["\u0661"]))),
         ("json nested too deeply", from_json, '{"format": ' + "[" * 200_000 + "]" * 200_000 + "}"),
+        ("json rank zero", from_json, edit(lambda d: d.__setitem__("n", 0))),
+        ("json negative rank", from_json, edit(lambda d: d.__setitem__("n", -3))),
     ]
     return cases
 
@@ -249,6 +267,10 @@ HOSTILE_REFUSALS = {
         "GraphFormatError",
         "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string",
     ),
+    "text rank zero": ("GraphFormatError", "n must be a positive integer"),
+    "text negative rank": ("GraphFormatError", "n must be a positive integer"),
+    "json rank zero": ("GraphFormatError", "n must be a positive integer"),
+    "json negative rank": ("GraphFormatError", "n must be a positive integer"),
 }
 
 

@@ -1,0 +1,83 @@
+"""A vertex's rows enter a graph by one path: QuasiCrystalGraph._put_vertex,
+called by the constructors, the readers, ``copy`` and ``quasify`` with
+finished rows. Outside graphcore no code writes the row tables, and the
+constructors do not replay their rows through the guarded public API."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qck"
+ROW_TABLES = {"_wt", "_eps", "_phi", "_e", "_f"}
+GUARDED_WRITERS = {"add_vertex", "add_edge", "set_raising", "set_lowering"}
+
+
+def _table(target) -> str | None:
+    """The row table a store target writes into: g._e, g._e[x] or g._e[x][s]."""
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if isinstance(target, ast.Attribute) and target.attr in ROW_TABLES:
+        return target.attr
+    return None
+
+
+def row_table_writes(source: str) -> list[tuple[int, str]]:
+    """(line, table) of every assignment, augmented assignment or del into a row table."""
+    return sorted(
+        (node.lineno, table)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Attribute, ast.Subscript))
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and (table := _table(node)) is not None
+    )
+
+
+def guarded_writer_calls(source: str) -> list[tuple[int, str]]:
+    """(line, method) of every call of add_vertex, add_edge, set_raising or set_lowering."""
+    return sorted(
+        (node.lineno, node.func.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in GUARDED_WRITERS
+    )
+
+
+def test_finders_read_every_form():
+    source = (
+        "g._wt = {}\n"
+        "g._e[x][s] = y\n"
+        "h._phi[x] += [1]\n"
+        "del g._f[x]\n"
+        "a, g._eps[x] = 1, 2\n"
+        "rows = g._e\n"
+        "g._e[x].append(1)\n"
+        "g.wt = 3\n"
+        "g.add_vertex(x, wt, eps, phi)\n"
+        "q.set_raising(x, 1, y)\n"
+        "g.set_epsilon(x, 1, 0)\n"
+        "g._put_vertex(x, wt, eps, phi)\n"
+        "for g._f[x] in rows:\n    q.add_edge(x, 1, y)\n    self.set_lowering(y, 1, x)\n"
+    )
+    writes = [(1, "_wt"), (2, "_e"), (3, "_phi"), (4, "_f"), (5, "_eps"), (13, "_f")]
+    assert row_table_writes(source) == writes
+    calls = [(9, "add_vertex"), (10, "set_raising"), (14, "add_edge"), (15, "set_lowering")]
+    assert guarded_writer_calls(source) == calls
+
+
+def test_only_graphcore_writes_the_row_tables():
+    sources = sorted(SRC.glob("*.py"))
+    assert len(sources) >= 10
+    writes = {
+        (path.name, line, table)
+        for path in sources
+        if path.name != "graphcore.py"
+        for line, table in row_table_writes(path.read_text(encoding="utf-8"))
+    }
+    assert writes == set()
+
+
+def test_constructors_hand_finished_rows_to_the_store_path():
+    for name in ("wordmodel.py", "quasify.py"):
+        source = (SRC / name).read_text(encoding="utf-8")
+        assert guarded_writer_calls(source) == [], name
+        assert "_put_vertex" in source, name
