@@ -93,10 +93,11 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
     the components of the |shape|-th tensor power of the standard crystal
     with that highest weight, the one with the least vertex id.
 
-    Only those components are walked, from their highest-weight words: the
-    walk visits f^shape * #SSYT(shape, n) words of |shape| letters, rather
-    than all n^|shape| words, and that letter count is held to the size cap
-    before it starts, as is the count of n - 1 string lengths per word.
+    For n <= 9 an id is the word itself and each f_i raises one letter, so a
+    component's least id is its top word: only the component of the least
+    highest-weight word is walked. For n >= 10 all of them are. The size cap
+    is held, before any walk, to f^shape * #SSYT(shape, n) words of |shape|
+    letters, an upper bound on the walk, and to n - 1 string lengths per word.
     """
     parts = check_partition(shape)
     if len(parts) > n:
@@ -115,7 +116,11 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
             f" more than the size cap {cap}"
         )
     target = parts + (0,) * (n - len(parts))
-    comps = [words.component(top) for top in words.highest_weight_words(target)]
+    top_words = words.highest_weight_words(target)
+    if n <= 9:  # word tuples of one length sort as their ids
+        return words.graph(words.component(min(top_words, key=words.word)))
+    # dash-joined ids do not sort as words ("10" < "2"): the least id may lie in any component
+    comps = [words.component(top) for top in top_words]
     return words.graph(min(comps, key=lambda comp: min(word_to_id(words.word(x), n) for x in comp)))
 
 

@@ -155,7 +155,10 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
             left = row(a, xa, lambda y: _join_ids(y, xb, n))
             right = row(b, xb, lambda y: _join_ids(xa, y, n))
             wt, eps, phi, e, f = _pair_row(left, right, blocking)
-            g._put_vertex(_join_ids(xa, xb, n), wt, list(eps), list(phi), list(e), list(f))
+            vid = _join_ids(xa, xb, n)
+            if vid in g:  # ids of unequal length can join to one id, as "23"+"1" and "3"+"12"
+                raise ValueError(f"pair id {vid!r} is given to two pairs of vertices")
+            g._put_vertex(vid, wt, list(eps), list(phi), list(e), list(f))
     return g
 
 
@@ -181,7 +184,7 @@ class WordCrystal:
         self._depth = [0]  # node -> word length
         self._nodes: dict[tuple[int, int], int] = {}
         self._rows: list[tuple] = [_letter_row(0, n)]  # no letter is 0: the empty word's zero row
-        self._letters: list[list[tuple]] = []  # length of rest -> letter -> the letter's row
+        self._letters: dict[tuple[int, int], tuple] = {}  # (length of rest, letter) -> the letter's row
 
     def _prepend(self, letters, rest: int) -> int:
         """The node of the word ``tuple(letters) + word(rest)``."""
@@ -192,10 +195,10 @@ class WordCrystal:
                 self._nodes[(c, rest)] = node
                 self._cells.append((c, rest))
                 p = self._depth[rest]
-                if p == len(self._letters):
-                    self._letters.append([_letter_row(a, self.n, p, p) for a in range(1, self.n + 1)])
+                if (p, c) not in self._letters:
+                    self._letters[(p, c)] = _letter_row(c, self.n, p, p)
                 self._depth.append(p + 1)
-                self._rows.append(_pair_row(self._rows[rest], self._letters[p][c - 1], self._blocking))
+                self._rows.append(_pair_row(self._rows[rest], self._letters[(p, c)], self._blocking))
             rest = node
         return rest
 
@@ -221,8 +224,8 @@ class WordCrystal:
         """The nodes of every highest-weight word of the given content.
 
         Grown by prepending letters: by the product rule every suffix of a
-        highest-weight word is highest weight, so a prefix that is not can
-        be dropped with everything it would grow into.
+        highest-weight word is highest weight, and ``(c,) + rest`` with rest
+        highest weight is so iff c = 1 or phi_{c-1}(rest) > 0.
         """
         out = []
         stack = [(0, tuple(content))]
@@ -232,10 +235,9 @@ class WordCrystal:
                 out.append(rest)
                 continue
             for c in range(1, self.n + 1):
-                if left[c - 1]:
+                if left[c - 1] and (c == 1 or self._rows[rest][2][c - 2] > 0):
                     node = self._prepend((c,), rest)
-                    if all(p is None for p in self._rows[node][3]):
-                        stack.append((node, left[: c - 1] + (left[c - 1] - 1,) + left[c:]))
+                    stack.append((node, left[: c - 1] + (left[c - 1] - 1,) + left[c:]))
         return out
 
     def component(self, top: int) -> set[int]:

@@ -7,7 +7,8 @@ differential oracles and import qck inside their bodies:
 ``product_via_pairs`` and ``power_via_products`` (tensor products per pair
 of vertex ids through the guarded accessors, and powers as k - 1 products
 of whole graphs), ``content_component_via_power`` (content crystals by
-power-then-pick),
+power-then-pick), ``content_component_all_walks`` (content crystals by a
+walk of every component with the wanted highest weight),
 ``fuzz_via_copies`` (fuzz by copy and full battery), and the whole-graph
 readers as they were written over the guarded per-entry accessors
 (``validate_via_accessors``, ``seminormal_via_accessors``,
@@ -265,6 +266,21 @@ def content_component_via_power(shape: tuple[int, ...], n: int):
         if len(comp.hw_vertices) == 1 and g.wt(comp.hw_vertices[0]) == target:
             return comp.subgraph()
     raise RuntimeError(f"no component with highest weight {target} found")
+
+
+def content_component_all_walks(shape: tuple[int, ...], n: int):
+    """The content crystal by walking the component of every highest-weight
+    word of content shape, then keeping the one with the least vertex id."""
+    from qck.weightlattice import check_partition
+    from qck.wordmodel import WordCrystal, word_to_id
+
+    parts = check_partition(shape)
+    if len(parts) > n:
+        raise ValueError(f"shape {parts} has more than n={n} parts")
+    words = WordCrystal(n)
+    target = parts + (0,) * (n - len(parts))
+    comps = [words.component(top) for top in words.highest_weight_words(target)]
+    return words.graph(min(comps, key=lambda comp: min(word_to_id(words.word(x), n) for x in comp)))
 
 
 def fuzz_via_copies(g, count: int, seed: int):

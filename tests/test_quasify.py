@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from qck.graphcore import POS_INF, is_crystal, is_seminormal, validate
@@ -10,7 +12,7 @@ from qck.quasify import (
 )
 from qck.structure import components, unique_highest_weight
 from qck.weightlattice import enumerate_syt, partitions_of
-from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, id_to_word, word_content
+from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, id_to_word, word_content, word_to_id
 
 from corpus import content_cases, content_crystal, content_quasi, crystal_corpus, qpow, std, tpow
 
@@ -265,6 +267,40 @@ def test_content_crystal_matches_power_then_pick(shape, n):
     assert fast.raising_edges() == slow.raising_edges()
 
 
+# for n <= 9 only the least top word's component is walked; the oracle walks them all
+ALL_WALKS_CASES = content_cases(6, (2, 3, 4)) + [
+    ((3, 3, 3), 5),
+    ((4, 2, 1), 5),
+    ((2, 2, 2, 2), 8),
+    ((2, 1), 10),
+    ((1, 1, 1), 10),
+]
+
+
+@pytest.mark.parametrize("shape,n", ALL_WALKS_CASES)
+def test_content_crystal_matches_all_walks(shape, n):
+    fast = crystal_of_content(shape, n)
+    slow = oracles.content_component_all_walks(shape, n)
+    assert fast == slow
+    assert fast.edges() == slow.edges()
+    assert fast.raising_edges() == slow.raising_edges()
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_column_content_is_the_decreasing_word(k):
+    c = crystal_of_content((1,) * k, k)
+    assert c == oracles.content_component_all_walks((1,) * k, k)
+    assert c.vertex_ids() == [word_to_id(tuple(range(k, 0, -1)), k)]
+
+
+def test_long_column_builds_quickly():
+    # the size cap charges a column k letters; its build must not grow like k^3
+    start = time.perf_counter()
+    c = crystal_of_content((1,) * 200, 200)
+    assert time.perf_counter() - start < 1.0
+    assert len(c) == 1
+
+
 @pytest.mark.parametrize(
     "shape,n", [((1, 2), 3), ((1, 1, 1, 1), 3), ((), 3), ((1,), 1), ((2, 0), 3), ((1,), 0)]
 )
@@ -277,7 +313,7 @@ def test_content_crystal_errors_match_power_then_pick(shape, n):
 
 
 def test_content_crystal_beyond_the_old_power_cap():
-    # 5^9 words would exceed the default cap; the walk visits 42 * 175 words
+    # 5^9 words would exceed the default cap; the cap is charged 42 * 175 words
     c = crystal_of_content((3, 3, 3), 5)
     assert len(c) == 175
     assert validate(c).passed and is_seminormal(c).passed

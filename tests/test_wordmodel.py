@@ -1,11 +1,12 @@
 from hypothesis import given, strategies as st
 import pytest
 
-from qck.graphcore import POS_INF, is_crystal, is_seminormal, validate
+from qck.graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, validate
 from qck.wordmodel import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
     SizeCapExceeded,
+    WordCrystal,
     default_size_cap,
     id_to_word,
     quasi_tensor,
@@ -272,3 +273,28 @@ def test_product_refusals_match_pairwise_products(kind, left, right):
     with pytest.raises(Exception) as slow:
         oracles.product_via_pairs(a, b, kind == "quasi")
     assert (fast.type, str(fast.value)) == (slow.type, str(slow.value))
+
+
+@pytest.mark.parametrize("product", [tensor, quasi_tensor])
+def test_product_refuses_colliding_pair_ids(product):
+    # at rank 2 a pair's id is the two ids joined, so ("23", "1") and ("3", "12")
+    # would both be "123"; the product refuses rather than keep one of the two
+    def weightless(*ids):
+        g = QuasiCrystalGraph(2)
+        for x in ids:
+            g.add_vertex(x, (0, 0), [0], [0])
+        return g
+
+    with pytest.raises(ValueError, match=r"^pair id '123' is given to two pairs of vertices$"):
+        product(weightless("3", "23"), weightless("1", "12"))
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4)])
+def test_highest_weight_words_match_the_power(n, k):
+    # every content of k letters, partition or not, against the power's tops of that weight
+    power = oracles.power_via_products(n, k, blocking=False)
+    tops = [x for x in power.vertex_ids() if all(power.e(x, i) is None for i in power.index_set)]
+    words = WordCrystal(n)
+    for content in {power.wt(x) for x in power.vertex_ids()}:
+        found = {word_to_id(words.word(x), n) for x in words.highest_weight_words(content)}
+        assert found == {x for x in tops if power.wt(x) == content}
