@@ -135,9 +135,11 @@ def _ext(tok: str):
 
 def _plain(tok: str) -> str:
     """tok, refused where int() would read a form the writers never write:
-    underscores (1_0) and non-ASCII digits. A comma-separated field passes
-    when each of its tokens does, so the text reader checks a field once."""
-    if not tok.isascii() or "_" in tok:
+    underscores (1_0), non-ASCII digits, surrounding whitespace (" 1") and a
+    plus sign outside +inf (+1). A comma-separated field without whitespace,
+    as the text reader's are, passes when each of its tokens does, so that
+    reader checks a field once."""
+    if not tok.isascii() or "_" in tok or tok.strip() != tok or "+" in tok.replace("+inf", ""):
         raise GraphFormatError(f"not an extended integer: {tok!r}")
     return tok
 
@@ -744,16 +746,17 @@ def to_dot(g: QuasiCrystalGraph) -> str:
     """Graphviz digraph: lowering edges labelled/coloured by index, loops as
     dashed self-edges, vertex labels carrying the weight."""
     out = ["digraph quasicrystal {", "  rankdir=TB;"]
+    W, EPS, PHI = g._wt, g._eps, g._phi
     for x in g.vertex_ids():
         qx = _dot_quote(x)
-        wt = ",".join(str(c) for c in g.wt(x))
+        wt = ",".join(str(c) for c in W[x])
         out.append(f'  "{qx}" [label="{qx}\\n({wt})"];')
     for x, i, y in g.edges():
         color = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
         out.append(f'  "{_dot_quote(x)}" -> "{_dot_quote(y)}" [label="{i}", color="{color}"];')
     for x in g.vertex_ids():
-        for i in g.index_set:
-            if g.is_loop(x, i):
+        for i, (eps, phi) in enumerate(zip(EPS[x], PHI[x]), start=1):
+            if eps is POS_INF and phi is POS_INF:  # a loop
                 color = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
                 qx = _dot_quote(x)
                 out.append(f'  "{qx}" -> "{qx}" [label="{i}", color="{color}", style=dashed];')

@@ -66,22 +66,6 @@ class _Edit:
         self.put(*self.key, self.old)
 
 
-class _AllBut:
-    """The sequence [v for v in ids if v != ids[skip]] + [None], unbuilt."""
-
-    def __init__(self, ids: list[str], skip: int):
-        self.ids = ids
-        self.skip = skip
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def __getitem__(self, k: int):
-        if k == len(self.ids) - 1:
-            return None
-        return self.ids[k + (k >= self.skip)]
-
-
 class _Sampler:
     """Draws single-entry edits of one graph. The pools are built once, so
     every draw on the same (restored) graph costs O(1)."""
@@ -92,12 +76,13 @@ class _Sampler:
         self.g = g
         self.ids = g.vertex_ids()
         self.pos = {v: k for k, v in enumerate(self.ids)}
+        E, F = g._e, g._f
         self.entries = [
-            (x, i, side)
+            (x, s + 1, side)
             for x in self.ids
-            for i in g.index_set
-            for side, step in (("e", g.e), ("f", g.f))
-            if step(x, i) is not None
+            for s in range(g.n - 1)
+            for side, rows in (("e", E), ("f", F))
+            if rows[x][s] is not None
         ]
 
     def draw(self, rng: random.Random) -> _Edit:
@@ -112,7 +97,7 @@ class _Sampler:
     def _length(self, rng: random.Random) -> _Edit:
         g = self.g
         x = rng.choice(self.ids)
-        i = rng.choice(list(g.index_set))
+        i = rng.choice(g.index_set)
         which = rng.choice(["eps", "phi"])
         get, put = (g.eps, g.set_epsilon) if which == "eps" else (g.phi, g.set_phi)
         old = get(x, i)
@@ -127,7 +112,9 @@ class _Sampler:
         x, i, side = rng.choice(self.entries)
         get, put = (g.e, g.set_raising) if side == "e" else (g.f, g.set_lowering)
         old = get(x, i)
-        new = rng.choice(_AllBut(self.ids, self.pos[old]))
+        # rng.choice([v for v in ids if v != old] + [None]), with the same draw, unbuilt
+        k = rng.randrange(len(self.ids))
+        new = None if k == len(self.ids) - 1 else self.ids[k + (k >= self.pos[old])]
         return _Edit(Mutation(f"edge-{side}", x, i, f"{old}->{new}"), put, (x, i), old, new)
 
     def _weight(self, rng: random.Random) -> _Edit:
@@ -191,19 +178,20 @@ def region(g: QuasiCrystalGraph, x: str) -> set[str]:
     the unedited graph. There e and f are mutually inverse, so x reaches a
     back over the same number of steps, and a shares x's i-string.
     """
+    E, F = g._e, g._f
     near = {x}
     frontier = {x}
     for _ in range(RADIUS):
-        step = {y for z in frontier for i in g.index_set for y in (g.e(z, i), g.f(z, i))}
+        step = {y for z in frontier for y in E[z] + F[z]}
         step.discard(None)
         frontier = step - near
         near |= frontier
-    for i in g.index_set:
-        for move in (g.e, g.f):
-            z = move(x, i)
+    for s in range(g.n - 1):
+        for rows in (E, F):
+            z = rows[x][s]
             while z is not None:
                 near.add(z)
-                z = move(z, i)
+                z = rows[z][s]
     return near
 
 

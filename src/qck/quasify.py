@@ -33,11 +33,10 @@ def _require_compliant_crystal(c: QuasiCrystalGraph) -> None:
         raise ValueError("quasify needs a seminormal crystal")
     if len(components(c)) != 1:
         raise ValueError("quasify needs a connected crystal; decompose first")
-    for x in c.vertex_ids():
-        if any(w < 0 for w in c.wt(x)):
-            raise ValueError(
-                "quasify needs non-negative weights; translate by a multiple of (1,...,1) first"
-            )
+    if any(w < 0 for wt in c._wt.values() for w in wt):
+        raise ValueError(
+            "quasify needs non-negative weights; translate by a multiple of (1,...,1) first"
+        )
     stem = check_stembridge(c)
     bad = [name for name, rep in sorted(stem.items()) if not rep.passed]
     if bad:
@@ -73,8 +72,7 @@ def classify_operators(
         raise ValueError("the two graphs must share their vertex set")
     out: dict[tuple[str, int], OperatorClass] = {}
     for x in c.vertex_ids():
-        for i in c.index_set:
-            fc, fq = c.f(x, i), q.f(x, i)
+        for i, (fc, fq) in enumerate(zip(c._f[x], q._f[x]), start=1):
             if fc is None:
                 if fq is not None:
                     raise ValueError(f"quasified graph adds an edge at ({x!r}, {i})")

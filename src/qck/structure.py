@@ -11,7 +11,7 @@ returning wrong answers.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graphcore import AxiomReport, QuasiCrystalGraph, Witness, ext_str
 from .weightlattice import pairing, rho, sub
@@ -35,7 +35,6 @@ class Component:
     graph: QuasiCrystalGraph
     vertices: tuple[str, ...]
     hw_vertices: tuple[str, ...]
-    _subgraph: QuasiCrystalGraph | None = field(default=None, repr=False)
 
     @property
     def size(self) -> int:
@@ -46,18 +45,16 @@ class Component:
         return self.vertices[0]
 
     def subgraph(self) -> QuasiCrystalGraph:
-        if self._subgraph is None:
-            g = self.graph
-            sub_g = QuasiCrystalGraph(g.n)
-            members = set(self.vertices)
-            for x in self.vertices:
-                sub_g.add_vertex(x, g._wt[x], g._eps[x], g._phi[x])
-            for x in self.vertices:
-                for i, y in enumerate(g._f[x], start=1):
-                    if y is not None and y in members:
-                        sub_g.add_edge(x, i, y)
-            self._subgraph = sub_g
-        return self._subgraph
+        """These vertices' stored rows, e and f targets outside them dropped: a
+        restriction, not a repair, so validate still sees where e and f disagree."""
+        g = self.graph
+        members = set(self.vertices)
+        sub_g = QuasiCrystalGraph(g.n)
+        for x in self.vertices:
+            e = [y if y in members else None for y in g._e[x]]
+            f = [y if y in members else None for y in g._f[x]]
+            sub_g._put_vertex(x, g._wt[x], list(g._eps[x]), list(g._phi[x]), e, f)
+        return sub_g
 
 
 def components(g: QuasiCrystalGraph) -> list[Component]:

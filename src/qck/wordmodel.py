@@ -46,19 +46,20 @@ def default_size_cap() -> int:
     return DEFAULT_SIZE_CAP if raw is None else positive_cap(raw, SIZE_CAP_ENV)
 
 
+def _id_sep(n: int) -> str:
+    """What joins the letters of a word id: nothing while every letter is one digit."""
+    return "" if n <= 9 else "-"
+
+
 def word_to_id(word: Word, n: int) -> str:
     if any(not 1 <= a <= n for a in word):
         raise ValueError(f"word letters must lie in 1..{n}: {word}")
-    if n <= 9:
-        return "".join(str(a) for a in word)
-    return "-".join(str(a) for a in word)
+    return _id_sep(n).join(str(a) for a in word)
 
 
 def id_to_word(vid: str, n: int) -> Word:
-    if n <= 9:
-        letters = tuple(int(c) for c in vid)
-    else:
-        letters = tuple(int(c) for c in vid.split("-"))
+    sep = _id_sep(n)
+    letters = tuple(int(c) for c in (vid.split(sep) if sep else vid))
     if any(not 1 <= a <= n for a in letters):
         raise ValueError(f"id {vid!r} is not a word over 1..{n}")
     return letters
@@ -73,9 +74,7 @@ def word_content(word: Word, n: int) -> Weight:
 
 def _join_ids(left_id: str, right_id: str, n: int) -> str:
     # the pair (left, right) reads as the word "right then left"
-    if n <= 9:
-        return right_id + left_id
-    return f"{right_id}-{left_id}"
+    return right_id + _id_sep(n) + left_id
 
 
 def _letter_row(c: int, n: int, up=None, down=None) -> tuple:
@@ -225,8 +224,11 @@ class WordCrystal:
 
         Grown by prepending letters: by the product rule every suffix of a
         highest-weight word is highest weight, and ``(c,) + rest`` with rest
-        highest weight is so iff c = 1 or phi_{c-1}(rest) > 0.
+        highest weight is so iff c = 1 or phi_{c-1}(rest) > 0. Blocking breaks
+        that pruning, since a frozen index hides a suffix's raising edge.
         """
+        if self._blocking:
+            raise ValueError("highest_weight_words needs the classical power (blocking=False)")
         out = []
         stack = [(0, tuple(content))]
         while stack:

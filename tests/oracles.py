@@ -14,7 +14,9 @@ readers as they were written over the guarded per-entry accessors
 (``validate_via_accessors``, ``seminormal_via_accessors``,
 ``components_via_accessors``, ``text_via_accessors``,
 ``json_via_accessors``), and ``quasify_via_accessors`` (quasify through the
-accessors and the guarded setters). Keep everything small-input only.
+accessors and the guarded setters), and ``subgraph_via_replay`` (a
+component's subgraph replayed through add_vertex and add_edge, which
+rebuilds e from f). Keep everything small-input only.
 """
 
 from __future__ import annotations
@@ -442,6 +444,23 @@ def components_via_accessors(g) -> list[tuple[tuple[str, ...], tuple[str, ...]]]
         comps.append((tuple(block), hw))
     comps.sort(key=lambda c: c[0][0])
     return comps
+
+
+def subgraph_via_replay(comp):
+    """structure.Component.subgraph, replaying each member's row through
+    add_vertex and each f edge between members through add_edge."""
+    from qck.graphcore import QuasiCrystalGraph
+
+    g = comp.graph
+    sub_g = QuasiCrystalGraph(g.n)
+    members = set(comp.vertices)
+    for x in comp.vertices:
+        sub_g.add_vertex(x, g._wt[x], g._eps[x], g._phi[x])
+    for x in comp.vertices:
+        for i, y in enumerate(g._f[x], start=1):
+            if y is not None and y in members:
+                sub_g.add_edge(x, i, y)
+    return sub_g
 
 
 def text_via_accessors(g) -> str:

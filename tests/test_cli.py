@@ -98,6 +98,8 @@ def test_build_std_over_the_default_cap_refuses_before_building(monkeypatch, cap
     [
         ("abc", "error: QCK_SIZE_CAP must be an integer, got 'abc'\n"),
         ("0", "error: QCK_SIZE_CAP must be positive\n"),
+        (" 10 ", "error: QCK_SIZE_CAP must be an integer, got ' 10 '\n"),
+        ("+10", "error: QCK_SIZE_CAP must be an integer, got '+10'\n"),
     ],
 )
 def test_build_with_a_bad_size_cap_variable_is_an_input_error(monkeypatch, capsys, raw, err):
@@ -127,6 +129,9 @@ def test_build_with_a_bad_size_cap_flag_is_an_input_error(capsys, cap):
         (["verify", "schur", "--shape", "1", "--n", "1_0"], "--n", "1_0"),
         (["fuzz", "graph.txt", "--count", "1_0"], "--count", "1_0"),
         (["fuzz", "graph.txt", "--seed", "\u0663"], "--seed", "\u0663"),
+        (["build", "std", "--n", "+3"], "--n", "+3"),
+        (["fuzz", "graph.txt", "--seed", " 3"], "--seed", " 3"),
+        (["count", "--shape", "1", "--n", "3 "], "--n", "3 "),
     ],
 )
 def test_integer_flags_refuse_what_the_readers_refuse(capsys, argv, flag, value):
@@ -144,7 +149,7 @@ def test_integer_flags_are_refused_as_a_plain_int_refuses(capsys):
 
 
 @pytest.mark.parametrize("command", ["count", "verify"])
-@pytest.mark.parametrize("shape", ["2_1", "\u0662,1", "2,\u00b9"])
+@pytest.mark.parametrize("shape", ["2_1", "\u0662,1", "2,\u00b9", "+2, 1", "2, 1", "+2,1"])
 def test_shapes_refuse_what_the_readers_refuse(capsys, command, shape):
     argv = ["count"] if command == "count" else ["verify", "schur"]
     assert main(argv + ["--shape", shape, "--n", "3"]) == 2

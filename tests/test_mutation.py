@@ -7,7 +7,7 @@ import qck.mutation
 from qck.axioms import CRYSTAL_AXIOMS, QUASI_AXIOMS, family, run_checks, uncounted_length
 from qck.graphcore import NEG_INF, POS_INF, AxiomReport, QuasiCrystalGraph, is_seminormal, validate
 from qck.mutation import (
-    _AllBut,
+    _Sampler,
     RADIUS,
     GAP_NOTE,
     VALID_NOTE,
@@ -416,11 +416,24 @@ def test_around_counting_guard_reads_only_the_anchors():
     assert QUASI_AXIOMS["cases"](g, around={"11"}).witnesses == []
 
 
-def test_edge_target_pool_is_every_other_vertex_then_none():
-    ids = qpow(3, 2).vertex_ids()
-    for skip, old in enumerate(ids):
-        pool = _AllBut(ids, skip)
-        assert [pool[k] for k in range(len(pool))] == [v for v in ids if v != old] + [None]
+def test_edge_draws_match_a_choice_from_every_other_vertex_then_none():
+    # _edge draws one randrange where the copy-per-mutant code built the pool
+    # and called choice on it; both consume the same random bits
+    g = qpow(3, 3)
+    sampler = _Sampler(g)
+    ids = g.vertex_ids()
+    drawn, replay = random.Random(7), random.Random(7)
+    news = []
+    for _ in range(300):
+        edit = sampler._edge(drawn)
+        x, i, side = replay.choice(sampler.entries)
+        old = g.e(x, i) if side == "e" else g.f(x, i)
+        new = replay.choice([v for v in ids if v != old] + [None])
+        assert (edit.key, edit.old, edit.new) == ((x, i), old, new)
+        news.append((new, old))
+    assert any(new is None for new, _ in news)
+    assert any(new is not None and new < old for new, old in news)
+    assert any(new is not None and new > old for new, old in news)
 
 
 def test_random_mutation_draws_are_pinned():

@@ -160,6 +160,10 @@ def hostile_reads():
         ("text label with a non-ASCII digit", from_text, text + "edge 1 2 \u0661\n"),
         ("text rank zero", from_text, "qck-graph v1\nn 0\n"),
         ("text negative rank", from_text, "qck-graph v1\nn -3\n"),
+        ("text rank with a plus sign", from_text, "qck-graph v1\nn +3\n"),
+        ("text weight with a plus sign", from_text, text + "vertex 9 +1,0 0 1\n"),
+        ("text eps with a plus sign", from_text, text + "vertex 9 1,0 +0 1\n"),
+        ("text label with a plus sign", from_text, text + "edge 1 2 +1\n"),
     ]
     doc = json.loads(to_json(std(2)))
 
@@ -201,6 +205,9 @@ def hostile_reads():
         ("json nested too deeply", from_json, '{"format": ' + "[" * 200_000 + "]" * 200_000 + "}"),
         ("json rank zero", from_json, edit(lambda d: d.__setitem__("n", 0))),
         ("json negative rank", from_json, edit(lambda d: d.__setitem__("n", -3))),
+        ("json length with a plus sign and spaces", from_json, edit(vertex_field("eps", [" +0 "]))),
+        ("json length with a plus sign", from_json, edit(vertex_field("eps", ["+0"]))),
+        ("json length with a space", from_json, edit(vertex_field("phi", ["1 "]))),
     ]
     return cases
 
@@ -208,8 +215,9 @@ def hostile_reads():
 # (error type, message) of each hostile read, recorded before the readers
 # stopped calling add_vertex per vertex. The rank line with junk and the
 # eps/phi that are not lists were read silently before they were refused.
-# So were integers with underscores or non-ASCII digits, which int() reads
-# but the writers never write; deep JSON nesting raised RecursionError.
+# So were integers with underscores, non-ASCII digits, a plus sign or
+# surrounding spaces, which int() reads but the writers never write; deep
+# JSON nesting raised RecursionError.
 HOSTILE_REFUSALS = {
     "text no header": ("GraphFormatError", "bad header 'n 3'; expected 'qck-graph v1'"),
     "text empty": ("GraphFormatError", "empty graph file"),
@@ -271,6 +279,13 @@ HOSTILE_REFUSALS = {
     "text negative rank": ("GraphFormatError", "n must be a positive integer"),
     "json rank zero": ("GraphFormatError", "n must be a positive integer"),
     "json negative rank": ("GraphFormatError", "n must be a positive integer"),
+    "text rank with a plus sign": ("GraphFormatError", "bad rank line 'n +3'"),
+    "text weight with a plus sign": ("GraphFormatError", "9: bad weight: not an extended integer: '+1,0'"),
+    "text eps with a plus sign": ("GraphFormatError", "9: bad eps: not an extended integer: '+0'"),
+    "text label with a plus sign": ("GraphFormatError", "bad edge label '+1'"),
+    "json length with a plus sign and spaces": ("GraphFormatError", "1: not an extended integer: ' +0 '"),
+    "json length with a plus sign": ("GraphFormatError", "1: not an extended integer: '+0'"),
+    "json length with a space": ("GraphFormatError", "1: not an extended integer: '1 '"),
 }
 
 

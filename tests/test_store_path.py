@@ -1,7 +1,8 @@
 """A vertex's rows enter a graph by one path: QuasiCrystalGraph._put_vertex,
-called by the constructors, the readers, ``copy`` and ``quasify`` with
-finished rows. Outside graphcore no code writes the row tables, and the
-constructors do not replay their rows through the guarded public API."""
+called by the constructors, the readers, ``copy``, ``quasify`` and
+``Component.subgraph`` with finished rows. Outside graphcore no code writes
+the row tables, and the constructors do not replay their rows through the
+guarded public API."""
 
 import ast
 from pathlib import Path
@@ -77,7 +78,7 @@ def test_only_graphcore_writes_the_row_tables():
 
 
 def test_constructors_hand_finished_rows_to_the_store_path():
-    for name in ("wordmodel.py", "quasify.py"):
+    for name in ("wordmodel.py", "quasify.py", "structure.py"):
         source = (SRC / name).read_text(encoding="utf-8")
         assert guarded_writer_calls(source) == [], name
         assert "_put_vertex" in source, name

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from qck.structure import (
     unique_highest_weight,
 )
 
-from corpus import content_crystal, qpow, quasi_corpus, std, tpow
+from corpus import content_crystal, crystal_corpus, qpow, quasi_corpus, std, tpow
 
 import oracles
 
@@ -64,6 +65,31 @@ def test_subgraph_restricts_faithfully():
         for i in g.index_set:
             assert sub.eps(x, i) == g.eps(x, i)
             assert sub.f(x, i) == g.f(x, i)
+
+
+@pytest.mark.parametrize("name,graph", quasi_corpus() + crystal_corpus())
+def test_subgraph_matches_the_replay_oracle(name, graph):
+    # every component, then a third of the vertices, whose e and f targets
+    # outside it are dropped
+    ids = graph.vertex_ids()
+    part = tuple(sorted(random.Random(len(ids)).sample(ids, len(ids) // 3)))
+    for comp in components(graph) + [Component(graph, part, ())]:
+        sub = comp.subgraph()
+        want = oracles.subgraph_via_replay(comp)
+        assert sub == want, (name, comp.min_vertex)
+        assert sub.raising_edges() == want.raising_edges(), (name, comp.min_vertex)
+
+
+def test_subgraph_keeps_an_e_f_disagreement_visible():
+    # drop e_i(y) = x and keep f_i(x) = y: f still joins x and y into one
+    # component, and its subgraph must not rebuild the dropped e entry
+    g = qpow(3, 3).copy()
+    x, i, y = next((x, i, y) for x, i, y in g.edges() if x != y)
+    g.set_raising(y, i, None)
+    whole = validate(g).witnesses
+    assert any(w.axiom == "Q1" and w.vertices == (x, y) for w in whole)
+    comp = next(c for c in components(g) if x in c.vertices)
+    assert validate(comp.subgraph()).witnesses == [w for w in whole if w.vertices[0] in comp.vertices]
 
 
 def test_unique_highest_weight_on_corpus():

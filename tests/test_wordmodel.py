@@ -298,3 +298,12 @@ def test_highest_weight_words_match_the_power(n, k):
     for content in {power.wt(x) for x in power.vertex_ids()}:
         found = {word_to_id(words.word(x), n) for x in words.highest_weight_words(content)}
         assert found == {x for x in tops if power.wt(x) == content}
+
+
+def test_highest_weight_words_refuse_the_quasi_power():
+    # its pruning holds for the classical rule only: the quasi power's tops
+    # of content (1, 2) at n = 2 are 212 and 221, and it would find only 221
+    q = qpow(2, 3)
+    assert {x for x in q.vertex_ids() if q.wt(x) == (1, 2) and q.e(x, 1) is None} == {"212", "221"}
+    with pytest.raises(ValueError, match=r"^highest_weight_words needs the classical power \(blocking=False\)$"):
+        WordCrystal(2, blocking=True).highest_weight_words((1, 2))
