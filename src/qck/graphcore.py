@@ -247,22 +247,29 @@ class QuasiCrystalGraph:
         return self.vertex_ids() if around is None else sorted(around)
 
     def add_vertex(self, vid: str, wt, eps, phi) -> None:
-        wt = self._new_weight(vid, wt)
+        self._new_id(vid)
+        wt = self._weight(vid, wt)
         self._put_vertex(vid, wt, [_check_ext(v) for v in eps], [_check_ext(v) for v in phi])
 
-    # add_vertex in two halves, split around its per-entry checks of eps and
-    # phi, which the file readers and the constructors skip: their rows hold
-    # only ints and the two infinities.
+    # add_vertex in parts, split around its per-entry checks of eps and phi,
+    # which the file readers and the constructors skip: their rows hold only
+    # ints and the two infinities. The readers check each vertex's id, but a
+    # weight only once per distinct text (from_text) or only its length,
+    # after their own test of its entries (from_json).
 
-    def _new_weight(self, vid, wt) -> Weight:
-        """Check a new vertex's id and weight; return the weight as a tuple."""
+    def _new_id(self, vid) -> None:
+        """Refuse an id that is not a non-empty string without spaces, or is taken."""
         # split() cuts at exactly the characters isspace() accepts
         if not isinstance(vid, str) or vid.split() != [vid]:
             raise ValueError(f"vertex id must be a non-empty string without spaces: {vid!r}")
         if vid in self._wt:
             raise ValueError(f"duplicate vertex id {vid!r}")
+
+    def _weight(self, vid, wt, ints: bool = False) -> Weight:
+        """wt as a tuple, refused unless it is n ints; ``ints`` when the
+        caller has already refused every entry that is not an int."""
         wt = tuple(wt)
-        if len(wt) != self.n or any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
+        if len(wt) != self.n or not ints and any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
             raise ValueError(f"weight of {vid!r} must be {self.n} ints, got {wt!r}")
         return wt
 
@@ -570,15 +577,29 @@ def _parse_csv(tok: str, what: str, where: str):
         raise GraphFormatError(f"{where}: bad {what}: {exc}") from None
 
 
+def _by_row(g: QuasiCrystalGraph, render) -> list[tuple[str, str]]:
+    """(id, render(wt, eps, phi)) per vertex in id order, render called once
+    per distinct row: a graph has few (q(5,6): 15,625 vertices, 685 rows)."""
+    W, EPS, PHI = g._wt, g._eps, g._phi
+    memo: dict[tuple, str] = {}
+    out = []
+    for x in g.vertex_ids():
+        row = (W[x], tuple(EPS[x]), tuple(PHI[x]))
+        text = memo.get(row)
+        if text is None:
+            text = memo[row] = render(*row)
+        out.append((x, text))
+    return out
+
+
+def _text_row(wt, eps, phi) -> str:
+    return f"{_csv(map(str, wt))} {_csv(map(ext_str, eps))} {_csv(map(ext_str, phi))}"
+
+
 def to_text(g: QuasiCrystalGraph) -> str:
     lines = [f"{FORMAT_NAME} v{FORMAT_VERSION}", f"n {g.n}"]
-    W, EPS, PHI = g._wt, g._eps, g._phi
-    for x in g.vertex_ids():
-        lines.append(
-            f"vertex {x} {_csv(map(str, W[x]))} {_csv(map(ext_str, EPS[x]))} {_csv(map(ext_str, PHI[x]))}"
-        )
-    for x, i, y in g.edges():
-        lines.append(f"edge {x} {y} {i}")
+    lines += [f"vertex {x} {row}" for x, row in _by_row(g, _text_row)]
+    lines += [f"edge {x} {y} {i}" for x, i, y in g.edges()]
     return "\n".join(lines) + "\n"
 
 
@@ -603,19 +624,36 @@ def from_text(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(n)
     edges = []
+    # Each distinct field text is parsed and checked at its first sight, in
+    # the order a vertex's checks run, so a bad field refuses at the same
+    # vertex with the same message as when every vertex was checked. A read
+    # stops at its first refusal, so the memos hold only texts that passed.
+    weights: dict[str, Weight] = {}
+    lengths: dict[str, tuple] = {}
     for ln in lines[2:]:
         parts = ln.split()
         if parts[0] == "vertex":
             if len(parts) != 5:
                 raise GraphFormatError(f"bad vertex line {ln!r}")
             _, vid, wt_tok, eps_tok, phi_tok = parts
-            wt = _parse_csv(wt_tok, "weight", vid)
-            if any(not isinstance(c, int) for c in wt):
-                raise GraphFormatError(f"{vid}: weight entries must be finite ints")
-            eps = _parse_csv(eps_tok, "eps", vid)
-            phi = _parse_csv(phi_tok, "phi", vid)
+            wt = weights.get(wt_tok)
+            fresh = wt is None
+            if fresh:
+                wt = _parse_csv(wt_tok, "weight", vid)
+                if any(not isinstance(c, int) for c in wt):
+                    raise GraphFormatError(f"{vid}: weight entries must be finite ints")
+            eps = lengths.get(eps_tok)
+            if eps is None:
+                eps = lengths[eps_tok] = tuple(_parse_csv(eps_tok, "eps", vid))
+            phi = lengths.get(phi_tok)
+            if phi is None:
+                phi = lengths[phi_tok] = tuple(_parse_csv(phi_tok, "phi", vid))
             try:
-                g._put_vertex(vid, g._new_weight(vid, wt), eps, phi)
+                g._new_id(vid)
+                if fresh:
+                    wt = weights[wt_tok] = g._weight(vid, wt, ints=True)
+                # fresh lists: fuzz edits a vertex's rows in place
+                g._put_vertex(vid, wt, list(eps), list(phi))
             except ValueError as exc:
                 raise GraphFormatError(str(exc)) from None
         elif parts[0] == "edge":
@@ -624,11 +662,14 @@ def from_text(text: str) -> QuasiCrystalGraph:
             edges.append(parts[1:])
         else:
             raise GraphFormatError(f"unknown record {parts[0]!r}")
+    labels: dict[str, int] = {}
     for src, dst, label in edges:
-        try:
-            i = int(_plain(label))
-        except ValueError:
-            raise GraphFormatError(f"bad edge label {label!r}") from None
+        i = labels.get(label)
+        if i is None:
+            try:
+                i = labels[label] = int(_plain(label))
+            except ValueError:
+                raise GraphFormatError(f"bad edge label {label!r}") from None
         if src not in g._wt or dst not in g._wt:
             raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
         try:
@@ -655,25 +696,42 @@ def _ext_from_json(v, where: str):
     raise GraphFormatError(f"{where}: expected int or '+inf'/'-inf', got {v!r}")
 
 
+# json.dumps writes a string with this under its default ensure_ascii=True
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_list(values: list) -> str:
+    """json.dumps(values, indent=2) nested as deep as a vertex record's fields."""
+    return json.dumps(values, indent=2).replace("\n", "\n      ")
+
+
+def _json_row(wt, eps, phi) -> str:
+    """What follows the id in to_json's record of a vertex with these rows."""
+    return (
+        f',\n      "wt": {_json_list(list(wt))}'
+        f',\n      "eps": {_json_list([_ext_json(v) for v in eps])}'
+        f',\n      "phi": {_json_list([_ext_json(v) for v in phi])}\n    }}'
+    )
+
+
+def _json_items(records: list[str]) -> str:
+    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+
+
 def to_json(g: QuasiCrystalGraph) -> str:
-    doc = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "n": g.n,
-        "vertices": [
-            {
-                "id": x,
-                "wt": list(g._wt[x]),
-                "eps": [_ext_json(v) for v in g._eps[x]],
-                "phi": [_ext_json(v) for v in g._phi[x]],
-            }
-            for x in g.vertex_ids()
-        ],
-        "edges": [
-            {"from": x, "to": y, "label": i} for x, i, y in g.edges()
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The graph's document as json.dumps(doc, indent=2) writes it, byte for
+    byte, plus a newline. With indent set, CPython's encoder runs in pure
+    Python, so the document is assembled here from one encoding per distinct
+    row."""
+    vertices = [f'    {{\n      "id": {_json_str(x)}{row}' for x, row in _by_row(g, _json_row)]
+    edges = [
+        f'    {{\n      "from": {_json_str(x)},\n      "to": {_json_str(y)},\n      "label": {i}\n    }}'
+        for x, i, y in g.edges()
+    ]
+    return (
+        f'{{\n  "format": {_json_str(FORMAT_NAME)},\n  "version": {FORMAT_VERSION},\n  "n": {json.dumps(g.n)},\n'
+        f'  "vertices": {_json_items(vertices)},\n  "edges": {_json_items(edges)}\n}}\n'
+    )
 
 
 def from_json(text: str) -> QuasiCrystalGraph:
@@ -693,6 +751,9 @@ def from_json(text: str) -> QuasiCrystalGraph:
     if doc["n"] < 1:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(doc["n"])
+    # json.loads makes no int subclass but bool, so `type(v) is int` is the
+    # finite-int test. Values are not memoized: True == 1 and 1.0 == 1 hash
+    # alike, so a memo would read [true, 0] as [1, 0].
     for rec in vertices:
         try:
             vid = rec["id"]
@@ -702,12 +763,13 @@ def from_json(text: str) -> QuasiCrystalGraph:
             raise GraphFormatError(f"bad vertex record {rec!r}: {exc}") from None
         if not isinstance(eps, list) or not isinstance(phi, list):
             raise GraphFormatError(f"{vid}: eps and phi must be lists")
-        eps = [_ext_from_json(v, vid) for v in eps]
-        phi = [_ext_from_json(v, vid) for v in phi]
-        if not isinstance(wt, list) or any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
+        eps = [v if type(v) is int else _ext_from_json(v, vid) for v in eps]
+        phi = [v if type(v) is int else _ext_from_json(v, vid) for v in phi]
+        if not isinstance(wt, list) or any(type(c) is not int for c in wt):
             raise GraphFormatError(f"{vid}: weight entries must be finite ints")
         try:
-            g._put_vertex(vid, g._new_weight(vid, wt), eps, phi)
+            g._new_id(vid)
+            g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
     for rec in edges:

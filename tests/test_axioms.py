@@ -3,7 +3,9 @@ import re
 
 import pytest
 
+import qck.axioms
 from qck.axioms import (
+    battery,
     check_cor_infs,
     check_lemma_ij,
     check_local_ax_cases,
@@ -13,7 +15,7 @@ from qck.axioms import (
     check_lq3p,
     check_stembridge,
 )
-from qck.graphcore import POS_INF, validate, is_seminormal
+from qck.graphcore import NEG_INF, POS_INF, validate, is_seminormal
 from qck.quasify import quasify
 from qck.wordmodel import quasi_tensor_power, standard_crystal, tensor_power
 
@@ -169,6 +171,47 @@ def test_infs_rejects_negative_lengths():
     g.set_epsilon("11", 1, -3)
     with pytest.raises(ValueError):
         check_cor_infs(g)
+
+
+@pytest.mark.parametrize(
+    "chk, who", [(check_local_ax_cases, "case analysis"), (check_cor_infs, "freeze propagation")]
+)
+def test_counting_lemmas_called_alone_keep_their_refusal_text(chk, who):
+    g = qpow(3, 2).copy()
+    g.set_phi("21", 2, -1)
+    g.set_epsilon("22", 1, NEG_INF)
+    with pytest.raises(ValueError) as exc:
+        chk(g)
+    assert str(exc.value) == f"{who} needs string lengths in Z>=0 or +inf; vertex '21' index 2 has -1"
+    with pytest.raises(ValueError) as exc:
+        chk(g, around={"22"})
+    assert str(exc.value) == f"{who} needs string lengths in Z>=0 or +inf; vertex '22' index 1 has -inf"
+
+
+def test_battery_sweeps_no_counting_guard(monkeypatch):
+    # the seminormal gate already refuses every length outside Z>=0 and +inf
+    def no_sweep(g, around=None):
+        raise AssertionError("battery swept the counting-length guard")
+
+    monkeypatch.setattr(qck.axioms, "uncounted_length", no_sweep)
+    g = qpow(3, 3)
+    assert all(rep.passed for _, rep in battery(g))
+    assert all(rep.passed for _, rep in battery(g, around=set(g.vertex_ids()[:5])))
+    with pytest.raises(AssertionError, match="swept"):
+        check_local_ax_cases(g)
+    # a string of length -1 where there is no edge: coherent, but not seminormal
+    x, s = next(
+        (x, s)
+        for x in g.vertex_ids()
+        for s in range(g.n - 1)
+        if g._eps[x][s] == 0 == g._phi[x][s] and g._e[x][s] is None is g._f[x][s]
+    )
+    bad = g.copy()
+    bad.set_epsilon(x, s + 1, -1)
+    bad.set_phi(x, s + 1, -1)
+    reports = list(battery(bad))
+    assert [name for name, _ in reports] == ["q", "seminormal"]
+    assert reports[0][1].passed and not reports[1][1].passed
 
 
 def test_lemij_detects_unpaired_distant_move():

@@ -88,6 +88,48 @@ def test_writers_match_the_accessor_oracles_and_round_trip(mutants):
     assert loaded > len(mutants) // 2
 
 
+def edge_case_graphs():
+    """(tag, graph) for the corners of the writers' layout."""
+    out = [(f"no vertices, n={n}", QuasiCrystalGraph(n)) for n in (1, 3)]
+    one = QuasiCrystalGraph(1)
+    for vid, c in (("b", 2), ("a", -1), ("c", 2)):
+        one.add_vertex(vid, (c,), [], [])
+    out.append(("n=1", one))
+    lone = QuasiCrystalGraph(3)
+    lone.add_vertex("x", (1, 1, 1), [POS_INF, 0], [POS_INF, 0])
+    lone.add_vertex("y", (2, 0, 1), [0, 0], [2, -1])
+    out.append(("vertices but no edges", lone))
+    odd = QuasiCrystalGraph(2)
+    for k, vid in enumerate(['q"uote', "back\\slash", "\u00e9t\u00e9", "ctl\x01", "emoji\U0001f600", "plain"]):
+        odd.add_vertex(vid, (k, 0), [NEG_INF if k % 2 else -k], [POS_INF if k % 3 else k - 7])
+    odd.add_edge("plain", 1, 'q"uote')
+    odd.add_edge("emoji\U0001f600", 1, "ctl\x01")
+    out.append(("escaped ids, negative and infinite lengths", odd))
+    return out
+
+
+@pytest.mark.parametrize("tag, g", edge_case_graphs(), ids=[tag for tag, _ in edge_case_graphs()])
+def test_writers_match_the_accessor_oracles_on_edge_cases(tag, g):
+    text, doc = to_text(g), to_json(g)
+    assert text == oracles.text_via_accessors(g)
+    assert doc == oracles.json_via_accessors(g)
+    assert from_json(doc) == g == from_text(text)
+
+
+@pytest.mark.parametrize("write, read", [(to_text, from_text), (to_json, from_json)])
+def test_vertices_read_from_one_field_text_hold_their_own_rows(write, read):
+    # fuzz edits a vertex's rows in place, so no two vertices may share a list
+    g = QuasiCrystalGraph(3)
+    for vid in ("a", "b"):
+        g.add_vertex(vid, (1, 1, 1), [POS_INF, 0], [POS_INF, 0])
+    h = read(write(g))
+    assert h == g
+    h.set_epsilon("a", 2, 5)
+    h.set_phi("a", 1, 7)
+    assert (h.eps("b", 2), h.phi("b", 1)) == (0, POS_INF)
+    assert h._eps["a"] is not h._eps["b"] and h._phi["a"] is not h._phi["b"]
+
+
 # ------------------------------------------------------------ canonical infinities
 
 
@@ -164,6 +206,7 @@ def hostile_reads():
         ("text weight with a plus sign", from_text, text + "vertex 9 +1,0 0 1\n"),
         ("text eps with a plus sign", from_text, text + "vertex 9 1,0 +0 1\n"),
         ("text label with a plus sign", from_text, text + "edge 1 2 +1\n"),
+        ("text one bad weight on two vertices", from_text, text + "vertex 8 1,0,0 0 1\nvertex 9 1,0,0 0 1\n"),
     ]
     doc = json.loads(to_json(std(2)))
 
@@ -286,6 +329,7 @@ HOSTILE_REFUSALS = {
     "json length with a plus sign and spaces": ("GraphFormatError", "1: not an extended integer: ' +0 '"),
     "json length with a plus sign": ("GraphFormatError", "1: not an extended integer: '+0'"),
     "json length with a space": ("GraphFormatError", "1: not an extended integer: '1 '"),
+    "text one bad weight on two vertices": ("GraphFormatError", "weight of '8' must be 2 ints, got (1, 0, 0)"),
 }
 
 
