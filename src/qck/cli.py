@@ -133,8 +133,6 @@ def _cmd_char(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.property != "schur":
-        raise ValueError(f"unknown verification {args.property!r}")
     shape = _parse_shape(args.shape)
     report = characters.verify_schur_decomposition(shape, args.n)
     for ln in report.lines():

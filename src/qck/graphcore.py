@@ -108,10 +108,6 @@ NEG_INF = Infinity(False)
 ExtInt = int | Infinity
 
 
-def is_finite(v) -> bool:
-    return isinstance(v, int)
-
-
 def ext_str(v) -> str:
     if isinstance(v, Infinity):
         return repr(v)
@@ -204,13 +200,6 @@ class AxiomReport:
         return [w.line() for w in self.witnesses]
 
 
-def merge_reports(name: str, reports) -> "AxiomReport":
-    ws: list[Witness] = []
-    for r in reports:
-        ws.extend(r.witnesses)
-    return AxiomReport(name, ws)
-
-
 class QuasiCrystalGraph:
     """Mutable container for a finite quasi-crystal graph of rank n.
 
@@ -220,7 +209,7 @@ class QuasiCrystalGraph:
     """
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
         self.n = n
         self._wt: dict[str, Weight] = {}
@@ -253,9 +242,8 @@ class QuasiCrystalGraph:
 
     # add_vertex in parts, split around its per-entry checks of eps and phi,
     # which the file readers and the constructors skip: their rows hold only
-    # ints and the two infinities. The readers check each vertex's id, but a
-    # weight only once per distinct text (from_text) or only its length,
-    # after their own test of its entries (from_json).
+    # ints and the two infinities. The readers check each vertex's id and
+    # weight length, after their own test of the weight's entries.
 
     def _new_id(self, vid) -> None:
         """Refuse an id that is not a non-empty string without spaces, or is taken."""
@@ -354,10 +342,7 @@ class QuasiCrystalGraph:
         self._phi[self._known(x)][self._slot(i)] = _check_ext(v)
 
     def set_weight(self, x: str, wt) -> None:
-        wt = tuple(wt)
-        if len(wt) != self.n or any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
-            raise ValueError(f"weight must be {self.n} ints")
-        self._wt[self._known(x)] = wt
+        self._wt[self._known(x)] = self._weight(x, wt)
 
     def add_edge(self, x: str, i: int, y: str) -> None:
         """Record f_i(x) = y together with its inverse e_i(y) = x."""
@@ -624,36 +609,28 @@ def from_text(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(n)
     edges = []
-    # Each distinct field text is parsed and checked at its first sight, in
-    # the order a vertex's checks run, so a bad field refuses at the same
-    # vertex with the same message as when every vertex was checked. A read
-    # stops at its first refusal, so the memos hold only texts that passed.
-    weights: dict[str, Weight] = {}
-    lengths: dict[str, tuple] = {}
+    # Each distinct row text (weight, eps, phi: the unit _by_row writes) is
+    # parsed and checked at its first sight, so a bad field refuses at the
+    # vertex where it first appears; every vertex runs the store checks.
+    rows: dict[tuple[str, str, str], tuple] = {}
     for ln in lines[2:]:
         parts = ln.split()
         if parts[0] == "vertex":
             if len(parts) != 5:
                 raise GraphFormatError(f"bad vertex line {ln!r}")
             _, vid, wt_tok, eps_tok, phi_tok = parts
-            wt = weights.get(wt_tok)
-            fresh = wt is None
-            if fresh:
+            row = rows.get((wt_tok, eps_tok, phi_tok))
+            if row is None:
                 wt = _parse_csv(wt_tok, "weight", vid)
                 if any(not isinstance(c, int) for c in wt):
                     raise GraphFormatError(f"{vid}: weight entries must be finite ints")
-            eps = lengths.get(eps_tok)
-            if eps is None:
-                eps = lengths[eps_tok] = tuple(_parse_csv(eps_tok, "eps", vid))
-            phi = lengths.get(phi_tok)
-            if phi is None:
-                phi = lengths[phi_tok] = tuple(_parse_csv(phi_tok, "phi", vid))
+                eps, phi = _parse_csv(eps_tok, "eps", vid), _parse_csv(phi_tok, "phi", vid)
+                row = rows[wt_tok, eps_tok, phi_tok] = (tuple(wt), eps, phi)
+            wt, eps, phi = row
             try:
                 g._new_id(vid)
-                if fresh:
-                    wt = weights[wt_tok] = g._weight(vid, wt, ints=True)
                 # fresh lists: fuzz edits a vertex's rows in place
-                g._put_vertex(vid, wt, list(eps), list(phi))
+                g._put_vertex(vid, g._weight(vid, wt, ints=True), list(eps), list(phi))
             except ValueError as exc:
                 raise GraphFormatError(str(exc)) from None
         elif parts[0] == "edge":

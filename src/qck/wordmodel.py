@@ -90,7 +90,7 @@ def standard_crystal(n: int, size_cap: int | None = None) -> QuasiCrystalGraph:
     """The n-vertex chain: wt(j) = e_j, lowering edges j -> j+1 labelled j.
 
     It stores n * (n - 1) string lengths, which the size cap bounds."""
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     cap = default_size_cap() if size_cap is None else size_cap
     if n * (n - 1) > cap:
@@ -287,7 +287,7 @@ def quasi_tensor(a: QuasiCrystalGraph, b: QuasiCrystalGraph) -> QuasiCrystalGrap
 def _power(n: int, k: int, size_cap, blocking: bool) -> QuasiCrystalGraph:
     """The graph of all n^k words, grown level by level by prepending letters."""
     words = WordCrystal(n, blocking)
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     cap = default_size_cap() if size_cap is None else size_cap
     if n**k > cap:

@@ -408,6 +408,11 @@ def test_verify_schur_without_variables_is_an_input_error(capsys):
     assert capsys.readouterr() == ("", "error: shape (2, 1) has more than n=0 parts\n")
 
 
+def test_verify_refuses_an_unknown_property(capsys):
+    assert main(["verify", "other", "--shape", "2,1", "--n", "3"]) == 2
+    assert "invalid choice: 'other'" in capsys.readouterr().err
+
+
 # --- iso ---------------------------------------------------------------------
 
 

@@ -19,10 +19,8 @@ from qck.graphcore import (
     from_text,
     highest_weight_vertices,
     is_crystal,
-    is_finite,
     is_seminormal,
     loads,
-    merge_reports,
     parse_ext,
     to_dot,
     to_json,
@@ -92,13 +90,6 @@ def test_opposite_infinities_raise():
         NEG_INF - NEG_INF
 
 
-def test_is_finite():
-    assert is_finite(0)
-    assert is_finite(-7)
-    assert not is_finite(POS_INF)
-    assert not is_finite(NEG_INF)
-
-
 @given(st.one_of(st.integers(min_value=-10**6, max_value=10**6), st.sampled_from([POS_INF, NEG_INF])))
 def test_ext_str_parse_roundtrip(v):
     assert parse_ext(ext_str(v)) == v
@@ -121,6 +112,21 @@ def chain2():
     g.add_vertex("y", (0, 1), (1,), (0,))
     g.add_edge("x", 1, "y")
     return g
+
+
+def test_bool_is_not_a_rank():
+    # a rank of True would be written as "n True", which both readers refuse
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        QuasiCrystalGraph(True)
+
+
+def test_set_weight_refuses_as_add_vertex_does():
+    g = chain2()
+    for wt, shown in (((1, 0, 0), "(1, 0, 0)"), ((True, 0), "(True, 0)"), ((1.0, 0), "(1.0, 0)")):
+        with pytest.raises(ValueError) as exc:
+            g.set_weight("x", wt)
+        assert str(exc.value) == f"weight of 'x' must be 2 ints, got {shown}"
+    assert g.wt("x") == (1, 0)
 
 
 def test_add_vertex_validation():
@@ -331,15 +337,6 @@ def test_witness_line_and_sorting():
     assert report.lines() == [w2.line(), w1.line()]
 
 
-def test_merge_reports():
-    ok = AxiomReport("one", [])
-    bad = AxiomReport("two", [Witness("B", ("v",), (1,), "o", "r")])
-    merged = merge_reports("both", [ok, bad])
-    assert not merged.passed
-    assert len(merged.witnesses) == 1
-    assert merge_reports("empty", [ok]).passed
-
-
 # ---------------------------------------------------------------- serialization
 
 
@@ -438,7 +435,7 @@ def test_json_rejects_edge_ends_that_are_not_ids(end, value):
 
 def test_infinite_lengths_survive_roundtrip():
     g = qpow(3, 3)  # holds +inf entries
-    assert any(not is_finite(g.eps(x, i)) for x in g.vertex_ids() for i in g.index_set)
+    assert any(isinstance(g.eps(x, i), Infinity) for x in g.vertex_ids() for i in g.index_set)
     assert from_text(to_text(g)) == g
     assert from_json(to_json(g)) == g
 

@@ -174,6 +174,11 @@ def test_fuzz_rejects_a_negative_count():
         fuzz_graph(qpow(2, 2), count=-1, seed=0)
 
 
+def test_fuzz_rejects_a_boolean_count():
+    with pytest.raises(ValueError, match="^fuzz count must be >= 0, got True$"):
+        fuzz_graph(qpow(2, 2), count=True, seed=0)
+
+
 def test_fuzz_empty_run():
     result = fuzz_graph(qpow(2, 2), count=0, seed=0)
     assert result.total == 0

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+from qck import graphcore
 from qck.graphcore import (
     NEG_INF,
     POS_INF,
@@ -28,7 +29,7 @@ from qck.graphcore import (
 from qck.structure import components
 
 import oracles
-from corpus import std, witness_plan
+from corpus import qpow, std, witness_plan
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +208,11 @@ def hostile_reads():
         ("text eps with a plus sign", from_text, text + "vertex 9 1,0 +0 1\n"),
         ("text label with a plus sign", from_text, text + "edge 1 2 +1\n"),
         ("text one bad weight on two vertices", from_text, text + "vertex 8 1,0,0 0 1\nvertex 9 1,0,0 0 1\n"),
+        # rows that share fields with the good rows 1,0 0 1 and 0,1 1 0 above
+        ("text seen weight and eps with a bad phi", from_text, text + "vertex 9 1,0 0 x\n"),
+        ("text seen eps and phi with a weight of the wrong length", from_text, text + "vertex 9 0,1,0 1 0\n"),
+        ("text duplicate id on a seen row", from_text, text + "vertex 2 1,0 0 1\n"),
+        ("text seen weight with the wrong eps count", from_text, text + "vertex 9 0,1 1,1 0\n"),
     ]
     doc = json.loads(to_json(std(2)))
 
@@ -330,6 +336,13 @@ HOSTILE_REFUSALS = {
     "json length with a plus sign": ("GraphFormatError", "1: not an extended integer: '+0'"),
     "json length with a space": ("GraphFormatError", "1: not an extended integer: '1 '"),
     "text one bad weight on two vertices": ("GraphFormatError", "weight of '8' must be 2 ints, got (1, 0, 0)"),
+    "text seen weight and eps with a bad phi": ("GraphFormatError", "9: bad phi: not an extended integer: 'x'"),
+    "text seen eps and phi with a weight of the wrong length": (
+        "GraphFormatError",
+        "weight of '9' must be 2 ints, got (0, 1, 0)",
+    ),
+    "text duplicate id on a seen row": ("GraphFormatError", "duplicate vertex id '2'"),
+    "text seen weight with the wrong eps count": ("GraphFormatError", "'9': need 1 eps and phi entries"),
 }
 
 
@@ -340,3 +353,13 @@ def test_hostile_reads_keep_their_refusals():
             reader(payload)
         got[label] = (type(exc.value).__name__, str(exc.value))
     assert got == HOSTILE_REFUSALS
+
+
+def test_text_reader_parses_each_distinct_row_once(monkeypatch):
+    g = qpow(3, 4)
+    rows = {(g._wt[x], tuple(g._eps[x]), tuple(g._phi[x])) for x in g.vertex_ids()}
+    calls = []
+    parse = graphcore._parse_csv
+    monkeypatch.setattr(graphcore, "_parse_csv", lambda *args: calls.append(args) or parse(*args))
+    assert from_text(to_text(g)) == g
+    assert len(rows) < len(g) and len(calls) == 3 * len(rows)

@@ -1,8 +1,9 @@
 """A vertex's rows enter a graph by one path: QuasiCrystalGraph._put_vertex,
-called by the constructors, the readers, ``copy``, ``quasify`` and
-``Component.subgraph`` with finished rows. Outside graphcore no code writes
-the row tables, and the constructors do not replay their rows through the
-guarded public API."""
+called by the constructors, ``copy``, ``quasify`` and ``Component.subgraph``
+with finished rows, edges included, and by the readers with rows without
+edges, whose f edges they then add through ``add_edge``. Outside graphcore
+no code writes the row tables, and the constructors do not replay their
+rows through the guarded public API."""
 
 import ast
 from pathlib import Path
@@ -82,3 +83,20 @@ def test_constructors_hand_finished_rows_to_the_store_path():
         source = (SRC / name).read_text(encoding="utf-8")
         assert guarded_writer_calls(source) == [], name
         assert "_put_vertex" in source, name
+
+
+def test_readers_store_rows_only_through_put_vertex():
+    """A file holds each vertex's rows and its f edges only: the readers hand
+    _put_vertex rows without edges and add each f edge, with its e inverse,
+    through add_edge."""
+    source = (SRC / "graphcore.py").read_text(encoding="utf-8")
+    bodies = {
+        node.name: ast.get_source_segment(source, node)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in ("from_text", "from_json")
+    }
+    assert sorted(bodies) == ["from_json", "from_text"]
+    for name, body in bodies.items():
+        assert row_table_writes(body) == [], name
+        assert {method for _, method in guarded_writer_calls(body)} == {"add_edge"}, name
+        assert "._put_vertex(" in body, name

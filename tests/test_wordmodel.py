@@ -163,6 +163,14 @@ def test_power_argument_validation():
         quasi_tensor_power(1, 2)
 
 
+def test_bool_is_not_a_rank_or_a_power():
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        standard_crystal(True)
+    for power in (tensor_power, quasi_tensor_power):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            power(2, True)
+
+
 def test_size_cap_blocks_large_builds():
     with pytest.raises(SizeCapExceeded):
         quasi_tensor_power(10, 7)
