@@ -116,10 +116,10 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
     target = parts + (0,) * (n - len(parts))
     top_words = words.highest_weight_words(target)
     if n <= 9:  # word tuples of one length sort as their ids
-        return words.graph(words.component(min(top_words, key=words.word)))
+        return words.graph(words.component(min(top_words)))
     # dash-joined ids do not sort as words ("10" < "2"): the least id may lie in any component
     comps = [words.component(top) for top in top_words]
-    return words.graph(min(comps, key=lambda comp: min(word_to_id(words.word(x), n) for x in comp)))
+    return words.graph(min(comps, key=lambda comp: min(word_to_id(x, n) for x in comp)))
 
 
 def count_quasi_components(shape, n: int) -> int:

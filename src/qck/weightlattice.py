@@ -51,7 +51,7 @@ def sub(u: Weight, v: Weight) -> Weight:
 
 def is_partition(shape) -> bool:
     parts = tuple(shape)
-    if not parts or any(not isinstance(p, int) or p <= 0 for p in parts):
+    if not parts or any(isinstance(p, bool) or not isinstance(p, int) or p <= 0 for p in parts):
         return False
     return all(parts[k] >= parts[k + 1] for k in range(len(parts) - 1))
 
@@ -65,7 +65,7 @@ def check_partition(shape) -> Partition:
 
 def check_composition(alpha) -> Composition:
     parts = tuple(alpha)
-    if not parts or any(not isinstance(p, int) or p <= 0 for p in parts):
+    if not parts or any(isinstance(p, bool) or not isinstance(p, int) or p <= 0 for p in parts):
         raise ValueError(f"not a composition (positive parts): {parts}")
     return parts
 

@@ -13,6 +13,7 @@ for n <= 9, dash-separated otherwise).
 
 from __future__ import annotations
 
+import itertools
 import os
 from operator import add
 
@@ -35,7 +36,9 @@ def positive_cap(raw, source: str) -> int:
     try:
         cap = int(_plain(raw)) if isinstance(raw, str) else raw
     except ValueError:
-        raise ValueError(f"{source} must be an integer, got {raw!r}") from None
+        cap = None
+    if isinstance(cap, bool) or not isinstance(cap, int):
+        raise ValueError(f"{source} must be an integer, got {raw!r}")
     if cap < 1:
         raise ValueError(f"{source} must be positive")
     return cap
@@ -44,6 +47,11 @@ def positive_cap(raw, source: str) -> int:
 def default_size_cap() -> int:
     raw = os.environ.get(SIZE_CAP_ENV)
     return DEFAULT_SIZE_CAP if raw is None else positive_cap(raw, SIZE_CAP_ENV)
+
+
+def _size_cap(size_cap) -> int:
+    """A constructor's ``size_cap`` argument, the default when it is None."""
+    return default_size_cap() if size_cap is None else positive_cap(size_cap, "size_cap")
 
 
 def _id_sep(n: int) -> str:
@@ -92,7 +100,7 @@ def standard_crystal(n: int, size_cap: int | None = None) -> QuasiCrystalGraph:
     It stores n * (n - 1) string lengths, which the size cap bounds."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
-    cap = default_size_cap() if size_cap is None else size_cap
+    cap = _size_cap(size_cap)
     if n * (n - 1) > cap:
         raise SizeCapExceeded(f"{n}*{n - 1} = {n * (n - 1)} string lengths exceeds the size cap {cap}")
     g = QuasiCrystalGraph(n)
@@ -161,17 +169,23 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
     return g
 
 
+def _step(word: Word, p: int, d: int) -> Word:
+    """word with its letter at position p from the end changed by d: f_i acts
+    there with d = 1 and e_i with d = -1."""
+    q = len(word) - 1 - p
+    return word[:q] + (word[q] + d,) + word[q + 1:]
+
+
 class WordCrystal:
     """The left-iterated power of the standard crystal, evaluated on words;
     blocking=True gives the quasi power, as in ``_product``.
 
     The word ``(c,) + rest`` is the pair (rest, c), so its row is
-    ``_pair_row`` of the rows of rest and of the letter c. Words are interned
-    as nodes, a node being a first letter plus the node of the rest (node 0
-    is the empty word), and rows are memoized per node, that is over
-    suffixes. e and f entries are the position, counted from the end of the
-    word, of the letter they change, so a suffix's entries hold in every word
-    that ends with it and a new node costs O(n) given the row of its rest.
+    ``_pair_row`` of the rows of rest and of the letter c. Rows are memoized
+    per word tuple, that is over suffixes. e and f entries are the position,
+    counted from the end of the word, of the letter they change, so a
+    suffix's entries hold in every word that ends with it and a new word
+    costs O(n) given the row of its rest.
     """
 
     def __init__(self, n: int, blocking: bool = False):
@@ -179,48 +193,26 @@ class WordCrystal:
             raise ValueError("power constructions need n >= 2")
         self.n = n
         self._blocking = blocking
-        self._cells: list[tuple[int, int]] = [(0, 0)]  # node -> (letter, rest node)
-        self._depth = [0]  # node -> word length
-        self._nodes: dict[tuple[int, int], int] = {}
-        self._rows: list[tuple] = [_letter_row(0, n)]  # no letter is 0: the empty word's zero row
+        self._rows: dict[Word, tuple] = {(): _letter_row(0, n)}  # no letter is 0: the empty word's zero row
         self._letters: dict[tuple[int, int], tuple] = {}  # (length of rest, letter) -> the letter's row
 
-    def _prepend(self, letters, rest: int) -> int:
-        """The node of the word ``tuple(letters) + word(rest)``."""
-        for c in reversed(letters):
-            node = self._nodes.get((c, rest))
-            if node is None:
-                node = len(self._cells)
-                self._nodes[(c, rest)] = node
-                self._cells.append((c, rest))
-                p = self._depth[rest]
-                if (p, c) not in self._letters:
-                    self._letters[(p, c)] = _letter_row(c, self.n, p, p)
-                self._depth.append(p + 1)
-                self._rows.append(_pair_row(self._rows[rest], self._letters[(p, c)], self._blocking))
-            rest = node
-        return rest
+    def row(self, word: Word) -> tuple:
+        """The row (wt, eps, phi, e, f) of word. The suffixes without a row
+        get theirs first, shortest first, each from the row of its rest."""
+        rows = self._rows
+        new = 0
+        while word[new:] not in rows:
+            new += 1
+        for j in reversed(range(new)):
+            rest, c = word[j + 1:], word[j]
+            p = len(rest)
+            if (p, c) not in self._letters:
+                self._letters[(p, c)] = _letter_row(c, self.n, p, p)
+            rows[word[j:]] = _pair_row(rows[rest], self._letters[(p, c)], self._blocking)
+        return rows[word]
 
-    def word(self, node: int) -> Word:
-        letters = []
-        while node:
-            c, node = self._cells[node]
-            letters.append(c)
-        return tuple(letters)
-
-    def _step(self, node: int, p: int, d: int) -> int:
-        """The node of the word with its letter at position p from the end
-        changed by d: f_i acts there with d = 1 and e_i with d = -1."""
-        head = []
-        for _ in range(self._depth[node] - 1 - p):
-            c, node = self._cells[node]
-            head.append(c)
-        c, node = self._cells[node]
-        head.append(c + d)
-        return self._prepend(head, node)
-
-    def highest_weight_words(self, content) -> list[int]:
-        """The nodes of every highest-weight word of the given content.
+    def highest_weight_words(self, content) -> list[Word]:
+        """Every highest-weight word of the given content.
 
         Grown by prepending letters: by the product rule every suffix of a
         highest-weight word is highest weight, and ``(c,) + rest`` with rest
@@ -230,44 +222,47 @@ class WordCrystal:
         if self._blocking:
             raise ValueError("highest_weight_words needs the classical power (blocking=False)")
         out = []
-        stack = [(0, tuple(content))]
+        stack = [((), tuple(content))]
         while stack:
             rest, left = stack.pop()
             if not any(left):
                 out.append(rest)
                 continue
+            phi = self.row(rest)[2]
             for c in range(1, self.n + 1):
-                if left[c - 1] and (c == 1 or self._rows[rest][2][c - 2] > 0):
-                    node = self._prepend((c,), rest)
-                    stack.append((node, left[: c - 1] + (left[c - 1] - 1,) + left[c:]))
+                if left[c - 1] and (c == 1 or phi[c - 2] > 0):
+                    stack.append(((c,) + rest, left[: c - 1] + (left[c - 1] - 1,) + left[c:]))
         return out
 
-    def component(self, top: int) -> set[int]:
-        """The nodes reached from ``top`` by lowering operators."""
+    def component(self, top: Word) -> set[Word]:
+        """The words reached from ``top`` by lowering operators."""
         seen = {top}
         todo = [top]
         while todo:
-            node = todo.pop()
-            for p in self._rows[node][4]:
+            word = todo.pop()
+            for p in self.row(word)[4]:
                 if p is not None:
-                    y = self._step(node, p, 1)
+                    y = _step(word, p, 1)
                     if y not in seen:
                         seen.add(y)
                         todo.append(y)
         return seen
 
-    def graph(self, nodes) -> QuasiCrystalGraph:
-        """The subgraph of the power on the given nodes. Its e and f tables
+    def graph(self, words) -> QuasiCrystalGraph:
+        """The subgraph of the power on the given words. Its e and f tables
         are both read off the rows' positions, so ``validate`` still tests
         each against the other."""
-        ids = {x: word_to_id(self.word(x), self.n) for x in nodes}
+        ids = {x: word_to_id(x, self.n) for x in words}
+        order = sorted(ids, key=ids.get)
+        # every row is built before the first vertex is stored, so the memo's
+        # tuples are not interleaved in memory with the graph's lists
+        rows = [self.row(x) for x in order]
 
         def targets(x, positions, d):
-            return [None if p is None else ids.get(self._step(x, p, d)) for p in positions]
+            return [None if p is None else ids.get(_step(x, p, d)) for p in positions]
 
         g = QuasiCrystalGraph(self.n)
-        for x in sorted(ids, key=ids.get):
-            wt, eps, phi, e, f = self._rows[x]
+        for x, (wt, eps, phi, e, f) in zip(order, rows):
             g._put_vertex(ids[x], wt, list(eps), list(phi), targets(x, e, -1), targets(x, f, 1))
         return g
 
@@ -285,19 +280,16 @@ def quasi_tensor(a: QuasiCrystalGraph, b: QuasiCrystalGraph) -> QuasiCrystalGrap
 
 
 def _power(n: int, k: int, size_cap, blocking: bool) -> QuasiCrystalGraph:
-    """The graph of all n^k words, grown level by level by prepending letters."""
+    """The graph of all n^k words."""
     words = WordCrystal(n, blocking)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
-    cap = default_size_cap() if size_cap is None else size_cap
+    cap = _size_cap(size_cap)
     if n**k > cap:
         raise SizeCapExceeded(f"{n}^{k} = {n**k} vertices exceeds the size cap {cap}")
     if k == 1:  # for k > 1, n * (n - 1) < n**k: the standard crystal's cap holds too
         return standard_crystal(n, size_cap=cap)
-    level = [0]
-    for _ in range(k):
-        level = [words._prepend((c,), rest) for rest in level for c in range(1, n + 1)]
-    return words.graph(level)
+    return words.graph(itertools.product(range(1, n + 1), repeat=k))
 
 
 def tensor_power(n: int, k: int, size_cap: int | None = None) -> QuasiCrystalGraph:

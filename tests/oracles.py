@@ -6,8 +6,11 @@ Nothing here imports qck at module level. Retired slow paths are kept as
 differential oracles and import qck inside their bodies:
 ``product_via_pairs`` and ``power_via_products`` (tensor products per pair
 of vertex ids through the guarded accessors, and powers as k - 1 products
-of whole graphs), ``content_component_via_power`` (content crystals by
-power-then-pick), ``content_component_all_walks`` (content crystals by a
+of whole graphs), ``power_via_word_rule`` (the powers from the word rules
+of the literature: the quasi rule of Cain and Malheiro and the classical
+signature rule, neither of which restates the product rule),
+``content_component_via_power`` (content crystals by power-then-pick, the
+power from the signature rule), ``content_component_all_walks`` (content crystals by a
 walk of every component with the wanted highest weight),
 ``fuzz_via_copies`` (fuzz by copy and full battery), and the whole-graph
 readers as they were written over the guarded per-entry accessors
@@ -252,10 +255,75 @@ def power_via_products(n: int, k: int, blocking: bool, size_cap: int | None = No
     return g
 
 
+def _quasi_rule(word, i):
+    """(eps_i, phi_i, position f_i raises, position e_i lowers) of a word by
+    the quasi rule of Cain and Malheiro, None for a frozen index: i is frozen
+    when some i+1 stands left of some i; otherwise eps_i counts the i+1's and
+    phi_i the i's, f_i raises the rightmost i and e_i lowers the leftmost i+1."""
+    ups = [p for p, a in enumerate(word) if a == i + 1]
+    downs = [p for p, a in enumerate(word) if a == i]
+    if ups and downs and ups[0] < downs[-1]:
+        return None
+    return len(ups), len(downs), downs[-1] if downs else None, ups[0] if ups else None
+
+
+def _signature_rule(word, i):
+    """(eps_i, phi_i, position f_i raises, position e_i lowers) of a word by
+    the signature rule: each i+1 is matched with the nearest free i to its
+    right; eps_i and phi_i count the unmatched i+1's and i's, f_i raises the
+    rightmost unmatched i and e_i lowers the leftmost unmatched i+1."""
+    ups, downs = [], []  # unmatched i+1's, unmatched i's, left to right
+    for p, a in enumerate(word):
+        if a == i + 1:
+            ups.append(p)
+        elif a == i:
+            if ups:
+                ups.pop()
+            else:
+                downs.append(p)
+    return len(ups), len(downs), downs[-1] if downs else None, ups[0] if ups else None
+
+
+def power_via_word_rule(n: int, k: int, blocking: bool):
+    """quasi_tensor_power(n, k) (blocking=True) by the quasi rule or
+    tensor_power(n, k) (blocking=False) by the signature rule, word by word
+    through add_vertex, set_raising and set_lowering; neither rule is the
+    product rule."""
+    from qck.graphcore import POS_INF, QuasiCrystalGraph
+
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("power constructions need n >= 2")
+    rule = _quasi_rule if blocking else _signature_rule
+    sep = "" if n <= 9 else "-"
+    ids = {word: sep.join(map(str, word)) for word in itertools.product(range(1, n + 1), repeat=k)}
+    g = QuasiCrystalGraph(n)
+    raising, lowering = [], []
+    for word, x in ids.items():
+        eps, phi = [], []
+        for i in range(1, n):
+            found = rule(word, i)
+            if found is None:
+                eps.append(POS_INF)
+                phi.append(POS_INF)
+                continue
+            eps.append(found[0])
+            phi.append(found[1])
+            for edges, p, a in ((lowering, found[2], i + 1), (raising, found[3], i)):
+                if p is not None:
+                    edges.append((x, i, ids[word[:p] + (a,) + word[p + 1 :]]))
+        g.add_vertex(x, [word.count(a) for a in range(1, n + 1)], eps, phi)
+    for x, i, y in raising:
+        g.set_raising(x, i, y)
+    for x, i, y in lowering:
+        g.set_lowering(x, i, y)
+    return g
+
+
 def content_component_via_power(shape: tuple[int, ...], n: int):
     """The content crystal the slow way: build all n^|shape| words of the
-    tensor power, split it into components, and keep the one with the least
-    vertex id among those whose single highest weight is the shape."""
+    tensor power by the signature rule, split it into components, and keep
+    the one with the least vertex id among those whose single highest weight
+    is the shape."""
     from qck.structure import components
     from qck.weightlattice import check_partition
 
@@ -263,7 +331,7 @@ def content_component_via_power(shape: tuple[int, ...], n: int):
     if len(parts) > n:
         raise ValueError(f"shape {parts} has more than n={n} parts")
     target = parts + (0,) * (n - len(parts))
-    g = power_via_products(n, sum(parts), blocking=False)
+    g = power_via_word_rule(n, sum(parts), blocking=False)
     for comp in components(g):
         if len(comp.hw_vertices) == 1 and g.wt(comp.hw_vertices[0]) == target:
             return comp.subgraph()
@@ -282,7 +350,7 @@ def content_component_all_walks(shape: tuple[int, ...], n: int):
     words = WordCrystal(n)
     target = parts + (0,) * (n - len(parts))
     comps = [words.component(top) for top in words.highest_weight_words(target)]
-    return words.graph(min(comps, key=lambda comp: min(word_to_id(words.word(x), n) for x in comp)))
+    return words.graph(min(comps, key=lambda comp: min(word_to_id(x, n) for x in comp)))
 
 
 def fuzz_via_copies(g, count: int, seed: int):

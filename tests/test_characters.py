@@ -223,6 +223,8 @@ def test_fundamental_rejects_bad_compositions():
         fundamental_qsym((1, 0, 2), 3)
     with pytest.raises(ValueError):
         fundamental_qsym((), 3)
+    with pytest.raises(ValueError, match=r"^not a composition \(positive parts\): \(True,\)$"):
+        fundamental_qsym((True,), 2)
 
 
 # -------------------------------------------------------------- decomposition

@@ -353,6 +353,8 @@ def test_content_crystal_rejects_bad_shapes():
         crystal_of_content((1, 1, 1, 1), 3)
     with pytest.raises(ValueError):
         crystal_of_content((), 3)
+    with pytest.raises(ValueError, match=r"^not a partition \(weakly decreasing positive parts\): \(True,\)$"):
+        crystal_of_content((True,), 2)
 
 
 # ------------------------------------------------------------------ counting

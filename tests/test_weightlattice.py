@@ -108,6 +108,17 @@ def test_check_composition():
         check_composition((1, 0, 2))
 
 
+def test_bool_is_not_a_shape_part():
+    # True == 1 and True > 0, so only an isinstance check keeps it out
+    assert not is_partition((True,))
+    with pytest.raises(ValueError, match=r"^not a partition \(weakly decreasing positive parts\): \(2, True\)$"):
+        check_partition((2, True))
+    with pytest.raises(ValueError, match=r"^not a partition \(weakly decreasing positive parts\): \(True,\)$"):
+        syt_count((True,))
+    with pytest.raises(ValueError, match=r"^not a composition \(positive parts\): \(True, 2\)$"):
+        check_composition((True, 2))
+
+
 def test_partitions_of_known_table():
     assert list(partitions_of(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(partitions_of(0)) == [()]

@@ -1,6 +1,10 @@
-from hypothesis import given, strategies as st
+import importlib
+import re
+
+from hypothesis import given, settings, strategies as st
 import pytest
 
+from qck import wordmodel
 from qck.graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, validate
 from qck.wordmodel import (
     DEFAULT_SIZE_CAP,
@@ -9,6 +13,7 @@ from qck.wordmodel import (
     WordCrystal,
     default_size_cap,
     id_to_word,
+    positive_cap,
     quasi_tensor,
     quasi_tensor_power,
     standard_crystal,
@@ -192,6 +197,31 @@ def test_size_cap_bounds_the_standard_crystal(monkeypatch):
     assert len(standard_crystal(2)) == 2
 
 
+@pytest.mark.parametrize("cap", [True, False, 2.5, b"10", [10]])
+def test_positive_cap_refuses_what_is_not_an_integer(cap):
+    with pytest.raises(ValueError, match=rf"^x must be an integer, got {re.escape(repr(cap))}$"):
+        positive_cap(cap, "x")
+
+
+@pytest.mark.parametrize("power", [tensor_power, quasi_tensor_power])
+@pytest.mark.parametrize(
+    "cap,err", [(True, "an integer, got True"), (0, "positive"), (-3, "positive"), ("1_0", "an integer, got '1_0'")]
+)
+def test_library_size_cap_is_checked(power, cap, err):
+    for build in (lambda: power(2, 1, size_cap=cap), lambda: power(2, 3, size_cap=cap)):
+        with pytest.raises(ValueError, match=rf"^size_cap must be {re.escape(err)}$"):
+            build()
+    with pytest.raises(ValueError, match=rf"^size_cap must be {re.escape(err)}$"):
+        standard_crystal(3, size_cap=cap)
+
+
+def test_library_size_cap_reads_a_plain_integer_string():
+    assert len(standard_crystal(3, size_cap="10")) == 3
+    assert len(tensor_power(2, 3, size_cap="8")) == 8
+    with pytest.raises(SizeCapExceeded, match=r"^2\^4 = 16 vertices exceeds the size cap 8$"):
+        quasi_tensor_power(2, 4, size_cap="8")
+
+
 def test_size_cap_env_override(monkeypatch):
     monkeypatch.setenv(SIZE_CAP_ENV, "10")
     assert default_size_cap() == 10
@@ -222,6 +252,53 @@ def test_power_matches_pairwise_products(n, k, blocking):
     slow = oracles.power_via_products(n, k, blocking)
     assert fast == slow
     assert fast.raising_edges() == slow.raising_edges()
+
+
+# --- the word rules of the literature, which do not restate _pair_row -------
+
+
+@pytest.mark.parametrize(
+    "blocking,n,k",
+    [(True, n, k) for n, k in [(2, 3), (3, 3), (3, 4), (4, 3), (2, 5), (5, 2)]]
+    + [(False, n, k) for n, k in [(2, 4), (3, 3), (3, 4), (4, 3), (5, 2), (2, 6)]],
+)
+def test_power_matches_the_word_rule(blocking, n, k):
+    fast = (quasi_tensor_power if blocking else tensor_power)(n, k)
+    slow = oracles.power_via_word_rule(n, k, blocking)
+    assert fast == slow
+    assert fast.raising_edges() == slow.raising_edges()
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=4), st.booleans())
+def test_power_matches_the_word_rule_everywhere(n, k, blocking):
+    test_power_matches_the_word_rule(blocking, n, k)
+
+
+@pytest.mark.parametrize("power", [tensor_power, quasi_tensor_power])
+def test_power_builds_each_suffix_row_once(monkeypatch, power):
+    calls = []
+    pair_row = wordmodel._pair_row
+    monkeypatch.setattr(wordmodel, "_pair_row", lambda *args: calls.append(1) or pair_row(*args))
+    power(3, 4)
+    assert len(calls) == 3 + 9 + 27 + 81  # one per nonempty word of at most 4 letters
+
+
+def test_content_crystal_builds_each_row_once(monkeypatch):
+    calls, made = [], []
+    pair_row = wordmodel._pair_row
+    monkeypatch.setattr(wordmodel, "_pair_row", lambda *args: calls.append(1) or pair_row(*args))
+
+    class Recorded(WordCrystal):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    quasify = importlib.import_module("qck.quasify")  # the package's quasify is the function
+    monkeypatch.setattr(quasify, "WordCrystal", Recorded)
+    assert len(quasify.crystal_of_content((3, 2, 1), 5)) == 280
+    # each call stores one row under its word, and the empty word's row is no call
+    assert len(calls) == len(made[0]._rows) - 1
 
 
 @pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
@@ -304,7 +381,7 @@ def test_highest_weight_words_match_the_power(n, k):
     tops = [x for x in power.vertex_ids() if all(power.e(x, i) is None for i in power.index_set)]
     words = WordCrystal(n)
     for content in {power.wt(x) for x in power.vertex_ids()}:
-        found = {word_to_id(words.word(x), n) for x in words.highest_weight_words(content)}
+        found = {word_to_id(x, n) for x in words.highest_weight_words(content)}
         assert found == {x for x in tops if power.wt(x) == content}
 
 
