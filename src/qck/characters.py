@@ -22,7 +22,7 @@ class IntPolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms=None):
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError("n must be a positive integer")
         self.n = n
         clean: dict[tuple[int, ...], int] = {}
@@ -183,6 +183,8 @@ def fundamental_qsym(alpha, n: int) -> IntPolynomial:
     weakly increasing words of length |alpha| with a strict rise at every
     descent position (the partial sums of alpha except the last)."""
     comp = check_composition(alpha)
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
     descents = set(accumulate(comp[:-1]))
     level = [(1, (0,) * n)]  # (last letter, exponents) of each word so far
     for pos in range(sum(comp)):

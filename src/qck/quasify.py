@@ -13,7 +13,7 @@ import enum
 from .axioms import check_stembridge
 from .graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, validate
 from .structure import components
-from .weightlattice import check_partition, ssyt_count, syt_count
+from .weightlattice import check_partition, entry_rows, enumerate_syt, ssyt_count, syt_count
 from .wordmodel import SizeCapExceeded, WordCrystal, default_size_cap, word_to_id
 
 
@@ -91,6 +91,8 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
     the components of the |shape|-th tensor power of the standard crystal
     with that highest weight, the one with the least vertex id.
 
+    A word is highest weight iff each suffix has partition content: the top
+    words are the shape's standard tableaux read backwards, row of entry m first.
     For n <= 9 an id is the word itself and each f_i raises one letter, so a
     component's least id is its top word: only the component of the least
     highest-weight word is walked. For n >= 10 all of them are. The size cap
@@ -113,8 +115,7 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
             f"content {parts} at n={n} stores {tops}*{fillings} rows of {n - 1} string lengths,"
             f" more than the size cap {cap}"
         )
-    target = parts + (0,) * (n - len(parts))
-    top_words = words.highest_weight_words(target)
+    top_words = [entry_rows(t)[::-1] for t in enumerate_syt(parts)]
     if n <= 9:  # word tuples of one length sort as their ids
         return words.graph(words.component(min(top_words)))
     # dash-joined ids do not sort as words ("10" < "2"): the least id may lie in any component

@@ -78,7 +78,7 @@ def components(g: QuasiCrystalGraph) -> list[Component]:
         block.sort()
         hw = tuple(x for x in block if all(y is None for y in E[x]))
         comps.append(Component(g, tuple(block), hw))
-    comps.sort(key=lambda c: c.min_vertex)
+    # starts go in id order and claim whole blocks: each is its block's least id
     return comps
 
 

@@ -139,22 +139,26 @@ def syt_shape(t: Tableau) -> Partition:
     return tuple(len(row) for row in t)
 
 
+def entry_rows(t: Tableau) -> tuple[int, ...]:
+    """The row, counted from 1, of each entry 1..m of a standard tableau."""
+    m = sum(len(row) for row in t)
+    if m == 0:
+        raise ValueError("empty tableau")
+    row_of = {entry: r for r, row in enumerate(t, start=1) for entry in row}
+    if sorted(row_of) != list(range(1, m + 1)):
+        raise ValueError("tableau entries must be exactly 1..m")
+    return tuple(row_of[j] for j in range(1, m + 1))
+
+
 def descent_composition(t: Tableau) -> Composition:
     """Composition of m recording the descents of a standard tableau.
 
     j is a descent when j+1 sits in a strictly lower row; the composition's
     partial sums are exactly the descent positions.
     """
-    m = sum(len(row) for row in t)
-    if m == 0:
-        raise ValueError("empty tableau")
-    row_of = {}
-    for r, row in enumerate(t):
-        for entry in row:
-            row_of[entry] = r
-    if sorted(row_of) != list(range(1, m + 1)):
-        raise ValueError("tableau entries must be exactly 1..m")
-    descents = [j for j in range(1, m) if row_of[j + 1] > row_of[j]]
+    rows = entry_rows(t)
+    m = len(rows)
+    descents = [j for j in range(1, m) if rows[j] > rows[j - 1]]
     bounds = [0] + descents + [m]
     comp = tuple(bounds[k + 1] - bounds[k] for k in range(len(bounds) - 1))
     assert sum(comp) == m

@@ -211,29 +211,6 @@ class WordCrystal:
             rows[word[j:]] = _pair_row(rows[rest], self._letters[(p, c)], self._blocking)
         return rows[word]
 
-    def highest_weight_words(self, content) -> list[Word]:
-        """Every highest-weight word of the given content.
-
-        Grown by prepending letters: by the product rule every suffix of a
-        highest-weight word is highest weight, and ``(c,) + rest`` with rest
-        highest weight is so iff c = 1 or phi_{c-1}(rest) > 0. Blocking breaks
-        that pruning, since a frozen index hides a suffix's raising edge.
-        """
-        if self._blocking:
-            raise ValueError("highest_weight_words needs the classical power (blocking=False)")
-        out = []
-        stack = [((), tuple(content))]
-        while stack:
-            rest, left = stack.pop()
-            if not any(left):
-                out.append(rest)
-                continue
-            phi = self.row(rest)[2]
-            for c in range(1, self.n + 1):
-                if left[c - 1] and (c == 1 or phi[c - 2] > 0):
-                    stack.append(((c,) + rest, left[: c - 1] + (left[c - 1] - 1,) + left[c:]))
-        return out
-
     def component(self, top: Word) -> set[Word]:
         """The words reached from ``top`` by lowering operators."""
         seen = {top}

@@ -11,7 +11,8 @@ of the literature: the quasi rule of Cain and Malheiro and the classical
 signature rule, neither of which restates the product rule),
 ``content_component_via_power`` (content crystals by power-then-pick, the
 power from the signature rule), ``content_component_all_walks`` (content crystals by a
-walk of every component with the wanted highest weight),
+walk of every component with the wanted highest weight, whose top words
+``highest_weight_words_via_rule`` finds by the product rule's rows),
 ``fuzz_via_copies`` (fuzz by copy and full battery), and the whole-graph
 readers as they were written over the guarded per-entry accessors
 (``validate_via_accessors``, ``seminormal_via_accessors``,
@@ -338,6 +339,30 @@ def content_component_via_power(shape: tuple[int, ...], n: int):
     raise RuntimeError(f"no component with highest weight {target} found")
 
 
+def highest_weight_words_via_rule(words, content) -> list[tuple[int, ...]]:
+    """Every highest-weight word of the given content in the classical power
+    ``words`` (a ``WordCrystal``), read off the product rule's rows.
+
+    Grown by prepending letters: by the product rule every suffix of a
+    highest-weight word is highest weight, and ``(c,) + rest`` with rest
+    highest weight is so iff c = 1 or phi_{c-1}(rest) > 0. Blocking breaks
+    that pruning, since a frozen index hides a suffix's raising edge.
+    """
+    assert not words._blocking, "the pruning holds for the classical power only"
+    out = []
+    stack = [((), tuple(content))]
+    while stack:
+        rest, left = stack.pop()
+        if not any(left):
+            out.append(rest)
+            continue
+        phi = words.row(rest)[2]
+        for c in range(1, words.n + 1):
+            if left[c - 1] and (c == 1 or phi[c - 2] > 0):
+                stack.append(((c,) + rest, left[: c - 1] + (left[c - 1] - 1,) + left[c:]))
+    return out
+
+
 def content_component_all_walks(shape: tuple[int, ...], n: int):
     """The content crystal by walking the component of every highest-weight
     word of content shape, then keeping the one with the least vertex id."""
@@ -349,8 +374,23 @@ def content_component_all_walks(shape: tuple[int, ...], n: int):
         raise ValueError(f"shape {parts} has more than n={n} parts")
     words = WordCrystal(n)
     target = parts + (0,) * (n - len(parts))
-    comps = [words.component(top) for top in words.highest_weight_words(target)]
+    comps = [words.component(top) for top in highest_weight_words_via_rule(words, target)]
     return words.graph(min(comps, key=lambda comp: min(word_to_id(x, n) for x in comp)))
+
+
+def quasi_power_highest_weights(n: int, k: int) -> Counter:
+    """The highest weights of the components of the quasi power q(n, k), from
+    the decomposition of (x_1 + ... + x_n)^k into fundamentals: one component
+    of highest weight alpha, padded to n, for each permutation of 1..k whose
+    descent composition alpha has at most n parts."""
+    out = Counter()
+    for sigma in itertools.permutations(range(1, k + 1)):
+        descents = [j for j in range(1, k) if sigma[j - 1] > sigma[j]]
+        if len(descents) < n:
+            bounds = [0] + descents + [k]
+            alpha = tuple(bounds[t + 1] - bounds[t] for t in range(len(bounds) - 1))
+            out[alpha + (0,) * (n - len(alpha))] += 1
+    return out
 
 
 def fuzz_via_copies(g, count: int, seed: int):

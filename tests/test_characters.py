@@ -14,7 +14,7 @@ from qck.characters import (
     schur,
     verify_schur_decomposition,
 )
-from qck.structure import components
+from qck.structure import components, unique_highest_weight
 from qck.weightlattice import partitions_of
 from qck.wordmodel import SizeCapExceeded, standard_crystal
 
@@ -85,6 +85,12 @@ def test_pow_matches_repeated_multiplication(p, k):
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         IntPolynomial.variables_sum(2) ** -1
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", 0])
+def test_constructor_refuses_a_rank_that_is_not_a_positive_int(n):
+    with pytest.raises(ValueError, match=r"^n must be a positive integer$"):
+        IntPolynomial(n)
 
 
 def test_rank_mismatch_raises():
@@ -227,7 +233,25 @@ def test_fundamental_rejects_bad_compositions():
         fundamental_qsym((True,), 2)
 
 
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", 0])
+def test_fundamental_refuses_a_rank_that_is_not_a_positive_int(n):
+    with pytest.raises(ValueError, match=r"^n must be a positive integer$"):
+        fundamental_qsym((1,), n)
+
+
 # -------------------------------------------------------------- decomposition
+
+
+@pytest.mark.parametrize("n,k", [(2, 3), (3, 3), (3, 4), (4, 4), (3, 5), (2, 5), (4, 5), (5, 4)])
+def test_quasi_power_decomposes_by_descent_compositions(n, k):
+    # one component per permutation with at most n descent runs, of character F_alpha
+    g = qpow(n, k)
+    comps = components(g)
+    tops = [unique_highest_weight(comp) for comp in comps]
+    assert Counter(g.wt(x) for x in tops) == oracles.quasi_power_highest_weights(n, k)
+    for comp, top in zip(comps, tops):
+        alpha = tuple(c for c in g.wt(top) if c)
+        assert character(comp) == fundamental_qsym(alpha, n)
 
 
 def test_schur_decomposition_passes_small():

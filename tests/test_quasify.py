@@ -1,5 +1,6 @@
 import time
 
+from hypothesis import assume, given, settings, strategies as st
 import pytest
 
 from qck.graphcore import POS_INF, is_crystal, is_seminormal, validate
@@ -11,8 +12,8 @@ from qck.quasify import (
     quasify,
 )
 from qck.structure import components, unique_highest_weight
-from qck.weightlattice import enumerate_syt, partitions_of
-from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, id_to_word, word_content, word_to_id
+from qck.weightlattice import entry_rows, enumerate_syt, partitions_of
+from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, WordCrystal, id_to_word, word_content, word_to_id
 
 from corpus import content_cases, content_crystal, content_quasi, crystal_corpus, qpow, std, tpow
 
@@ -284,6 +285,20 @@ def test_content_crystal_matches_all_walks(shape, n):
     assert fast == slow
     assert fast.edges() == slow.edges()
     assert fast.raising_edges() == slow.raising_edges()
+
+
+@pytest.mark.parametrize("shape,n", sorted(set(DIFFERENTIAL_CASES + ALL_WALKS_CASES)))
+def test_top_words_are_reversed_tableaux(shape, n):
+    # the tops that the product rule's rows find are the standard tableaux read backwards
+    found = oracles.highest_weight_words_via_rule(WordCrystal(n), shape + (0,) * (n - len(shape)))
+    assert sorted(found) == sorted(entry_rows(t)[::-1] for t in enumerate_syt(shape))
+
+
+@settings(deadline=None)
+@given(st.sampled_from([p for m in range(1, 8) for p in partitions_of(m)]), st.integers(2, 5))
+def test_top_words_are_reversed_tableaux_everywhere(shape, n):
+    assume(len(shape) <= n)
+    test_top_words_are_reversed_tableaux(shape, n)
 
 
 @pytest.mark.parametrize("k", range(2, 13))

@@ -213,3 +213,9 @@ def test_descent_composition_matches_oracle():
 def test_descent_composition_rejects_bad_entries():
     with pytest.raises(ValueError):
         descent_composition(((1, 2), (4,)))
+    for empty in [(), ((),)]:
+        with pytest.raises(ValueError, match=r"^empty tableau$"):
+            descent_composition(empty)
+    for bad in [((1, 2), (2,)), ((1, 3),)]:  # a duplicate, and a gap
+        with pytest.raises(ValueError, match=r"^tableau entries must be exactly 1\.\.m$"):
+            descent_composition(bad)

@@ -6,6 +6,7 @@ import pytest
 
 from qck import wordmodel
 from qck.graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, validate
+from qck.weightlattice import entry_rows, enumerate_syt
 from qck.wordmodel import (
     DEFAULT_SIZE_CAP,
     SIZE_CAP_ENV,
@@ -376,19 +377,21 @@ def test_product_refuses_colliding_pair_ids(product):
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 4), (3, 3), (3, 4), (4, 3), (4, 4)])
 def test_highest_weight_words_match_the_power(n, k):
-    # every content of k letters, partition or not, against the power's tops of that weight
+    # every content of k letters against the power's tops of that weight: a
+    # partition's are its standard tableaux read backwards, any other has none
     power = oracles.power_via_products(n, k, blocking=False)
     tops = [x for x in power.vertex_ids() if all(power.e(x, i) is None for i in power.index_set)]
-    words = WordCrystal(n)
     for content in {power.wt(x) for x in power.vertex_ids()}:
-        found = {word_to_id(x, n) for x in words.highest_weight_words(content)}
-        assert found == {x for x in tops if power.wt(x) == content}
+        expected = {x for x in tops if power.wt(x) == content}
+        if list(content) == sorted(content, reverse=True):
+            shape = tuple(c for c in content if c)
+            assert {word_to_id(entry_rows(t)[::-1], n) for t in enumerate_syt(shape)} == expected
+        else:
+            assert not expected
 
 
-def test_highest_weight_words_refuse_the_quasi_power():
-    # its pruning holds for the classical rule only: the quasi power's tops
-    # of content (1, 2) at n = 2 are 212 and 221, and it would find only 221
+def test_quasi_power_has_tops_of_a_content_that_is_no_partition():
+    # the tableau rule holds for the classical power only: the quasi power's
+    # tops of content (1, 2) at n = 2 are 212 and 221, and the rule finds none
     q = qpow(2, 3)
     assert {x for x in q.vertex_ids() if q.wt(x) == (1, 2) and q.e(x, 1) is None} == {"212", "221"}
-    with pytest.raises(ValueError, match=r"^highest_weight_words needs the classical power \(blocking=False\)$"):
-        WordCrystal(2, blocking=True).highest_weight_words((1, 2))
