@@ -11,9 +11,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .quasify import crystal_of_content, quasify
+from .quasify import _content_graph, _content_words, crystal_of_content, quasify
 from .structure import Component, components
-from .weightlattice import check_composition, check_partition, descent_composition, enumerate_syt
+from .weightlattice import check_composition, descent_composition, enumerate_syt
 
 
 class IntPolynomial:
@@ -108,7 +108,7 @@ class IntPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative int")
         result = IntPolynomial.one(self.n)
         base = self
@@ -233,9 +233,10 @@ def verify_schur_decomposition(shape, n: int) -> SchurDecompositionReport:
     """Check that the content character equals the sum of fundamental terms
     over standard tableaux, and that the quasified components realize those
     terms one-for-one."""
-    parts = check_partition(shape)
-    content = crystal_of_content(parts, n)  # holds the size cap before any tableau is listed
-    term_comps = sorted(descent_composition(t) for t in enumerate_syt(parts))
+    parts, words = _content_words(shape, n)  # the size cap, before any tableau is listed
+    tableaux = enumerate_syt(parts)  # listed once, for the content crystal and the F-terms
+    content = _content_graph(words, tableaux)
+    term_comps = sorted(descent_composition(t) for t in tableaux)
     f_terms = [fundamental_qsym(a, n) for a in term_comps]
     identity_ok = character(content) == sum(f_terms, IntPolynomial.zero(n))
 

@@ -13,7 +13,7 @@ from collections import Counter
 
 from . import characters, mutation
 from .axioms import CORE, CRYSTAL_AXIOMS, QUASI_AXIOMS, battery, run_checks
-from .graphcore import _plain, dumps, read_graph, validate
+from .graphcore import _plain, dumps, read_graph, validate, write_graph
 from .quasify import count_quasi_components, quasify
 from .structure import TheoremViolation, components, isomorphic, rank_table
 from .weightlattice import syt_count
@@ -42,12 +42,12 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad shape {text!r}; expected comma-separated ints like 2,1") from None
 
 
-def _emit(payload: str, out_path: str | None) -> None:
+def _emit(g, fmt: str, out_path: str | None) -> None:
+    """Write g's document to out_path, or to stdout, as it is made."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        write_graph(g, out_path, fmt)
     else:
-        sys.stdout.write(payload)
+        dumps(g, fmt, sys.stdout)
 
 
 def _cmd_build(args) -> int:
@@ -58,7 +58,7 @@ def _cmd_build(args) -> int:
         g = tensor_power(args.n, args.k, size_cap=cap)
     else:
         g = quasi_tensor_power(args.n, args.k, size_cap=cap)
-    _emit(dumps(g, args.format), args.output)
+    _emit(g, args.format, args.output)
     return EXIT_OK
 
 
@@ -107,7 +107,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_quasify(args) -> int:
     g = read_graph(args.file)
     q = quasify(g)
-    _emit(dumps(q, args.format), args.output)
+    _emit(q, args.format, args.output)
     return EXIT_OK
 
 
@@ -168,7 +168,7 @@ def _cmd_iso(args) -> int:
 
 def _cmd_export(args) -> int:
     g = read_graph(args.file)
-    _emit(dumps(g, args.fmt), args.output)
+    _emit(g, args.fmt, args.output)
     return EXIT_OK
 
 

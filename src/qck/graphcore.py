@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .weightlattice import Weight
 
@@ -306,22 +307,12 @@ class QuasiCrystalGraph:
 
     def edges(self) -> list[tuple[str, int, str]]:
         """All lowering edges (x, i, f_i(x)), sorted."""
-        out = []
-        for x in self.vertex_ids():
-            for i, y in enumerate(self._f[x], start=1):
-                if y is not None:
-                    out.append((x, i, y))
-        return out
+        return list(_edges_from(self.vertex_ids(), self._f))
 
     def raising_edges(self, around=None) -> list[tuple[str, int, str]]:
         """All raising edges (x, i, e_i(x)), sorted; the e-table's own view.
         With ``around``, only the edges whose source is in it."""
-        out = []
-        for x in self.anchors(around):
-            for i, y in enumerate(self._e[x], start=1):
-                if y is not None:
-                    out.append((x, i, y))
-        return out
+        return list(_edges_from(self.anchors(around), self._e))
 
     # -- low-level mutation (used by constructors and the fuzz harness) ----
 
@@ -376,6 +367,14 @@ class QuasiCrystalGraph:
 
     def __repr__(self):
         return f"QuasiCrystalGraph(n={self.n}, vertices={len(self)})"
+
+
+def _edges_from(ids, rows):
+    """(x, i, rows[x][i - 1]) for each x of ids and each index with a target, in order."""
+    for x in ids:
+        for i, y in enumerate(rows[x], start=1):
+            if y is not None:
+                yield x, i, y
 
 
 # -- coherence ---------------------------------------------------------------
@@ -562,30 +561,45 @@ def _parse_csv(tok: str, what: str, where: str):
         raise GraphFormatError(f"{where}: bad {what}: {exc}") from None
 
 
-def _by_row(g: QuasiCrystalGraph, render) -> list[tuple[str, str]]:
+def _by_row(g: QuasiCrystalGraph, render):
     """(id, render(wt, eps, phi)) per vertex in id order, render called once
     per distinct row: a graph has few (q(5,6): 15,625 vertices, 685 rows)."""
     W, EPS, PHI = g._wt, g._eps, g._phi
     memo: dict[tuple, str] = {}
-    out = []
     for x in g.vertex_ids():
         row = (W[x], tuple(EPS[x]), tuple(PHI[x]))
         text = memo.get(row)
         if text is None:
             text = memo[row] = render(*row)
-        out.append((x, text))
-    return out
+        yield x, text
+
+
+def _stream(pieces, out):
+    """The pieces of a document joined, or, with ``out``, written to that
+    text file and None. The file gets joined batches of a few thousand
+    pieces, so the whole document is never held at once."""
+    if out is None:
+        return "".join(pieces)
+    for batch in iter(lambda: list(islice(pieces, 4096)), []):
+        out.write("".join(batch))
+    return None
 
 
 def _text_row(wt, eps, phi) -> str:
     return f"{_csv(map(str, wt))} {_csv(map(ext_str, eps))} {_csv(map(ext_str, phi))}"
 
 
-def to_text(g: QuasiCrystalGraph) -> str:
-    lines = [f"{FORMAT_NAME} v{FORMAT_VERSION}", f"n {g.n}"]
-    lines += [f"vertex {x} {row}" for x, row in _by_row(g, _text_row)]
-    lines += [f"edge {x} {y} {i}" for x, i, y in g.edges()]
-    return "\n".join(lines) + "\n"
+def _text_pieces(g: QuasiCrystalGraph):
+    yield f"{FORMAT_NAME} v{FORMAT_VERSION}\nn {g.n}\n"
+    for x, row in _by_row(g, _text_row):
+        yield f"vertex {x} {row}\n"
+    for x, i, y in _edges_from(g.vertex_ids(), g._f):
+        yield f"edge {x} {y} {i}\n"
+
+
+def to_text(g: QuasiCrystalGraph, out=None) -> str | None:
+    """The graph's text document; with ``out``, written to that file instead."""
+    return _stream(_text_pieces(g), out)
 
 
 def from_text(text: str) -> QuasiCrystalGraph:
@@ -609,6 +623,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(n)
     edges = []
+    ids: dict[str, str] = {}  # each id as stored, for the edge ends to share
     # Each distinct row text (weight, eps, phi: the unit _by_row writes) is
     # parsed and checked at its first sight, so a bad field refuses at the
     # vertex where it first appears; every vertex runs the store checks.
@@ -633,6 +648,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
                 g._put_vertex(vid, g._weight(vid, wt, ints=True), list(eps), list(phi))
             except ValueError as exc:
                 raise GraphFormatError(str(exc)) from None
+            ids[vid] = vid
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise GraphFormatError(f"bad edge line {ln!r}")
@@ -647,10 +663,11 @@ def from_text(text: str) -> QuasiCrystalGraph:
                 i = labels[label] = int(_plain(label))
             except ValueError:
                 raise GraphFormatError(f"bad edge label {label!r}") from None
-        if src not in g._wt or dst not in g._wt:
+        x, y = ids.get(src), ids.get(dst)
+        if x is None or y is None:
             raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
         try:
-            g.add_edge(src, i, dst)
+            g.add_edge(x, i, y)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
     return g
@@ -660,17 +677,21 @@ def _ext_json(v):
     return repr(v) if isinstance(v, Infinity) else v
 
 
-def _ext_from_json(v, where: str):
-    if isinstance(v, bool):
-        raise GraphFormatError(f"{where}: expected int or '+inf'/'-inf', got {v!r}")
-    if isinstance(v, int):
-        return v
+def _ext_from_json(v, where: str, parsed: dict):
+    """v as an extended integer; ``parsed`` holds each string already read,
+    so each distinct string is parsed once. Only strings are keys: true and
+    1.0 hash like 1, and must not be read as an int that was seen."""
     if isinstance(v, str):
-        try:
-            return parse_ext(v)
-        except ValueError as exc:
-            raise GraphFormatError(f"{where}: {exc}") from None
-    raise GraphFormatError(f"{where}: expected int or '+inf'/'-inf', got {v!r}")
+        got = parsed.get(v)
+        if got is None:
+            try:
+                got = parsed[v] = parse_ext(v)
+            except ValueError as exc:
+                raise GraphFormatError(f"{where}: {exc}") from None
+        return got
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise GraphFormatError(f"{where}: expected int or '+inf'/'-inf', got {v!r}")
+    return v
 
 
 # json.dumps writes a string with this under its default ensure_ascii=True
@@ -691,24 +712,36 @@ def _json_row(wt, eps, phi) -> str:
     )
 
 
-def _json_items(records: list[str]) -> str:
-    return "[\n" + ",\n".join(records) + "\n  ]" if records else "[]"
+def _json_items(records):
+    """The pieces of a top-level field's list of records."""
+    sep = "[\n"
+    for record in records:
+        yield sep
+        yield record
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
 
 
-def to_json(g: QuasiCrystalGraph) -> str:
-    """The graph's document as json.dumps(doc, indent=2) writes it, byte for
-    byte, plus a newline. With indent set, CPython's encoder runs in pure
-    Python, so the document is assembled here from one encoding per distinct
-    row."""
-    vertices = [f'    {{\n      "id": {_json_str(x)}{row}' for x, row in _by_row(g, _json_row)]
-    edges = [
-        f'    {{\n      "from": {_json_str(x)},\n      "to": {_json_str(y)},\n      "label": {i}\n    }}'
-        for x, i, y in g.edges()
-    ]
-    return (
+def _json_pieces(g: QuasiCrystalGraph):
+    yield (
         f'{{\n  "format": {_json_str(FORMAT_NAME)},\n  "version": {FORMAT_VERSION},\n  "n": {json.dumps(g.n)},\n'
-        f'  "vertices": {_json_items(vertices)},\n  "edges": {_json_items(edges)}\n}}\n'
+        '  "vertices": '
     )
+    yield from _json_items(f'    {{\n      "id": {_json_str(x)}{row}' for x, row in _by_row(g, _json_row))
+    yield ',\n  "edges": '
+    yield from _json_items(
+        f'    {{\n      "from": {_json_str(x)},\n      "to": {_json_str(y)},\n      "label": {i}\n    }}'
+        for x, i, y in _edges_from(g.vertex_ids(), g._f)
+    )
+    yield "\n}\n"
+
+
+def to_json(g: QuasiCrystalGraph, out=None) -> str | None:
+    """The graph's document as json.dumps(doc, indent=2) writes it, byte for
+    byte, plus a newline; with ``out``, written to that file instead. With
+    indent set, CPython's encoder runs in pure Python, so the document is
+    assembled here from one encoding per distinct row."""
+    return _stream(_json_pieces(g), out)
 
 
 def from_json(text: str) -> QuasiCrystalGraph:
@@ -729,9 +762,13 @@ def from_json(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(doc["n"])
     # json.loads makes no int subclass but bool, so `type(v) is int` is the
-    # finite-int test. Values are not memoized: True == 1 and 1.0 == 1 hash
-    # alike, so a memo would read [true, 0] as [1, 0].
-    for rec in vertices:
+    # finite-int test.
+    parsed: dict[str, ExtInt] = {}
+    ids: dict[str, str] = {}  # each id as stored, for the edge ends to share
+    # Each record leaves the document as it is taken and is freed once it
+    # is stored, so the document shrinks as the graph grows.
+    for k, rec in enumerate(vertices):
+        vertices[k] = None
         try:
             vid = rec["id"]
             wt = rec["wt"]
@@ -740,8 +777,8 @@ def from_json(text: str) -> QuasiCrystalGraph:
             raise GraphFormatError(f"bad vertex record {rec!r}: {exc}") from None
         if not isinstance(eps, list) or not isinstance(phi, list):
             raise GraphFormatError(f"{vid}: eps and phi must be lists")
-        eps = [v if type(v) is int else _ext_from_json(v, vid) for v in eps]
-        phi = [v if type(v) is int else _ext_from_json(v, vid) for v in phi]
+        eps = [v if type(v) is int else _ext_from_json(v, vid, parsed) for v in eps]
+        phi = [v if type(v) is int else _ext_from_json(v, vid, parsed) for v in phi]
         if not isinstance(wt, list) or any(type(c) is not int for c in wt):
             raise GraphFormatError(f"{vid}: weight entries must be finite ints")
         try:
@@ -749,17 +786,22 @@ def from_json(text: str) -> QuasiCrystalGraph:
             g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
-    for rec in edges:
+        ids[vid] = vid
+    for k, rec in enumerate(edges):
+        edges[k] = None
         try:
             src, dst, label = rec["from"], rec["to"], rec["label"]
         except (KeyError, TypeError) as exc:
             raise GraphFormatError(f"bad edge record {rec!r}: {exc}") from None
-        if not isinstance(src, str) or not isinstance(dst, str) or src not in g._wt or dst not in g._wt:
+        # an end that is not a string may be a list or dict, which no dict lookup takes
+        x = ids.get(src) if isinstance(src, str) else None
+        y = ids.get(dst) if isinstance(dst, str) else None
+        if x is None or y is None:
             raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
         if isinstance(label, bool) or not isinstance(label, int):
             raise GraphFormatError(f"bad edge label {label!r}")
         try:
-            g.add_edge(src, label, dst)
+            g.add_edge(x, label, y)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
     return g
@@ -781,26 +823,30 @@ def _dot_quote(vid: str) -> str:
     return vid.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def to_dot(g: QuasiCrystalGraph) -> str:
-    """Graphviz digraph: lowering edges labelled/coloured by index, loops as
-    dashed self-edges, vertex labels carrying the weight."""
-    out = ["digraph quasicrystal {", "  rankdir=TB;"]
+def _dot_pieces(g: QuasiCrystalGraph):
+    yield "digraph quasicrystal {\n  rankdir=TB;\n"
     W, EPS, PHI = g._wt, g._eps, g._phi
     for x in g.vertex_ids():
         qx = _dot_quote(x)
         wt = ",".join(str(c) for c in W[x])
-        out.append(f'  "{qx}" [label="{qx}\\n({wt})"];')
-    for x, i, y in g.edges():
+        yield f'  "{qx}" [label="{qx}\\n({wt})"];\n'
+    for x, i, y in _edges_from(g.vertex_ids(), g._f):
         color = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
-        out.append(f'  "{_dot_quote(x)}" -> "{_dot_quote(y)}" [label="{i}", color="{color}"];')
+        yield f'  "{_dot_quote(x)}" -> "{_dot_quote(y)}" [label="{i}", color="{color}"];\n'
     for x in g.vertex_ids():
         for i, (eps, phi) in enumerate(zip(EPS[x], PHI[x]), start=1):
             if eps is POS_INF and phi is POS_INF:  # a loop
                 color = _DOT_PALETTE[(i - 1) % len(_DOT_PALETTE)]
                 qx = _dot_quote(x)
-                out.append(f'  "{qx}" -> "{qx}" [label="{i}", color="{color}", style=dashed];')
-    out.append("}")
-    return "\n".join(out) + "\n"
+                yield f'  "{qx}" -> "{qx}" [label="{i}", color="{color}", style=dashed];\n'
+    yield "}\n"
+
+
+def to_dot(g: QuasiCrystalGraph, out=None) -> str | None:
+    """Graphviz digraph: lowering edges labelled/coloured by index, loops as
+    dashed self-edges, vertex labels carrying the weight. With ``out``,
+    written to that file instead."""
+    return _stream(_dot_pieces(g), out)
 
 
 def loads(text: str) -> QuasiCrystalGraph:
@@ -816,18 +862,24 @@ def read_graph(path: str) -> QuasiCrystalGraph:
         return loads(fh.read())
 
 
-def dumps(g: QuasiCrystalGraph, fmt: str = "text") -> str:
-    """Serialize g as "text", "json" or "dot"; the writer side of ``loads``."""
+def _writer(fmt: str):
     if fmt == "text":
-        return to_text(g)
+        return to_text
     if fmt == "json":
-        return to_json(g)
+        return to_json
     if fmt == "dot":
-        return to_dot(g)
+        return to_dot
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def dumps(g: QuasiCrystalGraph, fmt: str = "text", out=None) -> str | None:
+    """Serialize g as "text", "json" or "dot"; the writer side of ``loads``.
+    With ``out``, a text file, the document is written there piece by piece
+    and None is returned."""
+    return _writer(fmt)(g, out)
+
+
 def write_graph(g: QuasiCrystalGraph, path: str, fmt: str = "text") -> None:
-    payload = dumps(g, fmt)
+    writer = _writer(fmt)  # an unknown format makes no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        writer(g, fh)

@@ -99,6 +99,13 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
     is held, before any walk, to f^shape * #SSYT(shape, n) words of |shape|
     letters, an upper bound on the walk, and to n - 1 string lengths per word.
     """
+    parts, words = _content_words(shape, n)
+    return _content_graph(words, enumerate_syt(parts))
+
+
+def _content_words(shape, n: int) -> tuple[tuple[int, ...], WordCrystal]:
+    """The partition and the power of rank n that crystal_of_content(shape, n)
+    walks, refused unless the size cap allows the walk; no tableau is listed."""
     parts = check_partition(shape)
     if len(parts) > n:
         raise ValueError(f"shape {parts} has more than n={n} parts")
@@ -115,12 +122,17 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
             f"content {parts} at n={n} stores {tops}*{fillings} rows of {n - 1} string lengths,"
             f" more than the size cap {cap}"
         )
-    top_words = [entry_rows(t)[::-1] for t in enumerate_syt(parts)]
-    if n <= 9:  # word tuples of one length sort as their ids
+    return parts, words
+
+
+def _content_graph(words: WordCrystal, tableaux) -> QuasiCrystalGraph:
+    """crystal_of_content's graph, from every standard tableau of its shape."""
+    top_words = [entry_rows(t)[::-1] for t in tableaux]
+    if words.n <= 9:  # word tuples of one length sort as their ids
         return words.graph(words.component(min(top_words)))
     # dash-joined ids do not sort as words ("10" < "2"): the least id may lie in any component
     comps = [words.component(top) for top in top_words]
-    return words.graph(min(comps, key=lambda comp: min(word_to_id(x, n) for x in comp)))
+    return words.graph(min(comps, key=lambda comp: min(word_to_id(x, words.n) for x in comp)))
 
 
 def count_quasi_components(shape, n: int) -> int:

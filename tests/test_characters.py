@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from collections import Counter
 
@@ -15,7 +16,7 @@ from qck.characters import (
     verify_schur_decomposition,
 )
 from qck.structure import components, unique_highest_weight
-from qck.weightlattice import partitions_of
+from qck.weightlattice import enumerate_syt, partitions_of
 from qck.wordmodel import SizeCapExceeded, standard_crystal
 
 from corpus import content_crystal, qpow, std, tpow
@@ -85,6 +86,12 @@ def test_pow_matches_repeated_multiplication(p, k):
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
         IntPolynomial.variables_sum(2) ** -1
+
+
+@pytest.mark.parametrize("k", [True, False])
+def test_pow_refuses_a_bool_exponent(k):
+    with pytest.raises(ValueError, match="^exponent must be a non-negative int$"):
+        IntPolynomial.variables_sum(2) ** k
 
 
 @pytest.mark.parametrize("n", [True, False, 2.0, "2", 0])
@@ -306,3 +313,18 @@ def test_schur_decomposition_over_the_cap_lists_no_tableau(monkeypatch):
     monkeypatch.setenv("QCK_SIZE_CAP", "100")
     with pytest.raises(SizeCapExceeded):
         verify_schur_decomposition((4, 4, 4, 4), 4)
+
+
+def test_schur_decomposition_lists_the_standard_tableaux_once(monkeypatch):
+    listed = []
+
+    def counted(shape):
+        listed.append(shape)
+        return enumerate_syt(shape)
+
+    expected = verify_schur_decomposition((4, 3, 1), 4).lines()
+    monkeypatch.setattr(qck.characters, "enumerate_syt", counted)
+    quasify = importlib.import_module("qck.quasify")  # the package's quasify is the function
+    monkeypatch.setattr(quasify, "enumerate_syt", counted)
+    assert verify_schur_decomposition((4, 3, 1), 4).lines() == expected
+    assert listed == [(4, 3, 1)]

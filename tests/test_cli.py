@@ -529,6 +529,52 @@ def test_pipeline_stdout_is_pinned(tmp_path, capsys):
     assert pipeline_outputs(tmp_path, capsys) == PIPELINE_DIGESTS
 
 
+# sha256 of each writing command's document, with its exit code, computed
+# before the writers streamed to the output; q(3,8) is more pieces than one
+# write takes. Each command runs twice, writing to -o FILE and to stdout,
+# and both must give the same bytes.
+WRITER_DIGESTS = {
+    "build q38": (0, "1958f25d9d5f6ffca795ad23bd37a7d9e909a68c7cc110087eae12f3ab6d9752"),
+    "build t35 json": (0, "029398ebcb7194b986e27d8d37f9d088a5e8e9f09fc883161e90b5e54536aa8a"),
+    "build std4": (0, "456f4b97b6074efaa592634f80b8797f2c41e9d4a6fd17a81d53e420aca8abe8"),
+    "export text q38": (0, "1958f25d9d5f6ffca795ad23bd37a7d9e909a68c7cc110087eae12f3ab6d9752"),
+    "export text t35": (0, "4cc2bd19f67058132601291be3275ac2112ac3d67e771fe148f2a674502a28fa"),
+    "export json q38": (0, "590fb6b9e6ed0e40a7f9a70cf60f1327a527fd39788b117a1675d8402de92f00"),
+    "export json t35": (0, "029398ebcb7194b986e27d8d37f9d088a5e8e9f09fc883161e90b5e54536aa8a"),
+    "export dot q38": (0, "87cc5d26b17f05067f6a376cb2fd1d6b976030ae79ca6f357e9ede1c735590c3"),
+    "export dot t35": (0, "c30d184dde2d847535c6a04657e3496849d222371ac2f1a3cd069aabd0bdf514"),
+    "quasify text std4": (0, "456f4b97b6074efaa592634f80b8797f2c41e9d4a6fd17a81d53e420aca8abe8"),
+    "quasify json std4": (0, "fdfc13f38bb89b8491f87621ba26e0a70bef1a497c43346c3b2cc96b63dd76c6"),
+}
+
+
+def writer_outputs(tmp_path, capsys) -> dict:
+    q38, t35, std4 = tmp_path / "q38", tmp_path / "t35.json", tmp_path / "std4"
+    out = {}
+
+    def run(label, argv, path):
+        rc = main([str(a) for a in argv + ["-o", path]])
+        assert capsys.readouterr().out == ""
+        written = path.read_bytes()
+        assert main([str(a) for a in argv]) == rc
+        assert capsys.readouterr().out.encode() == written, label
+        out[label] = (rc, hashlib.sha256(written).hexdigest())
+
+    run("build q38", ["build", "qtensor-power", "--n", "3", "--k", "8"], q38)
+    run("build t35 json", ["build", "tensor-power", "--n", "3", "--k", "5", "--format", "json"], t35)
+    run("build std4", ["build", "std", "--n", "4"], std4)
+    for fmt in ("text", "json", "dot"):
+        run(f"export {fmt} q38", ["export", fmt, q38], tmp_path / f"q38.{fmt}")
+        run(f"export {fmt} t35", ["export", fmt, t35], tmp_path / f"t35.{fmt}")
+    for fmt in ("text", "json"):
+        run(f"quasify {fmt} std4", ["quasify", std4, "--format", fmt], tmp_path / f"q4.{fmt}")
+    return out
+
+
+def test_writer_outputs_are_pinned(tmp_path, capsys):
+    assert writer_outputs(tmp_path, capsys) == WRITER_DIGESTS
+
+
 # --- export ------------------------------------------------------------------
 
 

@@ -7,8 +7,11 @@ mutated corpus. The file readers must refuse hostile input with the same
 error type and message as before they stopped going through add_vertex.
 """
 
+import gc
+import io
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,17 +22,21 @@ from qck.graphcore import (
     GraphFormatError,
     Infinity,
     QuasiCrystalGraph,
+    dumps,
     from_json,
     from_text,
     is_seminormal,
+    to_dot,
     to_json,
     to_text,
     validate,
+    write_graph,
 )
 from qck.structure import components
+from qck.wordmodel import quasi_tensor_power, tensor_power
 
 import oracles
-from corpus import qpow, std, witness_plan
+from corpus import crystal_corpus, qpow, quasi_corpus, std, witness_plan
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +80,23 @@ def reread(reader, payload) -> str:
         return f"refused: {exc}"
 
 
+class Writes(io.StringIO):
+    """A text file that counts its write calls."""
+
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+def streamed(write, g) -> str:
+    """What write(g, out) writes to a text file; it returns None."""
+    out = io.StringIO()
+    assert write(g, out) is None
+    return out.getvalue()
+
+
 def test_writers_match_the_accessor_oracles_and_round_trip(mutants):
     # the files keep f only, so a mutant whose e-table disagrees reloads as
     # another graph, or is refused when two f edges meet; either way the
@@ -80,8 +104,8 @@ def test_writers_match_the_accessor_oracles_and_round_trip(mutants):
     loaded = 0
     for tag, g in mutants:
         text, doc = to_text(g), to_json(g)
-        assert text == oracles.text_via_accessors(g), tag
-        assert doc == oracles.json_via_accessors(g), tag
+        assert text == oracles.text_via_accessors(g) == streamed(to_text, g) == dumps(g, "text"), tag
+        assert doc == oracles.json_via_accessors(g) == streamed(to_json, g) == dumps(g, "json"), tag
         back = reread(from_text, text)
         assert back == reread(from_json, doc), tag
         assert back == text or back.startswith("refused: "), tag
@@ -112,9 +136,72 @@ def edge_case_graphs():
 @pytest.mark.parametrize("tag, g", edge_case_graphs(), ids=[tag for tag, _ in edge_case_graphs()])
 def test_writers_match_the_accessor_oracles_on_edge_cases(tag, g):
     text, doc = to_text(g), to_json(g)
-    assert text == oracles.text_via_accessors(g)
-    assert doc == oracles.json_via_accessors(g)
+    assert text == oracles.text_via_accessors(g) == streamed(to_text, g) == dumps(g, "text")
+    assert doc == oracles.json_via_accessors(g) == streamed(to_json, g) == dumps(g, "json")
+    assert streamed(to_dot, g) == to_dot(g) == dumps(g, "dot")
     assert from_json(doc) == g == from_text(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "dot"])
+def test_writers_stream_a_large_graph_in_several_writes(fmt):
+    g = qpow(3, 8)  # 6,561 vertices: more pieces than one write takes
+    out = Writes()
+    assert dumps(g, fmt, out) is None
+    assert out.calls > 1 and out.getvalue() == dumps(g, fmt)
+
+
+def test_write_graph_refuses_an_unknown_format_before_making_the_file(tmp_path):
+    path = tmp_path / "g"
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        write_graph(std(2), str(path), "yaml")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write, read", [(to_text, from_text), (to_json, from_json)])
+def test_read_edge_ends_are_the_stored_ids(write, read):
+    # each id string is held once: every e and f target is the stored key itself
+    targets = 0
+    for tag, g in quasi_corpus() + crystal_corpus():
+        h = read(write(g))
+        stored = {x: x for x in h._wt}
+        for rows in (h._e, h._f):
+            for row in rows.values():
+                for y in row:
+                    if y is not None:
+                        assert y is stored[y], tag
+                        targets += 1
+    assert targets > 1000
+
+
+def held_bytes(make):
+    """make()'s result and the bytes it still holds, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        gc.collect()
+        return made, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "build, write, read",
+    [
+        (quasi_tensor_power, to_text, from_text),
+        (tensor_power, to_json, from_json),
+        (tensor_power, to_text, from_text),
+        (quasi_tensor_power, to_json, from_json),
+    ],
+)
+def test_a_graph_read_from_its_file_is_no_larger_than_the_built_one(build, write, read):
+    g, built = held_bytes(lambda: build(3, 5))
+    payload = write(g)
+    read(payload)  # the first read fills the interpreter's own caches
+    h, loaded = held_bytes(lambda: read(payload))
+    assert h == g
+    assert loaded <= 1.05 * built, (loaded, built)
 
 
 @pytest.mark.parametrize("write, read", [(to_text, from_text), (to_json, from_json)])
@@ -184,6 +271,7 @@ def hostile_reads():
         ("text rank", from_text, "qck-graph v1\nn x\n"),
         ("text duplicate vertex", from_text, text + vertex + "\n"),
         ("text dangling edge", from_text, text + "edge 2 9 1\n"),
+        ("text edge from an unknown vertex", from_text, text + "edge 9 2 1\n"),
         ("text label out of range", from_text, text + "edge 1 2 7\n"),
         ("text label not an int", from_text, text + "edge 1 2 a\n"),
         ("text edge set twice", from_text, text + "edge 1 2 1\n"),
@@ -244,6 +332,7 @@ def hostile_reads():
         ("json edge without label", from_json, edit(lambda d: d["edges"][0].pop("label"))),
         ("json edge end a list", from_json, edit(lambda d: d["edges"][0].__setitem__("from", [1]))),
         ("json edge end a dict", from_json, edit(lambda d: d["edges"][0].__setitem__("to", {"a": 1}))),
+        ("json edge to a list", from_json, edit(lambda d: d["edges"][0].__setitem__("to", [2]))),
         ("json boolean label", from_json, edit(lambda d: d["edges"][0].__setitem__("label", True))),
         ("json label out of range", from_json, edit(lambda d: d["edges"][0].__setitem__("label", 3))),
         ("json edge set twice", from_json, edit(lambda d: d["edges"].append(dict(d["edges"][0])))),
@@ -343,6 +432,9 @@ HOSTILE_REFUSALS = {
     ),
     "text duplicate id on a seen row": ("GraphFormatError", "duplicate vertex id '2'"),
     "text seen weight with the wrong eps count": ("GraphFormatError", "'9': need 1 eps and phi entries"),
+    # the edge ends are printed as the file has them, before any id lookup
+    "text edge from an unknown vertex": ("GraphFormatError", "edge references unknown vertex: 9 -> 2"),
+    "json edge to a list": ("GraphFormatError", "edge references unknown vertex: 1 -> [2]"),
 }
 
 
@@ -363,3 +455,29 @@ def test_text_reader_parses_each_distinct_row_once(monkeypatch):
     monkeypatch.setattr(graphcore, "_parse_csv", lambda *args: calls.append(args) or parse(*args))
     assert from_text(to_text(g)) == g
     assert len(rows) < len(g) and len(calls) == 3 * len(rows)
+
+
+def test_json_reader_parses_each_distinct_length_string_once(monkeypatch):
+    g = qpow(3, 4)
+    calls = []
+    parse = graphcore.parse_ext
+    monkeypatch.setattr(graphcore, "parse_ext", lambda tok: calls.append(tok) or parse(tok))
+    assert from_json(to_json(g)) == g
+    assert calls == ["+inf"]
+
+
+@pytest.mark.parametrize("value, shown", [(True, "True"), (1.0, "1.0")])
+def test_json_reader_refuses_a_length_equal_to_a_string_already_read(value, shown):
+    # true and 1.0 hash like 1, so a memo keyed by them would read them as the "1" seen before
+    doc = {
+        "format": "qck-graph",
+        "version": 1,
+        "n": 2,
+        "vertices": [
+            {"id": "a", "wt": [1, 0], "eps": ["1"], "phi": [2]},
+            {"id": "b", "wt": [1, 0], "eps": [value], "phi": [2]},
+        ],
+        "edges": [],
+    }
+    with pytest.raises(GraphFormatError, match=rf"^b: expected int or '\+inf'/'-inf', got {shown}$"):
+        from_json(json.dumps(doc))
