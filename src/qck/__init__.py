@@ -18,7 +18,6 @@ from .graphcore import (
     dumps,
     from_json,
     from_text,
-    highest_weight_vertices,
     is_crystal,
     is_seminormal,
     loads,
@@ -60,17 +59,12 @@ from .structure import (
     Component,
     IsoWitness,
     TheoremViolation,
-    check_degree_one,
     components,
-    is_bounded_above,
     isomorphic,
-    rank_of,
     rank_table,
     unique_highest_weight,
 )
 from .quasify import (
-    OperatorClass,
-    classify_operators,
     count_quasi_components,
     crystal_of_content,
     quasify,

@@ -13,7 +13,7 @@ from itertools import accumulate
 
 from .quasify import _content_graph, _content_words, crystal_of_content, quasify
 from .structure import Component, components
-from .weightlattice import check_composition, descent_composition, enumerate_syt
+from .weightlattice import check_composition, check_rank, descent_composition, enumerate_syt
 
 
 class IntPolynomial:
@@ -22,14 +22,14 @@ class IntPolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms=None):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError("n must be a positive integer")
-        self.n = n
+        self.n = check_rank(n)
         clean: dict[tuple[int, ...], int] = {}
         for expo, coeff in (terms or {}).items():
             expo = tuple(expo)
             if len(expo) != n:
                 raise ValueError(f"exponent vector {expo} has length != {n}")
+            if any(isinstance(a, bool) or not isinstance(a, int) or a < 0 for a in expo):
+                raise ValueError(f"exponent entries must be non-negative ints, got {expo!r}")
             if not isinstance(coeff, int) or isinstance(coeff, bool):
                 raise ValueError(f"coefficient must be int, got {coeff!r}")
             if coeff:
@@ -183,8 +183,7 @@ def fundamental_qsym(alpha, n: int) -> IntPolynomial:
     weakly increasing words of length |alpha| with a strict rise at every
     descent position (the partial sums of alpha except the last)."""
     comp = check_composition(alpha)
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    check_rank(n)
     descents = set(accumulate(comp[:-1]))
     level = [(1, (0,) * n)]  # (last letter, exponents) of each word so far
     for pos in range(sum(comp)):

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .weightlattice import Weight
+from .weightlattice import Weight, check_rank
 
 FORMAT_NAME = "qck-graph"
 FORMAT_VERSION = 1
@@ -210,9 +210,7 @@ class QuasiCrystalGraph:
     """
 
     def __init__(self, n: int):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError("n must be a positive integer")
-        self.n = n
+        self.n = check_rank(n)
         self._wt: dict[str, Weight] = {}
         self._eps: dict[str, list] = {}
         self._phi: dict[str, list] = {}
@@ -534,12 +532,6 @@ def is_crystal(g: QuasiCrystalGraph, around=None) -> bool:
     return not any(
         v is POS_INF for x in g.anchors(around) for row in (EPS[x], PHI[x]) for v in row
     )
-
-
-def highest_weight_vertices(g: QuasiCrystalGraph) -> list[str]:
-    """Vertices with no raising edge at any index (loops do not count)."""
-    E = g._e
-    return [x for x in g.vertex_ids() if all(y is None for y in E[x])]
 
 
 # -- interchange formats -------------------------------------------------------

@@ -1,26 +1,19 @@
 """Turning a connected seminormal crystal into a quasi-crystal by freezing
-every index where the raising string falls short of the weight entry.
+every index where the raising string falls short of the weight entry; inputs
+that are not such crystals are refused.
 
 Also: the abstract crystal with a given content (a component of a tensor
-power of the standard crystal, walked word by word) and the component count
-of its quasification.
+power of the standard crystal, walked word by word from the shape's standard
+tableaux) and the component count of its quasification.
 """
 
 from __future__ import annotations
-
-import enum
 
 from .axioms import check_stembridge
 from .graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, validate
 from .structure import components
 from .weightlattice import check_partition, entry_rows, enumerate_syt, ssyt_count, syt_count
 from .wordmodel import SizeCapExceeded, WordCrystal, default_size_cap, word_to_id
-
-
-class OperatorClass(enum.Enum):
-    QUASI = "quasi"
-    STRICT = "strict"
-    UNDEFINED = "undefined"
 
 
 def _require_compliant_crystal(c: QuasiCrystalGraph) -> None:
@@ -60,30 +53,6 @@ def quasify(c: QuasiCrystalGraph) -> QuasiCrystalGraph:
         f = [y if k else None for y, k in zip(c._f[x], keep)]
         q._put_vertex(x, wt, eps, phi, e, f)
     return q
-
-
-def classify_operators(
-    c: QuasiCrystalGraph, q: QuasiCrystalGraph | None = None
-) -> dict[tuple[str, int], OperatorClass]:
-    """Per (vertex, index): how the lowering operator survives quasification."""
-    if q is None:
-        q = quasify(c)
-    if q.n != c.n or q.vertex_ids() != c.vertex_ids():
-        raise ValueError("the two graphs must share their vertex set")
-    out: dict[tuple[str, int], OperatorClass] = {}
-    for x in c.vertex_ids():
-        for i, (fc, fq) in enumerate(zip(c._f[x], q._f[x]), start=1):
-            if fc is None:
-                if fq is not None:
-                    raise ValueError(f"quasified graph adds an edge at ({x!r}, {i})")
-                out[(x, i)] = OperatorClass.UNDEFINED
-            elif fq is None:
-                out[(x, i)] = OperatorClass.STRICT
-            else:
-                if fq != fc:
-                    raise ValueError(f"quasified edge at ({x!r}, {i}) changed target")
-                out[(x, i)] = OperatorClass.QUASI
-    return out
 
 
 def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:

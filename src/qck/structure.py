@@ -1,5 +1,5 @@
-"""Connected components, highest-weight structure, and weight-determined
-isomorphism of components.
+"""Connected components, their unique highest weight and rank grading, and
+weight-determined isomorphism of components.
 
 The isomorphism construction follows the uniqueness argument: starting from
 the two highest-weight vertices it extends the map down lowering edges, and
@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .graphcore import AxiomReport, QuasiCrystalGraph, Witness, ext_str
+from .graphcore import QuasiCrystalGraph, ext_str
 from .weightlattice import pairing, rho, sub
 
 
@@ -92,39 +92,13 @@ def unique_highest_weight(c: Component) -> str:
     )
 
 
-def is_bounded_above(c: Component) -> bool:
-    """Every vertex must reach some highest-weight vertex by raising steps.
-
-    On a coherent graph raising from x reaches hw iff lowering from hw
-    reaches x, so this walks lowering edges from the highest-weight set.
-    """
-    F = c.graph._f
-    reached: set[str] = set(c.hw_vertices)
-    queue = deque(c.hw_vertices)
-    while queue:
-        x = queue.popleft()
-        for y in F[x]:
-            if y is not None and y not in reached:
-                reached.add(y)
-                queue.append(y)
-    return reached >= set(c.vertices)
-
-
-def rank_of(c: Component, x: str) -> int:
-    """Number of lowering steps below the highest weight: <wt(u)-wt(x), rho>."""
-    return _ranks(c, (x,))[x]
-
-
 def rank_table(c: Component) -> dict[str, int]:
-    return _ranks(c, c.vertices)
-
-
-def _ranks(c: Component, xs) -> dict[str, int]:
+    """Lowering steps below the highest weight u of each vertex x: <wt(u)-wt(x), rho>."""
     u = unique_highest_weight(c)
     W = c.graph._wt
     r_n = rho(c.graph.n)
     out = {}
-    for x in xs:
+    for x in c.vertices:
         r = pairing(sub(W[u], W[x]), r_n)
         if r < 0:
             raise TheoremViolation(
@@ -133,25 +107,6 @@ def _ranks(c: Component, xs) -> dict[str, int]:
             )
         out[x] = r
     return out
-
-
-def check_degree_one(c: Component) -> AxiomReport:
-    """The highest-weight vertex carries at most one lowering edge."""
-    u = unique_highest_weight(c)
-    g = c.graph
-    out = [i for i in g.index_set if g.f(u, i) is not None]
-    ws = []
-    if len(out) > 1:
-        ws.append(
-            Witness(
-                "degree",
-                (u,),
-                tuple(out),
-                f"{len(out)} lowering edges at the top",
-                "at most one",
-            )
-        )
-    return AxiomReport("degree", ws)
 
 
 @dataclass

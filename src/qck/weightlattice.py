@@ -17,9 +17,17 @@ Composition = tuple[int, ...]
 Tableau = tuple[tuple[int, ...], ...]
 
 
+def check_rank(n) -> int:
+    """n itself when it is a positive int; a bool is not a rank."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError("n must be a positive integer")
+    return n
+
+
 def simple_root(i: int, n: int) -> Weight:
     """e_i - e_{i+1} as a length-n vector; valid for 1 <= i <= n-1."""
-    if not 1 <= i <= n - 1:
+    check_rank(n)
+    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n - 1:
         raise ValueError(f"index {i} out of range for n={n}")
     v = [0] * n
     v[i - 1] = 1
@@ -36,9 +44,7 @@ def pairing(u: Weight, v: Weight) -> int:
 
 def rho(n: int) -> Weight:
     """(n-1, n-2, ..., 1, 0); pairs to 1 with every simple root."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    return tuple(range(n - 1, -1, -1))
+    return tuple(range(check_rank(n) - 1, -1, -1))
 
 
 def add(u: Weight, v: Weight) -> Weight:
@@ -132,6 +138,7 @@ def ssyt_count(shape, n: int) -> int:
     """Number of semistandard tableaux of a partition shape with entries in
     1..n (hook-content formula)."""
     cells = _cells_with_hooks(check_partition(shape))
+    check_rank(n)
     return _quotient((n + c - r for r, c, _ in cells), (h for _, _, h in cells))
 
 

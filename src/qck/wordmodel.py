@@ -18,7 +18,7 @@ import os
 from operator import add
 
 from .graphcore import POS_INF, QuasiCrystalGraph, _plain, is_crystal
-from .weightlattice import Weight
+from .weightlattice import Weight, check_rank
 
 Word = tuple[int, ...]
 
@@ -98,8 +98,7 @@ def standard_crystal(n: int, size_cap: int | None = None) -> QuasiCrystalGraph:
     """The n-vertex chain: wt(j) = e_j, lowering edges j -> j+1 labelled j.
 
     It stores n * (n - 1) string lengths, which the size cap bounds."""
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
+    check_rank(n)
     cap = _size_cap(size_cap)
     if n * (n - 1) > cap:
         raise SizeCapExceeded(f"{n}*{n - 1} = {n * (n - 1)} string lengths exceeds the size cap {cap}")

@@ -160,10 +160,9 @@ def component_partition(
     return sorted(comps)
 
 
-def bfs_distance(
-    arrows: dict[tuple[str, int], str], start: str, goal: str
-) -> int | None:
-    """Shortest number of arrow steps from start to goal, forward edges only."""
+def bfs_distances(arrows: dict[tuple[str, int], str], start: str) -> dict[str, int]:
+    """Shortest number of arrow steps from start to each vertex it reaches,
+    forward edges only."""
     forward: dict[str, list[str]] = {}
     for (v, _i), w in arrows.items():
         forward.setdefault(v, []).append(w)
@@ -171,13 +170,11 @@ def bfs_distance(
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        if u == goal:
-            return dist[u]
-        for w in sorted(forward.get(u, [])):
+        for w in forward.get(u, []):
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
-    return dist.get(goal)
+    return dist
 
 
 def product_via_pairs(a, b, blocking: bool):

@@ -22,7 +22,7 @@ from qck.characters import IntPolynomial, character, verify_schur_decomposition
 from qck.graphcore import is_seminormal, validate
 from qck.mutation import fuzz_graph
 from qck.quasify import count_quasi_components, quasify
-from qck.structure import check_degree_one, components, isomorphic
+from qck.structure import components, isomorphic
 from qck.weightlattice import enumerate_syt, partitions_of
 
 from corpus import (
@@ -65,8 +65,6 @@ def test_every_component_has_one_top_with_at_most_one_downward_edge():
     for name, g in quasi_corpus():
         for comp in components(g):
             assert len(comp.hw_vertices) == 1, (name, comp.hw_vertices)
-            report = check_degree_one(comp)
-            assert report.passed, (name, report.lines())
             hw = comp.hw_vertices[0]
             outgoing = [i for i in g.index_set if g.f(hw, i) is not None]
             assert len(outgoing) <= 1, (name, hw, outgoing)

@@ -94,6 +94,12 @@ def test_pow_refuses_a_bool_exponent(k):
         IntPolynomial.variables_sum(2) ** k
 
 
+@pytest.mark.parametrize("expo", [(1.5, 0), (-1, 0), (True, 0), (0, False), ("1", 0)])
+def test_constructor_refuses_an_exponent_entry_that_is_not_a_non_negative_int(expo):
+    with pytest.raises(ValueError, match=r"^exponent entries must be non-negative ints, got \(.*\)$"):
+        IntPolynomial(2, {expo: 1})
+
+
 @pytest.mark.parametrize("n", [True, False, 2.0, "2", 0])
 def test_constructor_refuses_a_rank_that_is_not_a_positive_int(n):
     with pytest.raises(ValueError, match=r"^n must be a positive integer$"):

@@ -17,7 +17,6 @@ from qck.graphcore import (
     ext_str,
     from_json,
     from_text,
-    highest_weight_vertices,
     is_crystal,
     is_seminormal,
     loads,
@@ -27,6 +26,7 @@ from qck.graphcore import (
     to_text,
     validate,
 )
+from qck.structure import components
 
 from corpus import qpow, std, tpow
 
@@ -319,8 +319,9 @@ def test_is_crystal():
 
 
 def test_highest_weight_vertices():
-    assert highest_weight_vertices(std(3)) == ["1"]
-    assert highest_weight_vertices(qpow(3, 2)) == ["11", "21"]
+    # the tops are the vertices with no raising edge at any index
+    assert [c.hw_vertices for c in components(std(3))] == [("1",)]
+    assert [c.hw_vertices for c in components(qpow(3, 2))] == [("11",), ("21",)]
 
 
 # ---------------------------------------------------------------- reports

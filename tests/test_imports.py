@@ -1,10 +1,13 @@
 """qck imports nothing outside the standard library at runtime."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "qck"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qck"
 
 
 def top_level_imports(path: Path) -> set[str]:
@@ -39,3 +42,32 @@ def test_runtime_imports_are_stdlib_only():
         if module != "qck" and module not in sys.stdlib_module_names
     }
     assert bad == set()
+
+
+RESOLVE_TRACED_NAMES = """
+import importlib, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+missing = []
+for module, attr, _name, _count in tracing.TARGETS:
+    obj = importlib.import_module(f"qck.{module}")
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    if not callable(obj):
+        missing.append(f"qck.{module}.{attr}")
+print(len(tracing.TARGETS), *missing)
+"""
+
+
+def test_every_traced_bench_target_names_a_qck_function():
+    # bench/tracing.py wraps qck functions by name; a deleted or renamed one
+    # would otherwise only break the traced bench run. A child process keeps
+    # bench's modules (its own oracles among them) out of this test session.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", RESOLVE_TRACED_NAMES, str(ROOT / "bench")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    count, *missing = proc.stdout.split()
+    assert int(count) > 0 and missing == []

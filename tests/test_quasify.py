@@ -5,8 +5,6 @@ import pytest
 
 from qck.graphcore import POS_INF, is_crystal, is_seminormal, validate
 from qck.quasify import (
-    OperatorClass,
-    classify_operators,
     count_quasi_components,
     crystal_of_content,
     quasify,
@@ -158,51 +156,6 @@ def test_quasify_refusals_match_the_accessor_oracle():
         assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
         refusals.add(str(got.value))
     assert len(refusals) == 6
-
-
-# ------------------------------------------------------------- classification
-
-
-def test_classify_standard_crystal_all_quasi():
-    c = std(3)
-    table = classify_operators(c)
-    defined = {k for k, v in table.items() if v is not OperatorClass.UNDEFINED}
-    assert all(table[k] is OperatorClass.QUASI for k in defined)
-    assert table[("1", 1)] is OperatorClass.QUASI
-    assert table[("1", 2)] is OperatorClass.UNDEFINED
-
-
-def test_classify_counts_match_edge_difference():
-    c = content_crystal((2, 1, 1), 3)
-    q = content_quasi((2, 1, 1), 3)
-    table = classify_operators(c, q)
-    strict = sum(1 for v in table.values() if v is OperatorClass.STRICT)
-    assert strict == len(c.edges()) - len(q.edges())
-    kept = sum(1 for v in table.values() if v is OperatorClass.QUASI)
-    assert kept == len(q.edges())
-    assert len(table) == len(c) * (c.n - 1)
-
-
-def test_classify_rejects_foreign_graphs():
-    c = content_crystal((2, 1), 3)
-    with pytest.raises(ValueError):
-        classify_operators(c, std(3))
-
-
-def test_classify_rejects_added_edge():
-    c = std(3)
-    fake = std(3).copy()
-    fake.set_lowering("3", 1, "1")
-    with pytest.raises(ValueError):
-        classify_operators(c, fake)
-
-
-def test_classify_rejects_retargeted_edge():
-    c = std(3)
-    fake = std(3).copy()
-    fake.set_lowering("1", 1, "3")
-    with pytest.raises(ValueError):
-        classify_operators(c, fake)
 
 
 # --------------------------------------------------------- content crystals

@@ -8,11 +8,8 @@ from qck.structure import (
     Component,
     IsoWitness,
     TheoremViolation,
-    check_degree_one,
     components,
-    is_bounded_above,
     isomorphic,
-    rank_of,
     rank_table,
     unique_highest_weight,
 )
@@ -127,33 +124,27 @@ def test_unique_highest_weight_violations():
         unique_highest_weight(cyc)
 
 
-def test_is_bounded_above_on_corpus():
-    for name, graph in quasi_corpus():
-        assert all(is_bounded_above(c) for c in components(graph))
-
-
 def test_rank_zero_at_highest_weight_and_steps_of_one():
     for graph in (qpow(3, 3), tpow(3, 2), qpow(2, 4)):
         for comp in components(graph):
             hw = unique_highest_weight(comp)
-            assert rank_of(comp, hw) == 0
+            ranks = rank_table(comp)
+            assert ranks[hw] == 0
             for x in comp.vertices:
                 for i in comp.graph.index_set:
                     y = comp.graph.f(x, i)
                     if y is not None and y != x:
-                        assert rank_of(comp, y) == rank_of(comp, x) + 1
+                        assert ranks[y] == ranks[x] + 1
 
 
 def test_rank_matches_edge_distance_from_highest_weight():
-    comp = next(c for c in components(qpow(3, 3)) if c.size == 10)
-    hw = unique_highest_weight(comp)
-    arrows = {
-        (x, i): y
-        for x, i, y in comp.subgraph().edges()
-        if x != y
-    }
-    for x in comp.vertices:
-        assert rank_of(comp, x) == oracles.bfs_distance(arrows, hw, x)
+    # a vertex the top cannot reach by lowering edges has no distance, so this
+    # also fails on any component that is not bounded above
+    for name, graph in quasi_corpus() + crystal_corpus():
+        for comp in components(graph):
+            hw = unique_highest_weight(comp)
+            arrows = {(x, i): y for x, i, y in comp.subgraph().edges() if x != y}
+            assert rank_table(comp) == oracles.bfs_distances(arrows, hw), (name, comp.min_vertex)
 
 
 def test_rank_table_frozen_for_big_component():
@@ -174,24 +165,6 @@ def test_rank_of_rejects_vertex_above_highest_weight():
     # "down" hangs below "top" by edges, yet its weight sits strictly higher
     with pytest.raises(TheoremViolation):
         rank_table(comp)
-
-
-def test_check_degree_one_on_corpus():
-    for name, graph in quasi_corpus():
-        for comp in components(graph):
-            assert check_degree_one(comp).passed
-
-
-def test_check_degree_one_witness():
-    g = QuasiCrystalGraph(3)
-    g.add_vertex("r", (2, 0, 0), (0, 0), (2, 0))
-    g.add_vertex("s", (1, 1, 0), (1, 0), (1, 1))
-    g.add_vertex("t", (2, -1, 1), (0, 1), (2, 0))
-    g.add_edge("r", 1, "s")
-    g.add_edge("r", 2, "t")
-    (comp,) = components(g)
-    report = check_degree_one(comp)
-    assert not report.passed
 
 
 def test_isomorphic_pairs_in_quasi_cube():

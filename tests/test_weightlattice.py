@@ -46,10 +46,9 @@ def test_simple_roots_cartan_matrix():
 
 
 def test_simple_root_bounds():
-    with pytest.raises(ValueError):
-        simple_root(0, 3)
-    with pytest.raises(ValueError):
-        simple_root(3, 3)
+    for i in (0, 3, True, False):
+        with pytest.raises(ValueError, match=f"^index {i} out of range for n=3$"):
+            simple_root(i, 3)
 
 
 def test_pairing_length_mismatch():
@@ -84,6 +83,13 @@ def test_rho_values():
     for n in range(2, 7):
         for i in range(1, n):
             assert pairing(rho(n), simple_root(i, n)) == 1
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, "2", 0, -1])
+def test_lattice_helpers_refuse_a_rank_that_is_not_a_positive_int(n):
+    for helper in (rho, lambda n: simple_root(1, n), lambda n: ssyt_count((1,), n)):
+        with pytest.raises(ValueError, match="^n must be a positive integer$"):
+            helper(n)
 
 
 def test_is_partition():
