@@ -124,6 +124,17 @@ def test_unique_highest_weight_violations():
         unique_highest_weight(cyc)
 
 
+def test_is_bounded_above_on_corpus():
+    # every vertex is reached from the highest-weight set by lowering edges
+    for name, graph in quasi_corpus():
+        for comp in components(graph):
+            arrows = {(x, i): y for x, i, y in comp.subgraph().edges() if x != y}
+            reached = set()
+            for hw in comp.hw_vertices:
+                reached |= oracles.bfs_distances(arrows, hw).keys()
+            assert reached >= set(comp.vertices), (name, comp.min_vertex)
+
+
 def test_rank_zero_at_highest_weight_and_steps_of_one():
     for graph in (qpow(3, 3), tpow(3, 2), qpow(2, 4)):
         for comp in components(graph):
