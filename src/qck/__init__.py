@@ -8,9 +8,7 @@ and exact character/decomposition verification.
 
 from .graphcore import (
     AxiomReport,
-    ExtIntArithmeticError,
     GraphFormatError,
-    Infinity,
     NEG_INF,
     POS_INF,
     QuasiCrystalGraph,
@@ -74,7 +72,6 @@ from .characters import (
     SchurDecompositionReport,
     character,
     fundamental_qsym,
-    schur,
     verify_schur_decomposition,
 )
 from .mutation import FuzzResult, Mutation, fuzz_graph, random_mutation, run_detectors

@@ -1,5 +1,6 @@
-"""Exact multivariate characters: graph characters, content characters, and
-fundamental quasisymmetric polynomials, with the decomposition verifier.
+"""Exact multivariate characters: graph characters (a content crystal's is
+the Schur polynomial) and fundamental quasisymmetric polynomials, with the
+decomposition verifier.
 
 Polynomials are sparse dicts from exponent vectors to nonzero ints; no floats
 anywhere, so equality is honest equality.
@@ -11,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .quasify import _content_graph, _content_words, crystal_of_content, quasify
+from .quasify import _content_graph, _content_words, quasify
 from .structure import Component, components
 from .weightlattice import check_composition, check_rank, descent_composition, enumerate_syt
 
@@ -171,11 +172,6 @@ def character(obj) -> IntPolynomial:
             )
         terms[wt] = terms.get(wt, 0) + 1
     return IntPolynomial(g.n, terms)
-
-
-def schur(shape, n: int) -> IntPolynomial:
-    """Character of the content crystal: the Schur polynomial in n variables."""
-    return character(crystal_of_content(shape, n))
 
 
 def fundamental_qsym(alpha, n: int) -> IntPolynomial:

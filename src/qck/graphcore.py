@@ -1,14 +1,15 @@
 """Quasi-crystal graph container, coherence checks, and file formats.
 
 A graph holds, per vertex: a weight vector of length n, raising/lowering string
-lengths (eps/phi, values in Z extended by +-inf) per index 1..n-1, and partial
-raising/lowering maps (e/f) per index. Loops are a derived notion (both string
-lengths +inf at an index), never stored as edges.
+lengths (eps/phi: ints, or the float infinities POS_INF and NEG_INF) per index
+1..n-1, and partial raising/lowering maps (e/f) per index. Loops are a derived
+notion (both string lengths +inf at an index), never stored as edges.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -18,101 +19,17 @@ FORMAT_NAME = "qck-graph"
 FORMAT_VERSION = 1
 
 
-class ExtIntArithmeticError(ArithmeticError):
-    """Raised for (+inf) + (-inf) and friends; validation reports it, never guesses."""
-
-
-class Infinity:
-    """Signed infinity that mixes with ints in comparisons and sums."""
-
-    __slots__ = ("positive",)
-
-    def __init__(self, positive: bool):
-        self.positive = positive
-
-    def __repr__(self):
-        return "+inf" if self.positive else "-inf"
-
-    def __eq__(self, other):
-        return isinstance(other, Infinity) and other.positive == self.positive
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash(("qck.Infinity", self.positive))
-
-    def __lt__(self, other):
-        if isinstance(other, Infinity):
-            return not self.positive and other.positive
-        if isinstance(other, int):
-            return not self.positive
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (Infinity, int)):
-            return self == other or self.__lt__(other)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, Infinity):
-            return self.positive and not other.positive
-        if isinstance(other, int):
-            return self.positive
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (Infinity, int)):
-            return self == other or self.__gt__(other)
-        return NotImplemented
-
-    def __neg__(self):
-        return NEG_INF if self.positive else POS_INF
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            return self
-        if isinstance(other, Infinity):
-            if other.positive != self.positive:
-                raise ExtIntArithmeticError("(+inf) + (-inf) is undefined")
-            return self
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return self
-        if isinstance(other, Infinity):
-            if other.positive == self.positive:
-                raise ExtIntArithmeticError("inf - inf of equal sign is undefined")
-            return self
-        return NotImplemented
-
-    def __rsub__(self, other):
-        # other - self with other an int
-        if isinstance(other, int):
-            return -self
-        return NotImplemented
-
-    def __copy__(self):
-        return self
-
-    def __deepcopy__(self, memo):
-        return self
-
-
-POS_INF = Infinity(True)
-NEG_INF = Infinity(False)
-
-# An extended integer is a plain int or one of the two Infinity values.
-ExtInt = int | Infinity
+# +-inf are Python's float infinities, which order and shift against ints.
+# Every stored infinity is one of these two objects, so the checkers may test
+# a stored length by identity (``v is POS_INF``): _check_ext maps any float
+# infinity to them, and the readers and constructors store no other.
+POS_INF = math.inf
+NEG_INF = -math.inf
 
 
 def ext_str(v) -> str:
-    if isinstance(v, Infinity):
-        return repr(v)
-    return str(v)
+    """v as the file formats write it: an int, "+inf" or "-inf"."""
+    return "+inf" if v == POS_INF else "-inf" if v == NEG_INF else str(v)
 
 
 class GraphFormatError(ValueError):
@@ -146,10 +63,9 @@ def parse_ext(tok: str):
 
 
 def _check_ext(v):
-    """v as stored: an int, or the POS_INF/NEG_INF singleton for any Infinity,
-    so that the readers may compare stored infinities by identity."""
-    if isinstance(v, Infinity):
-        return POS_INF if v.positive else NEG_INF
+    """v as stored: an int, or POS_INF/NEG_INF for any float infinity."""
+    if isinstance(v, float) and math.isinf(v):
+        return POS_INF if v > 0 else NEG_INF
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"expected int or +-inf, got {v!r}")
     return v
@@ -298,10 +214,6 @@ class QuasiCrystalGraph:
 
     def f(self, x: str, i: int):
         return self._f[self._known(x)][self._slot(i)]
-
-    def is_loop(self, x: str, i: int) -> bool:
-        """Derived: an index where both string lengths are +inf."""
-        return self.eps(x, i) is POS_INF and self.phi(x, i) is POS_INF
 
     def edges(self) -> list[tuple[str, int, str]]:
         """All lowering edges (x, i, f_i(x)), sorted."""
@@ -666,7 +578,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
 
 
 def _ext_json(v):
-    return repr(v) if isinstance(v, Infinity) else v
+    return ext_str(v) if isinstance(v, float) else v
 
 
 def _ext_from_json(v, where: str, parsed: dict):
@@ -755,7 +667,7 @@ def from_json(text: str) -> QuasiCrystalGraph:
     g = QuasiCrystalGraph(doc["n"])
     # json.loads makes no int subclass but bool, so `type(v) is int` is the
     # finite-int test.
-    parsed: dict[str, ExtInt] = {}
+    parsed: dict[str, int | float] = {}
     ids: dict[str, str] = {}  # each id as stored, for the edge ends to share
     # Each record leaves the document as it is taken and is freed once it
     # is stored, so the document shrinks as the graph grows.

@@ -142,10 +142,6 @@ def ssyt_count(shape, n: int) -> int:
     return _quotient((n + c - r for r, c, _ in cells), (h for _, _, h in cells))
 
 
-def syt_shape(t: Tableau) -> Partition:
-    return tuple(len(row) for row in t)
-
-
 def entry_rows(t: Tableau) -> tuple[int, ...]:
     """The row, counted from 1, of each entry 1..m of a standard tableau."""
     m = sum(len(row) for row in t)

@@ -122,7 +122,9 @@ def _pair_row(left: tuple, right: tuple, blocking: bool) -> tuple:
         e acts on the left iff phi_i(left) >= eps_i(right), f on the left iff
         phi_i(left) > eps_i(right).
     The e and f entries are picked independently by those rules; their
-    mutual inverseness is a checked property, not an assumption.
+    mutual inverseness is a checked property, not an assumption. Only finite
+    lengths are shifted: an infinite one (a float) is kept as the stored
+    object, so every infinity in the row is POS_INF or NEG_INF itself.
     """
     wt_l, eps_l, phi_l, e_l, f_l = left
     wt_r, eps_r, phi_r, e_r, f_r = right
@@ -135,8 +137,8 @@ def _pair_row(left: tuple, right: tuple, blocking: bool) -> tuple:
             e.append(None)
             f.append(None)
             continue
-        eps.append(max(eps_l[s], eps_s - (wt_l[s] - wt_l[s + 1])))
-        phi.append(max(phi_s + (wt_r[s] - wt_r[s + 1]), phi_r[s]))
+        eps.append(max(eps_l[s], eps_s if type(eps_s) is float else eps_s - (wt_l[s] - wt_l[s + 1])))
+        phi.append(max(phi_s if type(phi_s) is float else phi_s + (wt_r[s] - wt_r[s + 1]), phi_r[s]))
         e.append(e_l[s] if phi_s >= eps_s else e_r[s])
         f.append(f_l[s] if phi_s > eps_s else f_r[s])
     return tuple(map(add, wt_l, wt_r)), tuple(eps), tuple(phi), tuple(e), tuple(f)

@@ -5,6 +5,7 @@ import pytest
 
 import qck.axioms
 from qck.axioms import (
+    QUASI_AXIOMS,
     battery,
     check_cor_infs,
     check_lemma_ij,
@@ -15,7 +16,7 @@ from qck.axioms import (
     check_lq3p,
     check_stembridge,
 )
-from qck.graphcore import NEG_INF, POS_INF, validate, is_seminormal
+from qck.graphcore import NEG_INF, POS_INF, QuasiCrystalGraph, validate, is_seminormal
 from qck.quasify import quasify
 from qck.wordmodel import quasi_tensor_power, standard_crystal, tensor_power
 
@@ -212,6 +213,41 @@ def test_battery_sweeps_no_counting_guard(monkeypatch):
     reports = list(battery(bad))
     assert [name for name, _ in reports] == ["q", "seminormal"]
     assert reports[0][1].passed and not reports[1][1].passed
+
+
+def _reweighted(wt):
+    g = qpow(3, 3).copy()
+    g.set_weight("321", wt)  # 321 is the one vertex of q(3,3) frozen at both indices
+    return g
+
+
+def _lone_frozen(wt):
+    g = QuasiCrystalGraph(3)
+    g.add_vertex("z", wt, [POS_INF, POS_INF], [POS_INF, POS_INF])
+    return g
+
+
+# An open question, pinned as it stands. By the classification theorem every
+# component of a graph that satisfies the axioms is the quasi-ribbon crystal of
+# a composition: its highest weight is positive parts then zeros, and at a
+# frozen index i, wt_i > 0 and wt_{i+1} > 0. So none of these graphs can be a
+# component, yet the battery passes each. Either the battery lacks a weight
+# condition at frozen indices, or the theorem has a hypothesis the battery
+# does not state; the abstract alone cannot settle which, so the verdict stays.
+@pytest.mark.parametrize(
+    "make, wt",
+    [
+        (_reweighted, (1, 0, 1)),
+        (_reweighted, (0, 1, 2)),
+        (_reweighted, (1, 1, -1)),
+        (_lone_frozen, (0, 0, 3)),
+        (_lone_frozen, (-1, -1, -1)),
+    ],
+)
+def test_battery_passes_frozen_weights_the_theorem_rules_out(make, wt):
+    reports = list(battery(make(wt)))
+    assert [name for name, _ in reports] == ["q", "seminormal", *QUASI_AXIOMS]
+    assert all(rep.passed for _, rep in reports)
 
 
 def test_lemij_detects_unpaired_distant_move():

@@ -12,7 +12,6 @@ from qck.characters import (
     SchurDecompositionReport,
     character,
     fundamental_qsym,
-    schur,
     verify_schur_decomposition,
 )
 from qck.structure import components, unique_highest_weight
@@ -164,7 +163,7 @@ def test_character_rejects_negative_weights():
 
 
 def test_schur_21_frozen_table():
-    p = schur((2, 1), 3)
+    p = character(content_crystal((2, 1), 3))
     expected = {
         (2, 1, 0): 1,
         (2, 0, 1): 1,
@@ -182,13 +181,13 @@ def test_schur_matches_semistandard_enumeration():
     for n in (3, 4):
         for m in range(1, 6):
             for shape in partitions_of(m, max_parts=n):
-                got = Counter(dict(schur(shape, n).terms()))
+                got = Counter(dict(character(content_crystal(shape, n)).terms()))
                 assert got == oracles.schur_monomials(shape, n), (shape, n)
 
 
 def test_schur_single_row_is_complete_homogeneous():
     for m in range(1, 5):
-        assert schur((m,), 3) == fundamental_qsym((m,), 3)
+        assert character(content_crystal((m,), 3)) == fundamental_qsym((m,), 3)
 
 
 def test_fundamental_matches_brute_force():

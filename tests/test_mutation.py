@@ -169,6 +169,20 @@ def test_fuzz_rate_counts_damage_the_battery_misses(monkeypatch):
     assert result.rate == 0.0
 
 
+@pytest.mark.parametrize(
+    "seed, weight",
+    [(12, "2\t(1, 1, 1)->(1, 0, 1)"), (16, "3\t(1, 1, 1)->(1, 1, -1)")],
+)
+def test_fuzz_calls_a_frozen_vertex_weight_the_theorem_rules_out_valid(seed, weight):
+    # the open question of test_axioms.py's
+    # test_battery_passes_frozen_weights_the_theorem_rules_out: the battery
+    # passes these mutants of q(3,3), so fuzz notes them valid and leaves
+    # them out of the rate
+    result = fuzz_graph(qpow(3, 3), count=20, seed=seed)
+    assert [(m.describe(), note) for m, note in result.silent] == [(f"weight\t321\t{weight}", VALID_NOTE)]
+    assert (result.total, result.detected, result.rate) == (20, 19, 1.0)
+
+
 def test_fuzz_rejects_a_negative_count():
     with pytest.raises(ValueError, match="count"):
         fuzz_graph(qpow(2, 2), count=-1, seed=0)

@@ -10,6 +10,7 @@ error type and message as before they stopped going through add_vertex.
 import gc
 import io
 import json
+import math
 import random
 import tracemalloc
 
@@ -20,7 +21,6 @@ from qck.graphcore import (
     NEG_INF,
     POS_INF,
     GraphFormatError,
-    Infinity,
     QuasiCrystalGraph,
     dumps,
     from_json,
@@ -33,10 +33,11 @@ from qck.graphcore import (
     write_graph,
 )
 from qck.structure import components
-from qck.wordmodel import quasi_tensor_power, tensor_power
+from qck.quasify import crystal_of_content, quasify
+from qck.wordmodel import quasi_tensor, quasi_tensor_power, tensor, tensor_power
 
 import oracles
-from corpus import crystal_corpus, qpow, quasi_corpus, std, witness_plan
+from corpus import crystal_corpus, qpow, quasi_corpus, std, tpow, witness_plan
 
 
 @pytest.fixture(scope="module")
@@ -221,26 +222,88 @@ def test_vertices_read_from_one_field_text_hold_their_own_rows(write, read):
 # ------------------------------------------------------------ canonical infinities
 
 
+def stores_two_infinities(g) -> bool:
+    """Every stored string length of g is an int, or POS_INF or NEG_INF itself."""
+    return all(
+        type(v) is int or v is POS_INF or v is NEG_INF
+        for table in (g._eps, g._phi)
+        for row in table.values()
+        for v in row
+    )
+
+
+class _Float(float):
+    pass
+
+
+# fresh float infinities, none of them POS_INF or NEG_INF
+FRESH_POS = (float("inf"), float("1e309"), _Float("inf"))
+FRESH_NEG = (float("-inf"), -float("inf"), _Float("-inf"))
+
+
 def test_stored_infinities_are_the_two_singletons():
-    g = QuasiCrystalGraph(3)
-    g.add_vertex("a", (1, 1, 0), [Infinity(True), Infinity(False)], [Infinity(True), 0])
-    assert g.eps("a", 1) is POS_INF and g.eps("a", 2) is NEG_INF and g.phi("a", 1) is POS_INF
-    g.set_epsilon("a", 2, Infinity(True))
-    g.set_phi("a", 2, Infinity(False))
-    assert g.eps("a", 2) is POS_INF and g.phi("a", 2) is NEG_INF
-    assert g.is_loop("a", 1)
+    for pos, neg in zip(FRESH_POS, FRESH_NEG):
+        assert pos is not POS_INF and neg is not NEG_INF
+        g = QuasiCrystalGraph(3)
+        g.add_vertex("a", (1, 1, 0), [pos, neg], [pos, 0])
+        assert g.eps("a", 1) is POS_INF and g.eps("a", 2) is NEG_INF and g.phi("a", 1) is POS_INF
+        g.set_epsilon("a", 2, pos)
+        g.set_phi("a", 2, neg)
+        assert g.eps("a", 2) is POS_INF and g.phi("a", 2) is NEG_INF
+        g.set_epsilon("a", 1, -math.inf)
+        assert g.eps("a", 1) is NEG_INF and stores_two_infinities(g)
 
 
 def test_fresh_infinities_validate_like_the_singletons():
     fresh = QuasiCrystalGraph(2)
-    fresh.add_vertex("v", (1, 1), (Infinity(True),), (Infinity(False),))
-    fresh.add_vertex("w", (1, 0), (Infinity(False),), (0,))
+    fresh.add_vertex("v", (1, 1), (float("inf"),), (float("-inf"),))
+    fresh.add_vertex("w", (1, 0), (-math.inf,), (0,))
     same = QuasiCrystalGraph(2)
     same.add_vertex("v", (1, 1), (POS_INF,), (NEG_INF,))
     same.add_vertex("w", (1, 0), (NEG_INF,), (0,))
     assert fresh == same
     assert validate(fresh).lines() == validate(same).lines() == oracles.validate_via_accessors(same).lines()
     assert validate(fresh).lines()  # the mixed infinities break Q2
+
+
+def test_the_corpora_and_their_reads_store_two_infinities():
+    for tag, g in quasi_corpus() + crystal_corpus():
+        assert stores_two_infinities(g), tag
+        for write, read in ((to_text, from_text), (to_json, from_json)):
+            h = read(write(g))
+            assert h == g and stores_two_infinities(h), (tag, read.__name__)
+
+
+def test_quasify_stores_two_infinities():
+    for shape, n in (((2, 1), 3), ((3, 1), 4), ((2, 2), 3)):
+        assert stores_two_infinities(quasify(crystal_of_content(shape, n))), (shape, n)
+    for comp in components(tensor_power(3, 3)):
+        assert stores_two_infinities(quasify(comp.subgraph())), comp
+
+
+def lone_vertex(n: int, wt, length):
+    """A one-vertex graph with every string length equal to ``length``."""
+    g = QuasiCrystalGraph(n)
+    g.add_vertex("v", wt, [length] * (n - 1), [length] * (n - 1))
+    return g
+
+
+def test_products_store_two_infinities():
+    # every product shifts lengths of its factors by <wt, alpha_i>; a shifted
+    # infinity must not be stored as a new float
+    for a, b in ((2, 2), (2, 3), (3, 2)):
+        assert stores_two_infinities(quasi_tensor(qpow(3, a), qpow(3, b)))
+    for n, wt in ((2, (1, 0)), (2, (0, 0)), (3, (2, 0, 1))):
+        for left in (POS_INF, NEG_INF, 0):
+            for right in (POS_INF, NEG_INF):
+                for a, b in ((left, right), (right, left)):
+                    h = quasi_tensor(lone_vertex(n, wt, a), lone_vertex(n, wt, b))
+                    assert stores_two_infinities(h), (n, wt, a, b)
+        assert stores_two_infinities(quasi_tensor(lone_vertex(n, wt, POS_INF), qpow(n, 2)))
+        assert stores_two_infinities(tensor(lone_vertex(n, wt, NEG_INF), tpow(n, 2)))
+    # the case that needs the -inf guard: eps = phi = -inf on both sides
+    h = quasi_tensor(lone_vertex(2, (0, 0), NEG_INF), lone_vertex(2, (0, 0), NEG_INF))
+    assert h.eps("vv", 1) is NEG_INF and h.phi("vv", 1) is NEG_INF
 
 
 def test_copy_is_equal_and_independent_on_the_mutated_corpus(mutants):
@@ -347,6 +410,23 @@ def hostile_reads():
         ("json length with a plus sign", from_json, edit(vertex_field("eps", ["+0"]))),
         ("json length with a space", from_json, edit(vertex_field("phi", ["1 "]))),
     ]
+    # bare JSON numbers that json.loads reads as floats: the readers take
+    # +inf and -inf only as the strings the writers write
+    def bare(change, token):
+        """edit(change), with the number 12345 that change wrote replaced by token."""
+        return edit(change).replace("12345", token)
+
+    for key in ("eps", "phi"):
+        for token in ("Infinity", "-Infinity", "NaN", "1e309"):
+            cases.append((f"json {key} {token}", from_json, bare(vertex_field(key, [12345]), token)))
+    cases += [
+        ("json weight Infinity", from_json, bare(vertex_field("wt", [1, 12345]), "Infinity")),
+        ("json rank Infinity", from_json, bare(lambda d: d.__setitem__("n", 12345), "Infinity")),
+        ("json label Infinity", from_json, bare(lambda d: d["edges"][0].__setitem__("label", 12345), "Infinity")),
+    ]
+    # tokens that float() reads but the text format never writes
+    for token in ("inf", "infinity", "nan", "1e309"):
+        cases.append((f"text eps {token}", from_text, text + f"vertex 9 1,0 {token} 1\n"))
     return cases
 
 
@@ -435,6 +515,21 @@ HOSTILE_REFUSALS = {
     # the edge ends are printed as the file has them, before any id lookup
     "text edge from an unknown vertex": ("GraphFormatError", "edge references unknown vertex: 9 -> 2"),
     "json edge to a list": ("GraphFormatError", "edge references unknown vertex: 1 -> [2]"),
+    "json eps Infinity": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got inf"),
+    "json eps -Infinity": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got -inf"),
+    "json eps NaN": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got nan"),
+    "json eps 1e309": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got inf"),
+    "json phi Infinity": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got inf"),
+    "json phi -Infinity": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got -inf"),
+    "json phi NaN": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got nan"),
+    "json phi 1e309": ("GraphFormatError", "1: expected int or '+inf'/'-inf', got inf"),
+    "json weight Infinity": ("GraphFormatError", "1: weight entries must be finite ints"),
+    "json rank Infinity": ("GraphFormatError", "missing integer field 'n'"),
+    "json label Infinity": ("GraphFormatError", "bad edge label inf"),
+    "text eps inf": ("GraphFormatError", "9: bad eps: not an extended integer: 'inf'"),
+    "text eps infinity": ("GraphFormatError", "9: bad eps: not an extended integer: 'infinity'"),
+    "text eps nan": ("GraphFormatError", "9: bad eps: not an extended integer: 'nan'"),
+    "text eps 1e309": ("GraphFormatError", "9: bad eps: not an extended integer: '1e309'"),
 }
 
 

@@ -3,7 +3,8 @@ called by the constructors, ``copy``, ``quasify`` and ``Component.subgraph``
 with finished rows, edges included, and by the readers with rows without
 edges, whose f edges they then add through ``add_edge``. Outside graphcore
 no code writes the row tables, and the constructors do not replay their
-rows through the guarded public API."""
+rows through the guarded public API. Only graphcore names the float
+infinity that POS_INF and NEG_INF are."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,46 @@ def test_readers_store_rows_only_through_put_vertex():
         assert row_table_writes(body) == [], name
         assert {method for _, method in guarded_writer_calls(body)} == {"add_edge"}, name
         assert "._put_vertex(" in body, name
+
+
+def infinity_makers(source: str) -> list[tuple[int, str]]:
+    """(line, form) of every ``math.inf``, ``from math import inf`` and call of float()."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "inf" and getattr(node.value, "id", None) == "math":
+            found.append((node.lineno, "math.inf"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math" and any(a.name == "inf" for a in node.names):
+            found.append((node.lineno, "from math import inf"))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            found.append((node.lineno, "float()"))
+    return sorted(found)
+
+
+def test_infinity_finder_reads_every_form():
+    source = (
+        "x = math.inf\n"
+        "from math import inf, pi\n"
+        "y = float(tok)\n"
+        "z = -math.inf + float('inf')\n"
+        "isinstance(v, float) and math.isinf(v)\n"
+    )
+    assert infinity_makers(source) == [
+        (1, "math.inf"),
+        (2, "from math import inf"),
+        (3, "float()"),
+        (4, "float()"),
+        (4, "math.inf"),
+    ]
+
+
+def test_graphcore_owns_the_two_infinities():
+    """Only graphcore names math.inf, so POS_INF and NEG_INF are the only
+    infinities a module can store; no module calls float(), which would read
+    "nan", "1e309" or "infinity" as a number."""
+    found = {
+        (path.name, line, form)
+        for path in sorted(SRC.glob("*.py"))
+        for line, form in infinity_makers(path.read_text(encoding="utf-8"))
+    }
+    assert {form for name, _, form in found if name == "graphcore.py"} == {"math.inf"}
+    assert {f for f in found if f[0] != "graphcore.py"} == set()

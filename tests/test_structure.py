@@ -43,6 +43,63 @@ def test_components_match_brute_force_partition(name, graph):
     assert got == expected
 
 
+# Decomposition oracles from the words alone, with no product rule: in the
+# tensor power two words share a component exactly when they have the same
+# RSK recording tableau, and in the quasi power exactly when they have the
+# same standardization.
+DECOMPOSITION_SIZES = [(2, 5), (3, 4), (3, 5), (4, 4), (4, 5), (5, 4)]
+
+
+def _word(vid: str) -> tuple[int, ...]:
+    return tuple(map(int, vid))  # ids are digit strings for n <= 9
+
+
+def _classes(g, key) -> list[tuple[str, ...]]:
+    """g's vertex ids grouped by key of their words, each group sorted."""
+    groups: dict = {}
+    for x in g.vertex_ids():
+        groups.setdefault(key(_word(x)), []).append(x)
+    return sorted(tuple(group) for group in groups.values())
+
+
+@pytest.mark.parametrize("n,k", DECOMPOSITION_SIZES)
+def test_tensor_power_components_are_the_rsk_recording_classes(n, k):
+    g = tpow(n, k)
+    assert sorted(c.vertices for c in components(g)) == _classes(g, oracles.rsk_recording)
+
+
+@pytest.mark.parametrize("n,k", DECOMPOSITION_SIZES)
+def test_quasi_power_components_are_the_standardization_classes(n, k):
+    g = qpow(n, k)
+    assert sorted(c.vertices for c in components(g)) == _classes(g, oracles.standardize)
+
+
+@pytest.mark.parametrize("shape,n", [((2, 1), 3), ((2, 2), 3), ((3, 1), 4), ((2, 1, 1), 4), ((3, 2), 3)])
+def test_content_crystal_is_one_rsk_recording_class(shape, n):
+    c = content_crystal(shape, n)
+    q = oracles.rsk_recording(_word(c.vertex_ids()[0]))
+    words = itertools.product(range(1, n + 1), repeat=sum(shape))
+    assert sorted("".join(map(str, w)) for w in words if oracles.rsk_recording(w) == q) == c.vertex_ids()
+
+
+def _inverse_descent_composition(word) -> tuple[int, ...]:
+    """The descent composition of std(word)^-1."""
+    sigma = oracles.standardize(word)
+    inverse = sorted(range(1, len(sigma) + 1), key=lambda p: sigma[p - 1])
+    descents = [j for j in range(1, len(inverse)) if inverse[j - 1] > inverse[j]]
+    bounds = [0, *descents, len(inverse)]
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("n,k", DECOMPOSITION_SIZES)
+def test_quasi_highest_weight_is_the_inverse_descent_composition(n, k):
+    g = qpow(n, k)
+    for c in components(g):
+        (top,) = c.hw_vertices
+        alpha = _inverse_descent_composition(_word(top))
+        assert g.wt(top) == alpha + (0,) * (n - len(alpha)), top
+
+
 def test_isolated_fully_frozen_vertex_is_its_own_component():
     comps = components(qpow(3, 3))
     singles = [c for c in comps if c.size == 1]

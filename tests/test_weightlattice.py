@@ -6,6 +6,7 @@ from qck.weightlattice import (
     check_composition,
     check_partition,
     descent_composition,
+    entry_rows,
     enumerate_syt,
     is_partition,
     pairing,
@@ -15,7 +16,6 @@ from qck.weightlattice import (
     ssyt_count,
     sub,
     syt_count,
-    syt_shape,
 )
 
 import oracles
@@ -195,7 +195,8 @@ def test_syt_exact_sets_match_brute_force():
 def test_syt_shape_roundtrip():
     for shape in partitions_of(5):
         for t in enumerate_syt(shape):
-            assert syt_shape(t) == shape
+            rows = entry_rows(t)
+            assert tuple(rows.count(r) for r in range(1, len(shape) + 1)) == shape
 
 
 def test_descent_composition_known_values():

@@ -107,9 +107,8 @@ def test_tensor_square_rank_two_table():
 
 def test_quasi_tensor_square_blocks_the_inversion():
     q = quasi_tensor(standard_crystal(2), standard_crystal(2))
-    assert q.eps("21", 1) == POS_INF
-    assert q.phi("21", 1) == POS_INF
-    assert q.is_loop("21", 1)
+    assert q.eps("21", 1) is POS_INF
+    assert q.phi("21", 1) is POS_INF
     assert q.e("21", 1) is None and q.f("21", 1) is None
     # the other three vertices keep their classical data
     t = tensor(standard_crystal(2), standard_crystal(2))
@@ -126,8 +125,7 @@ def test_pair_id_keeps_newest_letter_first():
     assert set(q.vertex_ids()) == {f"{a}{b}" for a in "123" for b in "123"}
     # 1 then 2 then 3 builds the fully frozen vertex "321"
     q3 = qpow(3, 3)
-    assert all(q3.is_loop("321", i) for i in q3.index_set)
-    assert all(q3.eps("321", i) == POS_INF for i in q3.index_set)
+    assert all(q3.eps("321", i) is POS_INF is q3.phi("321", i) for i in q3.index_set)
 
 
 def test_power_sizes_and_ids():
