@@ -143,7 +143,7 @@ def _cmd_verify(args) -> int:
 def _component_ref(ref: str):
     path, sep, idx = ref.rpartition("#")
     try:
-        if sep and idx.isdigit() and int(_plain(idx)) >= 1:
+        if sep and int(_plain(idx)) >= 1:
             return path, int(idx)
     except ValueError:
         pass

@@ -581,19 +581,14 @@ def _ext_json(v):
     return ext_str(v) if isinstance(v, float) else v
 
 
-def _ext_from_json(v, where: str, parsed: dict):
-    """v as an extended integer; ``parsed`` holds each string already read,
-    so each distinct string is parsed once. Only strings are keys: true and
-    1.0 hash like 1, and must not be read as an int that was seen."""
+def _ext_from_json(v, where: str):
+    """v as an extended integer."""
     if isinstance(v, str):
-        got = parsed.get(v)
-        if got is None:
-            try:
-                got = parsed[v] = parse_ext(v)
-            except ValueError as exc:
-                raise GraphFormatError(f"{where}: {exc}") from None
-        return got
-    if isinstance(v, bool) or not isinstance(v, int):
+        try:
+            return parse_ext(v)
+        except ValueError as exc:
+            raise GraphFormatError(f"{where}: {exc}") from None
+    if type(v) is not int:
         raise GraphFormatError(f"{where}: expected int or '+inf'/'-inf', got {v!r}")
     return v
 
@@ -657,7 +652,9 @@ def from_json(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError(f"not a {FORMAT_NAME} document")
     if doc.get("version") != FORMAT_VERSION:
         raise GraphFormatError(f"unsupported format version {doc.get('version')!r}")
-    if isinstance(doc.get("n"), bool) or not isinstance(doc.get("n"), int):
+    # json.loads makes no int subclass but bool, so `type(v) is int` is the
+    # finite-int test.
+    if type(doc.get("n")) is not int:
         raise GraphFormatError("missing integer field 'n'")
     vertices, edges = doc.get("vertices", []), doc.get("edges", [])
     if not isinstance(vertices, list) or not isinstance(edges, list):
@@ -665,9 +662,6 @@ def from_json(text: str) -> QuasiCrystalGraph:
     if doc["n"] < 1:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(doc["n"])
-    # json.loads makes no int subclass but bool, so `type(v) is int` is the
-    # finite-int test.
-    parsed: dict[str, int | float] = {}
     ids: dict[str, str] = {}  # each id as stored, for the edge ends to share
     # Each record leaves the document as it is taken and is freed once it
     # is stored, so the document shrinks as the graph grows.
@@ -681,8 +675,8 @@ def from_json(text: str) -> QuasiCrystalGraph:
             raise GraphFormatError(f"bad vertex record {rec!r}: {exc}") from None
         if not isinstance(eps, list) or not isinstance(phi, list):
             raise GraphFormatError(f"{vid}: eps and phi must be lists")
-        eps = [v if type(v) is int else _ext_from_json(v, vid, parsed) for v in eps]
-        phi = [v if type(v) is int else _ext_from_json(v, vid, parsed) for v in phi]
+        eps = [v if type(v) is int else _ext_from_json(v, vid) for v in eps]
+        phi = [v if type(v) is int else _ext_from_json(v, vid) for v in phi]
         if not isinstance(wt, list) or any(type(c) is not int for c in wt):
             raise GraphFormatError(f"{vid}: weight entries must be finite ints")
         try:
@@ -702,7 +696,7 @@ def from_json(text: str) -> QuasiCrystalGraph:
         y = ids.get(dst) if isinstance(dst, str) else None
         if x is None or y is None:
             raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
-        if isinstance(label, bool) or not isinstance(label, int):
+        if type(label) is not int:
             raise GraphFormatError(f"bad edge label {label!r}")
         try:
             g.add_edge(x, label, y)

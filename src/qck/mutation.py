@@ -18,13 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .axioms import COUNTING_LEMMAS, CORE, CRYSTAL_AXIOMS, battery, family, run_checks, uncounted_length
-from .graphcore import (
-    POS_INF,
-    QuasiCrystalGraph,
-    ext_str,
-    is_seminormal,
-    validate,
-)
+from .graphcore import POS_INF, QuasiCrystalGraph, ext_str
 
 _LENGTH_POOL = [0, 1, 2, 3, -1, POS_INF]
 
@@ -146,11 +140,7 @@ def run_detectors(g: QuasiCrystalGraph) -> list[str]:
     class (axioms.family). The Stembridge comparisons run only on a clean
     core; the quasi lemmas only where every string length is a count.
     """
-    failing = [
-        name
-        for name, chk in (("validate", validate), ("seminormal", is_seminormal))
-        if not chk(g).passed
-    ]
+    failing = [rep.name for _, rep in run_checks(g, CORE) if not rep.passed]
     checkers = family(g)
     if checkers is CRYSTAL_AXIOMS and failing:
         return failing

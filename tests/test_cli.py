@@ -157,12 +157,20 @@ def test_shapes_refuse_what_the_readers_refuse(capsys, command, shape):
     assert capsys.readouterr() == ("", expected)
 
 
-@pytest.mark.parametrize("index", ["\u0661", "\u00b2", "1_0"])
+@pytest.mark.parametrize("index", ["\u0661", "\u00b2", "1_0", "-1", "+1", " 1", "", "0", "1.0"])
 def test_component_indices_refuse_what_the_readers_refuse(q33_file, capsys, index):
     ref = f"{q33_file}#{index}"
     assert main(["iso", ref, f"{q33_file}#1"]) == 2
     expected = f"error: bad component reference {ref!r}; expected FILE#INDEX with INDEX >= 1\n"
     assert capsys.readouterr() == ("", expected)
+
+
+def test_a_component_index_with_a_leading_zero_reads_as_its_value(q33_file, capsys):
+    # int() reads 01 as 1, as the text reader reads a rank or an edge label
+    assert main(["iso", f"{q33_file}#01", f"{q33_file}#2"]) == 1
+    padded = capsys.readouterr()
+    assert main(["iso", f"{q33_file}#1", f"{q33_file}#2"]) == 1
+    assert capsys.readouterr() == padded
 
 
 def test_size_cap_variable_refuses_what_the_readers_refuse(monkeypatch, capsys):

@@ -552,15 +552,6 @@ def test_text_reader_parses_each_distinct_row_once(monkeypatch):
     assert len(rows) < len(g) and len(calls) == 3 * len(rows)
 
 
-def test_json_reader_parses_each_distinct_length_string_once(monkeypatch):
-    g = qpow(3, 4)
-    calls = []
-    parse = graphcore.parse_ext
-    monkeypatch.setattr(graphcore, "parse_ext", lambda tok: calls.append(tok) or parse(tok))
-    assert from_json(to_json(g)) == g
-    assert calls == ["+inf"]
-
-
 @pytest.mark.parametrize("value, shown", [(True, "True"), (1.0, "1.0")])
 def test_json_reader_refuses_a_length_equal_to_a_string_already_read(value, shown):
     # true and 1.0 hash like 1, so a memo keyed by them would read them as the "1" seen before
