@@ -2,8 +2,10 @@
 
 A graph holds, per vertex: a weight vector of length n, raising/lowering string
 lengths (eps/phi: ints, or the float infinities POS_INF and NEG_INF) per index
-1..n-1, and partial raising/lowering maps (e/f) per index. Loops are a derived
-notion (both string lengths +inf at an index), never stored as edges.
+1..n-1, and partial raising/lowering maps (e/f) per index. The weight and the
+string lengths are tuples, which vertices with equal rows may share; e and f
+are each vertex's own lists. Loops are a derived notion (both string lengths
++inf at an index), never stored as edges.
 """
 
 from __future__ import annotations
@@ -128,8 +130,8 @@ class QuasiCrystalGraph:
     def __init__(self, n: int):
         self.n = check_rank(n)
         self._wt: dict[str, Weight] = {}
-        self._eps: dict[str, list] = {}
-        self._phi: dict[str, list] = {}
+        self._eps: dict[str, tuple] = {}
+        self._phi: dict[str, tuple] = {}
         self._e: dict[str, list] = {}
         self._f: dict[str, list] = {}
 
@@ -153,7 +155,7 @@ class QuasiCrystalGraph:
     def add_vertex(self, vid: str, wt, eps, phi) -> None:
         self._new_id(vid)
         wt = self._weight(vid, wt)
-        self._put_vertex(vid, wt, [_check_ext(v) for v in eps], [_check_ext(v) for v in phi])
+        self._put_vertex(vid, wt, tuple(map(_check_ext, eps)), tuple(map(_check_ext, phi)))
 
     # add_vertex in parts, split around its per-entry checks of eps and phi,
     # which the file readers and the constructors skip: their rows hold only
@@ -176,10 +178,11 @@ class QuasiCrystalGraph:
             raise ValueError(f"weight of {vid!r} must be {self.n} ints, got {wt!r}")
         return wt
 
-    def _put_vertex(self, vid: str, wt: Weight, eps: list, phi: list, e=None, f=None) -> None:
+    def _put_vertex(self, vid: str, wt: Weight, eps: tuple, phi: tuple, e=None, f=None) -> None:
         """Store a vertex with checked entries, once its rows have the right length:
-        the one path by which rows enter a graph. The lists are stored as given,
-        not copied; e and f, lists of ids or None, default to no edge."""
+        the one path by which rows enter a graph. The rows are stored as given,
+        not copied: wt, eps and phi are tuples, which other vertices may share;
+        e and f, the vertex's own lists of ids or None, default to no edge."""
         if len(eps) != self.n - 1 or len(phi) != self.n - 1:
             raise ValueError(f"{vid!r}: need {self.n - 1} eps and phi entries")
         self._wt[vid] = wt
@@ -236,11 +239,16 @@ class QuasiCrystalGraph:
             self._known(y)
         self._f[self._known(x)][self._slot(i)] = y
 
+    def _replace(self, rows: dict, x: str, i: int, v) -> None:
+        """x's row in rows (g._eps or g._phi) becomes a new tuple with entry i set to v."""
+        v, row, s = _check_ext(v), rows[self._known(x)], self._slot(i)
+        rows[x] = row[:s] + (v,) + row[s + 1 :]
+
     def set_epsilon(self, x: str, i: int, v) -> None:
-        self._eps[self._known(x)][self._slot(i)] = _check_ext(v)
+        self._replace(self._eps, x, i, v)
 
     def set_phi(self, x: str, i: int, v) -> None:
-        self._phi[self._known(x)][self._slot(i)] = _check_ext(v)
+        self._replace(self._phi, x, i, v)
 
     def set_weight(self, x: str, wt) -> None:
         self._wt[self._known(x)] = self._weight(x, wt)
@@ -260,7 +268,7 @@ class QuasiCrystalGraph:
     def copy(self) -> "QuasiCrystalGraph":
         g = QuasiCrystalGraph(self.n)
         for v, wt in self._wt.items():
-            g._put_vertex(v, wt, list(self._eps[v]), list(self._phi[v]), list(self._e[v]), list(self._f[v]))
+            g._put_vertex(v, wt, self._eps[v], self._phi[v], list(self._e[v]), list(self._f[v]))
         return g
 
     def __eq__(self, other):
@@ -456,11 +464,11 @@ def _csv(values) -> str:
     return ",".join(values)
 
 
-def _parse_csv(tok: str, what: str, where: str):
+def _parse_csv(tok: str, what: str, where: str) -> tuple:
     if tok == "-":
-        return []
+        return ()
     try:
-        return [_ext(t) for t in _plain(tok).split(",")]
+        return tuple(map(_ext, _plain(tok).split(",")))
     except ValueError as exc:
         raise GraphFormatError(f"{where}: bad {what}: {exc}") from None
 
@@ -471,7 +479,7 @@ def _by_row(g: QuasiCrystalGraph, render):
     W, EPS, PHI = g._wt, g._eps, g._phi
     memo: dict[tuple, str] = {}
     for x in g.vertex_ids():
-        row = (W[x], tuple(EPS[x]), tuple(PHI[x]))
+        row = (W[x], EPS[x], PHI[x])
         text = memo.get(row)
         if text is None:
             text = memo[row] = render(*row)
@@ -526,12 +534,14 @@ def from_text(text: str) -> QuasiCrystalGraph:
     if n < 1:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(n)
-    edges = []
     ids: dict[str, str] = {}  # each id as stored, for the edge ends to share
     # Each distinct row text (weight, eps, phi: the unit _by_row writes) is
     # parsed and checked at its first sight, so a bad field refuses at the
-    # vertex where it first appears; every vertex runs the store checks.
+    # vertex where it first appears; every vertex runs the store checks and
+    # stores the row's tuples, shared with the vertices of the same row.
     rows: dict[tuple[str, str, str], tuple] = {}
+    # The first pass stores the vertices and checks every record's shape, so
+    # only edge records start with "edge"; the second adds them, held in no list.
     for ln in lines[2:]:
         parts = ln.split()
         if parts[0] == "vertex":
@@ -544,23 +554,21 @@ def from_text(text: str) -> QuasiCrystalGraph:
                 if any(not isinstance(c, int) for c in wt):
                     raise GraphFormatError(f"{vid}: weight entries must be finite ints")
                 eps, phi = _parse_csv(eps_tok, "eps", vid), _parse_csv(phi_tok, "phi", vid)
-                row = rows[wt_tok, eps_tok, phi_tok] = (tuple(wt), eps, phi)
+                row = rows[wt_tok, eps_tok, phi_tok] = (wt, eps, phi)
             wt, eps, phi = row
             try:
                 g._new_id(vid)
-                # fresh lists: fuzz edits a vertex's rows in place
-                g._put_vertex(vid, g._weight(vid, wt, ints=True), list(eps), list(phi))
+                g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
             except ValueError as exc:
                 raise GraphFormatError(str(exc)) from None
             ids[vid] = vid
         elif parts[0] == "edge":
             if len(parts) != 4:
                 raise GraphFormatError(f"bad edge line {ln!r}")
-            edges.append(parts[1:])
         else:
             raise GraphFormatError(f"unknown record {parts[0]!r}")
     labels: dict[str, int] = {}
-    for src, dst, label in edges:
+    for _, src, dst, label in (ln.split() for ln in lines[2:] if ln.startswith("edge")):
         i = labels.get(label)
         if i is None:
             try:
@@ -663,6 +671,7 @@ def from_json(text: str) -> QuasiCrystalGraph:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(doc["n"])
     ids: dict[str, str] = {}  # each id as stored, for the edge ends to share
+    share = {}.setdefault  # one tuple per distinct weight or length row
     # Each record leaves the document as it is taken and is freed once it
     # is stored, so the document shrinks as the graph grows.
     for k, rec in enumerate(vertices):
@@ -675,13 +684,14 @@ def from_json(text: str) -> QuasiCrystalGraph:
             raise GraphFormatError(f"bad vertex record {rec!r}: {exc}") from None
         if not isinstance(eps, list) or not isinstance(phi, list):
             raise GraphFormatError(f"{vid}: eps and phi must be lists")
-        eps = [v if type(v) is int else _ext_from_json(v, vid) for v in eps]
-        phi = [v if type(v) is int else _ext_from_json(v, vid) for v in phi]
+        eps = tuple([v if type(v) is int else _ext_from_json(v, vid) for v in eps])
+        phi = tuple([v if type(v) is int else _ext_from_json(v, vid) for v in phi])
         if not isinstance(wt, list) or any(type(c) is not int for c in wt):
             raise GraphFormatError(f"{vid}: weight entries must be finite ints")
         try:
             g._new_id(vid)
-            g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
+            wt = g._weight(vid, wt, ints=True)
+            g._put_vertex(vid, share(wt, wt), share(eps, eps), share(phi, phi))
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
         ids[vid] = vid

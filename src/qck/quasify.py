@@ -47,8 +47,8 @@ def quasify(c: QuasiCrystalGraph) -> QuasiCrystalGraph:
         # so both ends of an edge agree on keeping it and the e and f rows are
         # each filtered at their own vertex; phi = eps + <wt, alpha_i> goes with eps
         keep = [v == wt[s + 1] for s, v in enumerate(c._eps[x])]
-        eps = [v if k else POS_INF for v, k in zip(c._eps[x], keep)]
-        phi = [v if k else POS_INF for v, k in zip(c._phi[x], keep)]
+        eps = tuple(v if k else POS_INF for v, k in zip(c._eps[x], keep))
+        phi = tuple(v if k else POS_INF for v, k in zip(c._phi[x], keep))
         e = [y if k else None for y, k in zip(c._e[x], keep)]
         f = [y if k else None for y, k in zip(c._f[x], keep)]
         q._put_vertex(x, wt, eps, phi, e, f)

@@ -53,7 +53,7 @@ class Component:
         for x in self.vertices:
             e = [y if y in members else None for y in g._e[x]]
             f = [y if y in members else None for y in g._f[x]]
-            sub_g._put_vertex(x, g._wt[x], list(g._eps[x]), list(g._phi[x]), e, f)
+            sub_g._put_vertex(x, g._wt[x], g._eps[x], g._phi[x], e, f)
         return sub_g
 
 

@@ -89,8 +89,8 @@ def _letter_row(c: int, n: int, up=None, down=None) -> tuple:
     """The row (wt, eps, phi, e, f) of the letter c: wt = e_c, eps_i = [c = i + 1],
     phi_i = [c = i], and e_i and f_i, where they act, name ``up`` and ``down``."""
     wt = tuple(1 if a == c else 0 for a in range(1, n + 1))
-    eps = [1 if c == i + 1 else 0 for i in range(1, n)]
-    phi = [1 if c == i else 0 for i in range(1, n)]
+    eps = tuple(1 if c == i + 1 else 0 for i in range(1, n))
+    phi = tuple(1 if c == i else 0 for i in range(1, n))
     return wt, eps, phi, [up if v else None for v in eps], [down if v else None for v in phi]
 
 
@@ -166,7 +166,7 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
             vid = _join_ids(xa, xb, n)
             if vid in g:  # ids of unequal length can join to one id, as "23"+"1" and "3"+"12"
                 raise ValueError(f"pair id {vid!r} is given to two pairs of vertices")
-            g._put_vertex(vid, wt, list(eps), list(phi), list(e), list(f))
+            g._put_vertex(vid, wt, eps, phi, list(e), list(f))
     return g
 
 
@@ -186,7 +186,8 @@ class WordCrystal:
     per word tuple, that is over suffixes. e and f entries are the position,
     counted from the end of the word, of the letter they change, so a
     suffix's entries hold in every word that ends with it and a new word
-    costs O(n) given the row of its rest.
+    costs O(n) given the row of its rest. Equal row tuples are one object,
+    which graphs store as it is: q(5,6) has 685 (wt, eps, phi) rows.
     """
 
     def __init__(self, n: int, blocking: bool = False):
@@ -196,6 +197,7 @@ class WordCrystal:
         self._blocking = blocking
         self._rows: dict[Word, tuple] = {(): _letter_row(0, n)}  # no letter is 0: the empty word's zero row
         self._letters: dict[tuple[int, int], tuple] = {}  # (length of rest, letter) -> the letter's row
+        self._shared: dict[tuple, tuple] = {}  # each distinct row tuple, once
 
     def row(self, word: Word) -> tuple:
         """The row (wt, eps, phi, e, f) of word. The suffixes without a row
@@ -209,7 +211,8 @@ class WordCrystal:
             p = len(rest)
             if (p, c) not in self._letters:
                 self._letters[(p, c)] = _letter_row(c, self.n, p, p)
-            rows[word[j:]] = _pair_row(rows[rest], self._letters[(p, c)], self._blocking)
+            row = _pair_row(rows[rest], self._letters[(p, c)], self._blocking)
+            rows[word[j:]] = tuple(self._shared.setdefault(t, t) for t in row)
         return rows[word]
 
     def component(self, top: Word) -> set[Word]:
@@ -242,7 +245,7 @@ class WordCrystal:
 
         g = QuasiCrystalGraph(self.n)
         for x, (wt, eps, phi, e, f) in zip(order, rows):
-            g._put_vertex(ids[x], wt, list(eps), list(phi), targets(x, e, -1), targets(x, f, 1))
+            g._put_vertex(ids[x], wt, eps, phi, targets(x, e, -1), targets(x, f, 1))
         return g
 
 

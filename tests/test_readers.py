@@ -207,7 +207,8 @@ def test_a_graph_read_from_its_file_is_no_larger_than_the_built_one(build, write
 
 @pytest.mark.parametrize("write, read", [(to_text, from_text), (to_json, from_json)])
 def test_vertices_read_from_one_field_text_hold_their_own_rows(write, read):
-    # fuzz edits a vertex's rows in place, so no two vertices may share a list
+    # fuzz edits a graph in place through the setters; vertices with equal
+    # rows share them, so an edit must give its vertex a new row
     g = QuasiCrystalGraph(3)
     for vid in ("a", "b"):
         g.add_vertex(vid, (1, 1, 1), [POS_INF, 0], [POS_INF, 0])
@@ -239,6 +240,46 @@ class _Float(float):
 # fresh float infinities, none of them POS_INF or NEG_INF
 FRESH_POS = (float("inf"), float("1e309"), _Float("inf"))
 FRESH_NEG = (float("-inf"), -float("inf"), _Float("-inf"))
+
+
+def tuple_rows(g) -> bool:
+    """Every stored weight, eps and phi row of g is a tuple."""
+    return all(type(row) is tuple for table in (g._wt, g._eps, g._phi) for row in table.values())
+
+
+def test_every_constructor_and_reader_stores_tuple_rows():
+    added = QuasiCrystalGraph(3)
+    added.add_vertex("a", [1, 0, 0], [0, POS_INF], [1, POS_INF])
+    content = crystal_of_content((2, 1), 3)
+    made = {
+        "add_vertex": added,
+        "tensor_power": tensor_power(3, 3),
+        "quasi_tensor_power": quasi_tensor_power(3, 3),
+        "standard_crystal": std(4),
+        "tensor": tensor(tpow(3, 2), std(3)),
+        "quasi_tensor": quasi_tensor(qpow(3, 2), qpow(3, 2)),
+        "crystal_of_content": content,
+        "quasify": quasify(content),
+        "copy": qpow(3, 3).copy(),
+        "subgraph": components(qpow(3, 3))[1].subgraph(),
+        "from_text": from_text(to_text(qpow(3, 3))),
+        "from_json": from_json(to_json(qpow(3, 3))),
+    }
+    for name, g in made.items():
+        assert len(g) and tuple_rows(g), name
+    added.set_epsilon("a", 2, 3)
+    added.set_phi("a", 2, 4)
+    assert tuple_rows(added) and (added._eps["a"], added._phi["a"]) == ((0, 3), (1, 4))
+
+
+@pytest.mark.parametrize("build", [tensor_power, quasi_tensor_power])
+def test_the_powers_and_their_reads_store_each_distinct_row_once(build):
+    # one (wt, eps, phi) object triple per distinct row value triple
+    g = build(3, 5)
+    for tag, h in (("build", g), ("text", from_text(to_text(g))), ("json", from_json(to_json(g)))):
+        rows = [(h._wt[x], h._eps[x], h._phi[x]) for x in h.vertex_ids()]
+        objects = {tuple(map(id, row)) for row in rows}
+        assert len(objects) == len(set(rows)) < len(h) // 4, tag
 
 
 def test_stored_infinities_are_the_two_singletons():
@@ -310,14 +351,17 @@ def test_copy_is_equal_and_independent_on_the_mutated_corpus(mutants):
     for tag, g in mutants:
         h = g.copy()
         assert h == g and h.raising_edges() == g.raising_edges(), tag
-        for table in ("_eps", "_phi", "_e", "_f"):
+        for table in ("_e", "_f"):
             rows, copied = getattr(g, table), getattr(h, table)
             assert not any(copied[x] is rows[x] for x in rows), (tag, table)
+        # the weight and length rows are immutable, so the copy may share them
+        assert tuple_rows(h), tag
         x = g.vertex_ids()[0]
-        before = (g.eps(x, 1), g.f(x, 1))
+        before = (g.eps(x, 1), g.phi(x, 1), g.f(x, 1))
         h.set_epsilon(x, 1, 99)
-        h.set_lowering(x, 1, None if before[1] is not None else x)
-        assert h != g and (g.eps(x, 1), g.f(x, 1)) == before, tag
+        h.set_phi(x, 1, 98)
+        h.set_lowering(x, 1, None if before[2] is not None else x)
+        assert h != g and (g.eps(x, 1), g.phi(x, 1), g.f(x, 1)) == before, tag
 
 
 # ------------------------------------------------------------ hostile input
@@ -364,6 +408,9 @@ def hostile_reads():
         ("text seen eps and phi with a weight of the wrong length", from_text, text + "vertex 9 0,1,0 1 0\n"),
         ("text duplicate id on a seen row", from_text, text + "vertex 2 1,0 0 1\n"),
         ("text seen weight with the wrong eps count", from_text, text + "vertex 9 0,1 1,1 0\n"),
+        # every line's record shape is checked before the first edge is added
+        ("text edge set twice before a short vertex line", from_text, text + "edge 1 2 1\nvertex 9 1,0\n"),
+        ("text short edge line before a short vertex line", from_text, text + "edge 1 2\nvertex 9 1,0\n"),
     ]
     doc = json.loads(to_json(std(2)))
 
@@ -530,6 +577,8 @@ HOSTILE_REFUSALS = {
     "text eps infinity": ("GraphFormatError", "9: bad eps: not an extended integer: 'infinity'"),
     "text eps nan": ("GraphFormatError", "9: bad eps: not an extended integer: 'nan'"),
     "text eps 1e309": ("GraphFormatError", "9: bad eps: not an extended integer: '1e309'"),
+    "text edge set twice before a short vertex line": ("GraphFormatError", "bad vertex line 'vertex 9 1,0'"),
+    "text short edge line before a short vertex line": ("GraphFormatError", "bad edge line 'edge 1 2'"),
 }
 
 
@@ -552,9 +601,21 @@ def test_text_reader_parses_each_distinct_row_once(monkeypatch):
     assert len(rows) < len(g) and len(calls) == 3 * len(rows)
 
 
+def test_text_reader_takes_edge_lines_before_vertex_lines():
+    moved = 0
+    for tag, g in quasi_corpus() + crystal_corpus():
+        lines = to_text(g).splitlines(keepends=True)
+        edges = [ln for ln in lines[2:] if ln.startswith("edge")]
+        vertices = [ln for ln in lines[2:] if ln.startswith("vertex")]
+        assert len(edges) + len(vertices) == len(lines) - 2, tag
+        assert from_text("".join(lines[:2] + edges + vertices)) == from_text("".join(lines)) == g, tag
+        moved += len(edges)
+    assert moved > 500
+
+
 @pytest.mark.parametrize("value, shown", [(True, "True"), (1.0, "1.0")])
-def test_json_reader_refuses_a_length_equal_to_a_string_already_read(value, shown):
-    # true and 1.0 hash like 1, so a memo keyed by them would read them as the "1" seen before
+def test_json_reader_refuses_a_bool_or_float_length_equal_to_an_earlier_string_length(value, shown):
+    # true and 1.0 equal 1: each is refused although "1" was read as a length before
     doc = {
         "format": "qck-graph",
         "version": 1,
