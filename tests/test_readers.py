@@ -614,7 +614,7 @@ def test_text_reader_takes_edge_lines_before_vertex_lines():
 
 
 @pytest.mark.parametrize("value, shown", [(True, "True"), (1.0, "1.0")])
-def test_json_reader_refuses_a_bool_or_float_length_equal_to_an_earlier_string_length(value, shown):
+def test_json_reader_refuses_a_length_equal_to_a_string_already_read(value, shown):
     # true and 1.0 equal 1: each is refused although "1" was read as a length before
     doc = {
         "format": "qck-graph",
