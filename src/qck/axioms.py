@@ -1,7 +1,9 @@
 """Checkers for the local quasi-crystal axioms and the Stembridge axioms.
 
 Every checker sweeps the whole graph, reports *all* violations as sorted
-witness lines, and never stops at the first hit. Raising edges are read off
+witness lines, and never stops at the first hit. A checker's body is a
+generator of its Witness objects; ``graphcore._report`` (or the checker's own
+last line) collects them into its AxiomReport. Raising edges are read off
 the e-table directly, so the checkers stay meaningful on corrupted graphs
 where e and f disagree. Like validate, every checker takes an optional
 ``around`` set of anchors and then sweeps only those (see graphcore).
@@ -32,6 +34,7 @@ from .graphcore import (
     POS_INF,
     QuasiCrystalGraph,
     Witness,
+    _report,
     ext_str,
     is_crystal,
     is_seminormal,
@@ -53,7 +56,6 @@ _WORDS = {
     "edge": ("down", "up"),  # the way infs carries +inf along the edge
     "prime": ("", "'"),
     "lq2": ("LQ2.2", "LQ2.3"),
-    "lq3": ("lq3", "lq3p"),
     "case": ("case-2", "case-3"),
     "infs": ("infs.1", "infs.2"),
 }
@@ -79,46 +81,41 @@ class _Sense:
         return (a, b) if self.up else (b, a)
 
 
+@_report("lq1")
 def check_lq1(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """eps_i(x) = 0 exactly when phi_{i+1}(x) = 0, for consecutive indices."""
     EPS, PHI = g._eps, g._phi
-    ws = []
     for x in g.anchors(around):
         ex, px = EPS[x], PHI[x]
         for s in range(g.n - 2):  # i = s + 1 and i + 1 both indices
             if (ex[s] == 0) != (px[s + 1] == 0):
                 i = s + 1
-                ws.append(
-                    Witness(
-                        "LQ1",
-                        (x,),
-                        (i, i + 1),
-                        f"eps_{i}={ext_str(ex[s])},phi_{i + 1}={ext_str(px[s + 1])}",
-                        "eps_i=0 iff phi_{i+1}=0",
-                    )
+                yield Witness(
+                    "LQ1",
+                    (x,),
+                    (i, i + 1),
+                    f"eps_{i}={ext_str(ex[s])},phi_{i + 1}={ext_str(px[s + 1])}",
+                    "eps_i=0 iff phi_{i+1}=0",
                 )
-    return AxiomReport("lq1", ws)
 
 
+@_report("lq2")
 def check_lq2(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Behaviour of neighbouring string lengths across each raising edge:
     LQ2.1 at distant indices, LQ2.2 (up) and LQ2.3 (down) at adjacent ones."""
     senses = (_Sense(g, True), _Sense(g, False))
     EPS, indices = g._eps, g.index_set
-    ws = []
     for x, i, y in g.raising_edges(around):
         for j in indices:
             t = j - 1
             if abs(i - j) > 1:
                 if EPS[x][t] != EPS[y][t]:
-                    ws.append(
-                        Witness(
-                            "LQ2.1",
-                            (x, y),
-                            (i, j),
-                            f"eps_{j}: {ext_str(EPS[x][t])} -> {ext_str(EPS[y][t])}",
-                            "unchanged for |i-j|>1",
-                        )
+                    yield Witness(
+                        "LQ2.1",
+                        (x, y),
+                        (i, j),
+                        f"eps_{j}: {ext_str(EPS[x][t])} -> {ext_str(EPS[y][t])}",
+                        "unchanged for |i-j|>1",
                     )
                 continue
             if j == i:
@@ -128,33 +125,27 @@ def check_lq2(g: QuasiCrystalGraph, around=None) -> AxiomReport:
             near, far = s.pair(x, y)
             cond = L[near][t] is POS_INF and L[far][i - 1] == 0
             if (L[x][t] != L[y][t]) != cond:
-                ws.append(
-                    Witness(
-                        w.lq2,
-                        (x, y),
-                        (i, j),
-                        f"{w.eps}_{j}: {ext_str(L[x][t])} -> {ext_str(L[y][t])}, "
-                        f"{w.eps}_{i}({w.far})={ext_str(L[far][i - 1])}",
-                        f"change iff {w.eps}_{{i{w.pm}1}}({w.near})=+inf and {w.eps}_i({w.far})=0",
-                    )
+                yield Witness(
+                    w.lq2,
+                    (x, y),
+                    (i, j),
+                    f"{w.eps}_{j}: {ext_str(L[x][t])} -> {ext_str(L[y][t])}, "
+                    f"{w.eps}_{i}({w.far})={ext_str(L[far][i - 1])}",
+                    f"change iff {w.eps}_{{i{w.pm}1}}({w.near})=+inf and {w.eps}_i({w.far})=0",
                 )
             if cond and (L[far][t] == 0 or L[far][t] is POS_INF):
-                ws.append(
-                    Witness(
-                        w.lq2,
-                        (x, y),
-                        (i, j),
-                        f"{w.eps}_{j}({w.far})={ext_str(L[far][t])}",
-                        f"finite positive {w.step} step",
-                    )
+                yield Witness(
+                    w.lq2,
+                    (x, y),
+                    (i, j),
+                    f"{w.eps}_{j}({w.far})={ext_str(L[far][t])}",
+                    f"finite positive {w.step} step",
                 )
-    return AxiomReport("lq2", ws)
 
 
-def _check_lq3(g: QuasiCrystalGraph, around, s: _Sense) -> AxiomReport:
+def _lq3(g: QuasiCrystalGraph, around, s: _Sense):
     """Defined operators of the sense at distinct indices commute."""
     E = s.e
-    ws = []
     for x in g.anchors(around):
         row = E[x]
         for i in range(1, g.n):
@@ -167,26 +158,23 @@ def _check_lq3(g: QuasiCrystalGraph, around, s: _Sense) -> AxiomReport:
                     continue
                 ab, ba = E[a][j - 1], E[b][i - 1]
                 if ab is None or ab != ba:
-                    ws.append(
-                        Witness(
-                            "LQ3" + s.w.prime,
-                            (x,),
-                            (i, j),
-                            f"{ab} vs {ba}",
-                            "equal and defined composites",
-                        )
+                    yield Witness(
+                        "LQ3" + s.w.prime,
+                        (x,),
+                        (i, j),
+                        f"{ab} vs {ba}",
+                        "equal and defined composites",
                     )
-    return AxiomReport(s.w.lq3, ws)
 
 
 def check_lq3(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Defined raising operators at distinct indices commute."""
-    return _check_lq3(g, around, _Sense(g, True))
+    return AxiomReport("lq3", _lq3(g, around, _Sense(g, True)))
 
 
 def check_lq3p(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Defined lowering operators at distinct indices commute: LQ3 read down."""
-    return _check_lq3(g, around, _Sense(g, False))
+    return AxiomReport("lq3p", _lq3(g, around, _Sense(g, False)))
 
 
 def uncounted_length(g: QuasiCrystalGraph, around=None):
@@ -220,13 +208,10 @@ def check_local_ax_cases(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     return _cases(g, around)
 
 
+@_report("cases")
 def _cases(g: QuasiCrystalGraph, around) -> AxiomReport:
     senses = (_Sense(g, True), _Sense(g, False))
     W, EPS, PHI, indices = g._wt, g._eps, g._phi, g.index_set
-    ws = []
-
-    def bad(case, x, y, i, j, observed, required):
-        ws.append(Witness(case, (x, y), (i, j), observed, required))
 
     def moves(x, y, t):
         return (
@@ -239,7 +224,7 @@ def _cases(g: QuasiCrystalGraph, around) -> AxiomReport:
             t = j - 1
             if abs(i - j) > 1:
                 if EPS[y][t] != EPS[x][t] or PHI[y][t] != PHI[x][t]:
-                    bad("case-1", x, y, i, j, moves(x, y, t), "both unchanged at distance > 1")
+                    yield Witness("case-1", (x, y), (i, j), moves(x, y, t), "both unchanged at distance > 1")
                 continue
             if j == i:
                 continue
@@ -249,12 +234,10 @@ def _cases(g: QuasiCrystalGraph, around) -> AxiomReport:
             L_near, L_far, R_near, R_far = s.eps[near], s.eps[far], s.phi[near], s.phi[far]
             if L_near[t] is not POS_INF:
                 if not (L_far[t] == L_near[t] and R_far[t] == R_near[t] - 1):
-                    bad(
+                    yield Witness(
                         w.case + "a",
-                        x,
-                        y,
-                        i,
-                        j,
+                        (x, y),
+                        (i, j),
                         moves(x, y, t),
                         ", ".join(s.pair(f"{w.eps} unchanged", f"{w.phi} {w.move} by 1")),
                     )
@@ -267,12 +250,10 @@ def _cases(g: QuasiCrystalGraph, around) -> AxiomReport:
                         for end, v in (("x", x), ("y", y))
                     }
                     del rest[f"{w.eps}({w.near})"]
-                    bad(
+                    yield Witness(
                         w.case + "b",
-                        x,
-                        y,
-                        i,
-                        j,
+                        (x, y),
+                        (i, j),
                         " ".join(f"{k}={ext_str(v)}" for k, v in rest.items()),
                         "all +inf while the chain continues",
                     )
@@ -280,12 +261,10 @@ def _cases(g: QuasiCrystalGraph, around) -> AxiomReport:
                 wf = W[far]
                 predicted = -s.d * (wf[t] - wf[j])
                 if not (L_far[t] == predicted and predicted > 0 and R_far[t] == 0):
-                    bad(
+                    yield Witness(
                         w.case + "c",
-                        x,
-                        y,
-                        i,
-                        j,
+                        (x, y),
+                        (i, j),
                         f"eps({w.far})={ext_str(EPS[far][t])} phi({w.far})={ext_str(PHI[far][t])}",
                         " and ".join(
                             s.pair(
@@ -294,7 +273,6 @@ def _cases(g: QuasiCrystalGraph, around) -> AxiomReport:
                             )
                         ),
                     )
-    return AxiomReport("cases", ws)
 
 
 def check_cor_infs(g: QuasiCrystalGraph, around=None) -> AxiomReport:
@@ -304,10 +282,10 @@ def check_cor_infs(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     return _infs(g, around)
 
 
+@_report("infs")
 def _infs(g: QuasiCrystalGraph, around) -> AxiomReport:
     senses = (_Sense(g, True), _Sense(g, False))
     indices = g.index_set
-    ws = []
     limit = len(g) + 1
     for x, i, y in g.raising_edges(around):
         for s in senses:
@@ -319,14 +297,12 @@ def _infs(g: QuasiCrystalGraph, around) -> AxiomReport:
             if L[far][j - 1] is not POS_INF:
                 continue
             if L[near][j - 1] is not POS_INF:
-                ws.append(
-                    Witness(
-                        w.infs,
-                        (x, y),
-                        (i, j),
-                        f"{w.eps}_{j}({w.near})={ext_str(L[near][j - 1])}",
-                        f"+inf must propagate {w.edge} the edge",
-                    )
+                yield Witness(
+                    w.infs,
+                    (x, y),
+                    (i, j),
+                    f"{w.eps}_{j}({w.near})={ext_str(L[near][j - 1])}",
+                    f"+inf must propagate {w.edge} the edge",
                 )
             z = far
             found = False
@@ -341,23 +317,20 @@ def _infs(g: QuasiCrystalGraph, around) -> AxiomReport:
                     found = True
                     break
             if not found:
-                ws.append(
-                    Witness(
-                        w.infs,
-                        (x, y),
-                        (i, j),
-                        f"no unfreezing vertex {w.chain} the chain",
-                        f"some {w.e}_i^k({w.far}) with finite positive {w.eps}_{{i{w.pm}1}}",
-                    )
+                yield Witness(
+                    w.infs,
+                    (x, y),
+                    (i, j),
+                    f"no unfreezing vertex {w.chain} the chain",
+                    f"some {w.e}_i^k({w.far}) with finite positive {w.eps}_{{i{w.pm}1}}",
                 )
-    return AxiomReport("infs", ws)
 
 
 # Not a dual pair: lemij.3 guards on eps_{i-1}(x), not phi_{i-1}(y), and prints eps first.
+@_report("lemij")
 def check_lemma_ij(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Paired eps/phi movement across a raising edge, as three biconditionals."""
     EPS, PHI, indices = g._eps, g._phi, g.index_set
-    ws = []
     for x, i, y in g.raising_edges(around):
         ex, ey, px, py = EPS[x], EPS[y], PHI[x], PHI[y]
         for j in indices:
@@ -366,43 +339,36 @@ def check_lemma_ij(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                 lhs = ey[t] == ex[t]
                 rhs = py[t] == px[t]
                 if lhs != rhs:
-                    ws.append(
-                        Witness(
-                            "lemij.1",
-                            (x, y),
-                            (i, j),
-                            f"eps same: {lhs}, phi same: {rhs}",
-                            "eps unchanged iff phi unchanged",
-                        )
+                    yield Witness(
+                        "lemij.1",
+                        (x, y),
+                        (i, j),
+                        f"eps same: {lhs}, phi same: {rhs}",
+                        "eps unchanged iff phi unchanged",
                     )
         # slot i is index j = i + 1, slot i - 2 is index j = i - 1
         if i + 1 in indices and ex[i] is not POS_INF:
             lhs = ey[i] == ex[i]
             rhs = py[i] == px[i] - 1
             if lhs != rhs:
-                ws.append(
-                    Witness(
-                        "lemij.2",
-                        (x, y),
-                        (i, i + 1),
-                        f"eps same: {lhs}, phi dropped: {rhs}",
-                        "eps unchanged iff phi drops by 1",
-                    )
+                yield Witness(
+                    "lemij.2",
+                    (x, y),
+                    (i, i + 1),
+                    f"eps same: {lhs}, phi dropped: {rhs}",
+                    "eps unchanged iff phi drops by 1",
                 )
         if i - 1 in indices and ex[i - 2] is not POS_INF:
             lhs = ey[i - 2] == ex[i - 2] + 1
             rhs = py[i - 2] == px[i - 2]
             if lhs != rhs:
-                ws.append(
-                    Witness(
-                        "lemij.3",
-                        (x, y),
-                        (i, i - 1),
-                        f"eps rose: {lhs}, phi same: {rhs}",
-                        "eps rises by 1 iff phi unchanged",
-                    )
+                yield Witness(
+                    "lemij.3",
+                    (x, y),
+                    (i, i - 1),
+                    f"eps rose: {lhs}, phi same: {rhs}",
+                    "eps rises by 1 iff phi unchanged",
                 )
-    return AxiomReport("lemij", ws)
 
 
 def _chain(rows: dict, start, seq):
@@ -421,13 +387,16 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
     read up, S2' and S3' read down."""
     if not is_crystal(g, around):
         raise ValueError("Stembridge checks apply to crystals only (no +inf lengths)")
+    found = {axiom: [] for axiom in ("S1", "S2", "S2'", "S3", "S3'")}
+    for w in _stembridge(g, around):
+        found[w.axiom].append(w)
+    return {axiom.replace("'", "p"): AxiomReport(axiom, hits) for axiom, hits in found.items()}
+
+
+def _stembridge(g: QuasiCrystalGraph, around):
+    """The witnesses of all five axioms, for check_stembridge to sort by axiom."""
     senses = (_Sense(g, True), _Sense(g, False))
     EPS, indices = g._eps, g.index_set
-    found = {axiom: [] for axiom in ("S1", "S2", "S2'", "S3", "S3'")}
-
-    def bad(axiom, vertices, i, j, observed, required):
-        found[axiom].append(Witness(axiom, vertices, (i, j), observed, required))
-
     for x, i, y in g.raising_edges(around):
         for j in indices:
             if j == i:
@@ -438,11 +407,10 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
             # <alpha_i, alpha_j> = -1 exactly for adjacent indices
             if ey == ex + 1 and abs(i - j) == 1:
                 continue
-            bad(
+            yield Witness(
                 "S1",
                 (x, y),
-                i,
-                j,
+                (i, j),
                 f"eps_{j}: {ext_str(ex)} -> {ext_str(ey)}",
                 "unchanged, or +1 across an adjacent index",
             )
@@ -462,20 +430,18 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
                         ij = E[z][i - 1] if z is not None else None
                         ji = E[y][j - 1]
                         if ij is None or ij != ji:
-                            bad(
+                            yield Witness(
                                 "S2" + w.prime,
                                 (x,),
-                                i,
-                                j,
+                                (i, j),
                                 f"{w.e}_i {w.e}_j={ij} {w.e}_j {w.e}_i={ji}",
                                 "equal and defined",
                             )
                         elif R[x][i - 1] != R[z][i - 1]:
-                            bad(
+                            yield Witness(
                                 "S2" + w.prime,
                                 (x,),
-                                i,
-                                j,
+                                (i, j),
                                 f"{w.phi}_{i}({w.e}_{j}x)={ext_str(R[z][i - 1])}",
                                 f"{w.phi}_{i}(x)={ext_str(R[x][i - 1])}",
                             )
@@ -486,11 +452,10 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
                     left = _chain(E, x, (i, j, j, i))
                     right = _chain(E, x, (j, i, i, j))
                     if left is None or left != right:
-                        bad(
+                        yield Witness(
                             "S3" + w.prime,
                             (x,),
-                            i,
-                            j,
+                            (i, j),
                             f"{w.e}_i {w.e}_j^2 {w.e}_i={left} {w.e}_j {w.e}_i^2 {w.e}_j={right}",
                             "equal and defined",
                         )
@@ -498,25 +463,21 @@ def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport
                     mid_l = _chain(E, x, (i, j, j))
                     mid_r = _chain(E, x, (j, i, i))
                     if R[z][i - 1] != R[mid_l][i - 1]:
-                        bad(
+                        yield Witness(
                             "S3" + w.prime,
                             (x,),
-                            i,
-                            j,
+                            (i, j),
                             f"{w.phi}_{i}({w.e}_{j}x)={ext_str(R[z][i - 1])} vs {ext_str(R[mid_l][i - 1])}",
                             f"{w.phi}_i preserved across the double step",
                         )
                     if R[y][j - 1] != R[mid_r][j - 1]:
-                        bad(
+                        yield Witness(
                             "S3" + w.prime,
                             (x,),
-                            i,
-                            j,
+                            (i, j),
                             f"{w.phi}_{j}({w.e}_{i}x)={ext_str(R[y][j - 1])} vs {ext_str(R[mid_r][j - 1])}",
                             f"{w.phi}_j preserved across the double step",
                         )
-
-    return {axiom.replace("'", "p"): AxiomReport(axiom, ws) for axiom, ws in found.items()}
 
 
 # The coherence gates every battery runs first, in order.

@@ -75,23 +75,20 @@ class IntPolynomial:
         if self.n != other.n:
             raise ValueError(f"variable count mismatch: {self.n} vs {other.n}")
 
-    def __add__(self, other):
+    def _merge(self, other, fold):
+        """self with other's terms folded in: Counter.update adds, Counter.subtract subtracts."""
         if not isinstance(other, IntPolynomial):
             return NotImplemented
         self._check_rank(other)
-        out = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            out[expo] = out.get(expo, 0) + coeff
+        out = Counter(self._terms)
+        fold(out, other._terms)
         return IntPolynomial(self.n, out)
 
+    def __add__(self, other):
+        return self._merge(other, Counter.update)
+
     def __sub__(self, other):
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        self._check_rank(other)
-        out = dict(self._terms)
-        for expo, coeff in other._terms.items():
-            out[expo] = out.get(expo, 0) - coeff
-        return IntPolynomial(self.n, out)
+        return self._merge(other, Counter.subtract)
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):

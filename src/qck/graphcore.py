@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import islice
 
 from .weightlattice import Weight, check_rank
@@ -117,6 +118,20 @@ class AxiomReport:
 
     def lines(self) -> list[str]:
         return [w.line() for w in self.witnesses]
+
+
+def _report(name: str):
+    """Make a generator of a checker's witnesses the checker: the decorated
+    function returns them as the AxiomReport called ``name``."""
+
+    def decorate(witnesses):
+        @wraps(witnesses)
+        def checker(*args, **kwargs):
+            return AxiomReport(name, witnesses(*args, **kwargs))
+
+        return checker
+
+    return decorate
 
 
 class QuasiCrystalGraph:
@@ -306,6 +321,7 @@ def _edges_from(ids, rows):
 # changed since a full check passed; mutation.fuzz_graph relies on this.
 
 
+@_report("validate")
 def validate(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Check the defining coherence conditions of a quasi-crystal graph.
 
@@ -314,90 +330,76 @@ def validate(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     infinite string length carry no edge. Dangling targets are reported
     rather than raised.
     """
-    ws: list[Witness] = []
     W, EPS, PHI, E, F = g._wt, g._eps, g._phi, g._e, g._f
     for x in g.anchors(around):
         wx = W[x]
         for s, (eps, phi, ex, fx) in enumerate(zip(EPS[x], PHI[x], E[x], F[x])):
             i = s + 1
             if ex is not None and ex not in W:
-                ws.append(Witness("structural", (x,), (i,), f"e->{ex}", "target must be a vertex"))
+                yield Witness("structural", (x,), (i,), f"e->{ex}", "target must be a vertex")
             if fx is not None and fx not in W:
-                ws.append(Witness("structural", (x,), (i,), f"f->{fx}", "target must be a vertex"))
+                yield Witness("structural", (x,), (i,), f"f->{fx}", "target must be a vertex")
             # phi = eps + <wt, alpha_i>; an int plus +-inf is always defined
             expected_phi = eps + (wx[s] - wx[s + 1])
             if phi != expected_phi:
-                ws.append(
-                    Witness(
-                        "Q2",
-                        (x,),
-                        (i,),
-                        f"phi={ext_str(phi)}",
-                        f"eps+<wt,alpha>={ext_str(expected_phi)}",
-                    )
+                yield Witness(
+                    "Q2",
+                    (x,),
+                    (i,),
+                    f"phi={ext_str(phi)}",
+                    f"eps+<wt,alpha>={ext_str(expected_phi)}",
                 )
             if ex is None and fx is None:
                 continue
             # infinite string lengths forbid edges
             if eps is NEG_INF or phi is NEG_INF:
-                ws.append(Witness("Q3", (x,), (i,), "edge at -inf index", "no e/f where a length is -inf"))
+                yield Witness("Q3", (x,), (i,), "edge at -inf index", "no e/f where a length is -inf")
             if eps is POS_INF or phi is POS_INF:
-                ws.append(Witness("Q4", (x,), (i,), "edge at +inf index", "no e/f where a length is +inf"))
+                yield Witness("Q4", (x,), (i,), "edge at +inf index", "no e/f where a length is +inf")
             # mutual inverse + bookkeeping along the raising edge
             if ex is not None and ex in W:
                 y = ex
                 if F[y][s] != x:
-                    ws.append(
-                        Witness(
-                            "Q1",
-                            (x, y),
-                            (i,),
-                            f"f_{i}({y})={F[y][s]}",
-                            f"inverse of e_{i}({x})={y}",
-                        )
+                    yield Witness(
+                        "Q1",
+                        (x, y),
+                        (i,),
+                        f"f_{i}({y})={F[y][s]}",
+                        f"inverse of e_{i}({x})={y}",
                     )
                 # wt(x) + alpha_i: coordinate i up by one, i + 1 down by one
                 if W[y] != wx[:s] + (wx[s] + 1, wx[s + 1] - 1) + wx[s + 2 :]:
-                    ws.append(
-                        Witness(
-                            "Q1",
-                            (x, y),
-                            (i,),
-                            f"wt({y})={W[y]}",
-                            f"wt({x})+alpha_{i}",
-                        )
+                    yield Witness(
+                        "Q1",
+                        (x, y),
+                        (i,),
+                        f"wt({y})={W[y]}",
+                        f"wt({x})+alpha_{i}",
                     )
                 if EPS[y][s] != eps - 1:
-                    ws.append(
-                        Witness(
-                            "Q1",
-                            (x, y),
-                            (i,),
-                            f"eps_{i}({y})={ext_str(EPS[y][s])}",
-                            f"eps_{i}({x})-1={ext_str(eps - 1)}",
-                        )
+                    yield Witness(
+                        "Q1",
+                        (x, y),
+                        (i,),
+                        f"eps_{i}({y})={ext_str(EPS[y][s])}",
+                        f"eps_{i}({x})-1={ext_str(eps - 1)}",
                     )
                 if PHI[y][s] != phi + 1:
-                    ws.append(
-                        Witness(
-                            "Q1",
-                            (x, y),
-                            (i,),
-                            f"phi_{i}({y})={ext_str(PHI[y][s])}",
-                            f"phi_{i}({x})+1={ext_str(phi + 1)}",
-                        )
+                    yield Witness(
+                        "Q1",
+                        (x, y),
+                        (i,),
+                        f"phi_{i}({y})={ext_str(PHI[y][s])}",
+                        f"phi_{i}({x})+1={ext_str(phi + 1)}",
                     )
             if fx is not None and fx in W and E[fx][s] != x:
-                ws.append(
-                    Witness(
-                        "Q1",
-                        (x, fx),
-                        (i,),
-                        f"e_{i}({fx})={E[fx][s]}",
-                        f"inverse of f_{i}({x})={fx}",
-                    )
+                yield Witness(
+                    "Q1",
+                    (x, fx),
+                    (i,),
+                    f"e_{i}({fx})={E[fx][s]}",
+                    f"inverse of f_{i}({x})={fx}",
                 )
-    return AxiomReport("validate", ws)
 
 
 def _chain_length(rows: dict, x: str, s: int, limit: int) -> tuple[int, bool]:
@@ -413,9 +415,9 @@ def _chain_length(rows: dict, x: str, s: int, limit: int) -> tuple[int, bool]:
     return k, False
 
 
+@_report("seminormal")
 def is_seminormal(g: QuasiCrystalGraph, around=None) -> AxiomReport:
     """Finite string lengths must equal actual operator chain lengths."""
-    ws: list[Witness] = []
     limit = len(g)
     for x in g.anchors(around):
         for field_name, lengths, rows in (("eps", g._eps[x], g._e), ("phi", g._phi[x], g._f)):
@@ -424,26 +426,21 @@ def is_seminormal(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                     continue
                 k, cyclic = _chain_length(rows, x, s, limit)
                 if cyclic:
-                    ws.append(
-                        Witness(
-                            "seminormal",
-                            (x,),
-                            (s + 1,),
-                            f"{field_name} chain exceeds {limit} vertices",
-                            "finite acyclic chain",
-                        )
+                    yield Witness(
+                        "seminormal",
+                        (x,),
+                        (s + 1,),
+                        f"{field_name} chain exceeds {limit} vertices",
+                        "finite acyclic chain",
                     )
                 elif length != k:
-                    ws.append(
-                        Witness(
-                            "seminormal",
-                            (x,),
-                            (s + 1,),
-                            f"{field_name}={ext_str(length)}",
-                            f"chain length {k}",
-                        )
+                    yield Witness(
+                        "seminormal",
+                        (x,),
+                        (s + 1,),
+                        f"{field_name}={ext_str(length)}",
+                        f"chain length {k}",
                     )
-    return AxiomReport("seminormal", ws)
 
 
 def is_crystal(g: QuasiCrystalGraph, around=None) -> bool:
@@ -585,10 +582,6 @@ def from_text(text: str) -> QuasiCrystalGraph:
     return g
 
 
-def _ext_json(v):
-    return ext_str(v) if isinstance(v, float) else v
-
-
 def _ext_from_json(v, where: str):
     """v as an extended integer."""
     if isinstance(v, str):
@@ -611,11 +604,13 @@ def _json_list(values: list) -> str:
 
 
 def _json_row(wt, eps, phi) -> str:
-    """What follows the id in to_json's record of a vertex with these rows."""
+    """What follows the id in to_json's record of a vertex with these rows,
+    the infinities (the only floats) written as strings."""
+    eps, phi = ([ext_str(v) if isinstance(v, float) else v for v in row] for row in (eps, phi))
     return (
         f',\n      "wt": {_json_list(list(wt))}'
-        f',\n      "eps": {_json_list([_ext_json(v) for v in eps])}'
-        f',\n      "phi": {_json_list([_ext_json(v) for v in phi])}\n    }}'
+        f',\n      "eps": {_json_list(eps)}'
+        f',\n      "phi": {_json_list(phi)}\n    }}'
     )
 
 

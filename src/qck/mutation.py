@@ -218,8 +218,8 @@ def fuzz_graph(g: QuasiCrystalGraph, count: int, seed: int) -> FuzzResult:
     raises. Witnesses of the unedited g anchored outside the region still
     stand, so they count as a detection.
     """
-    if isinstance(count, bool) or count < 0:
-        raise ValueError(f"fuzz count must be >= 0, got {count}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 0:
+        raise ValueError(f"fuzz count must be >= 0, got {count!r}")
     # a class change (+inf gained or lost) breaks Q2 at x, so while local
     # validate passes the mutant keeps g's family
     checkers = family(g)

@@ -195,7 +195,7 @@ class WordCrystal:
             raise ValueError("power constructions need n >= 2")
         self.n = n
         self._blocking = blocking
-        self._rows: dict[Word, tuple] = {(): _letter_row(0, n)}  # no letter is 0: the empty word's zero row
+        self._rows: dict[Word, tuple] = {}  # the empty word's row comes with the first word's
         self._letters: dict[tuple[int, int], tuple] = {}  # (length of rest, letter) -> the letter's row
         self._shared: dict[tuple, tuple] = {}  # each distinct row tuple, once
 
@@ -203,6 +203,8 @@ class WordCrystal:
         """The row (wt, eps, phi, e, f) of word. The suffixes without a row
         get theirs first, shortest first, each from the row of its rest."""
         rows = self._rows
+        if not rows:  # made here, so a construction refused for its size holds no row of length n
+            rows[()] = _letter_row(0, self.n)  # no letter is 0: the zero row
         new = 0
         while word[new:] not in rows:
             new += 1

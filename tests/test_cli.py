@@ -2,6 +2,7 @@ import hashlib
 import shutil
 import subprocess
 import time
+import tracemalloc
 
 import pytest
 
@@ -366,6 +367,30 @@ def test_count_past_the_cap_on_string_lengths_refuses_at_once(monkeypatch, capsy
     )
     assert capsys.readouterr() == ("", expected)
     assert elapsed < 1.0, f"refusing took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["count", "--shape", "1"], "content (1,) at n=1000000 stores 1*1000000 rows of 999999 string lengths"),
+        (["verify", "schur", "--shape", "1"], "content (1,) at n=1000000 stores 1*1000000 rows of 999999 string lengths"),
+        (["build", "qtensor-power", "--k", "2"], "1000000^2 = 1000000000000 vertices exceeds"),
+    ],
+    ids=["count", "verify", "build"],
+)
+def test_a_refused_rank_allocates_nothing_of_its_size(monkeypatch, capsys, argv, err):
+    # a row of n = 10**6 entries takes 8 MB; a refusal must hold none, or a
+    # large enough --n runs out of memory instead of exiting 2
+    monkeypatch.delenv("QCK_SIZE_CAP", raising=False)
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--n", "1000000"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {err}")
+    assert peak < 1_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
 def test_count_rejects_bad_shape(capsys):

@@ -193,6 +193,13 @@ def test_fuzz_rejects_a_boolean_count():
         fuzz_graph(qpow(2, 2), count=True, seed=0)
 
 
+@pytest.mark.parametrize("count, shown", [(2.5, "2.5"), ("3", "'3'")])
+def test_fuzz_rejects_a_count_that_is_not_an_int(count, shown):
+    # range() and < would raise TypeError; a library caller gets the CLI's ValueError
+    with pytest.raises(ValueError, match=f"^fuzz count must be >= 0, got {shown}$"):
+        fuzz_graph(qpow(2, 2), count=count, seed=0)
+
+
 def test_fuzz_empty_run():
     result = fuzz_graph(qpow(2, 2), count=0, seed=0)
     assert result.total == 0

@@ -3,6 +3,7 @@ import time
 from hypothesis import assume, given, settings, strategies as st
 import pytest
 
+from qck.characters import verify_schur_decomposition
 from qck.graphcore import POS_INF, is_crystal, is_seminormal, validate
 from qck.quasify import (
     count_quasi_components,
@@ -323,6 +324,13 @@ def test_content_crystal_rejects_bad_shapes():
         crystal_of_content((), 3)
     with pytest.raises(ValueError, match=r"^not a partition \(weakly decreasing positive parts\): \(True,\)$"):
         crystal_of_content((True,), 2)
+
+
+@pytest.mark.parametrize("build", [crystal_of_content, count_quasi_components, verify_schur_decomposition])
+def test_content_crystal_refuses_a_rank_that_is_not_an_int(build):
+    # len(parts) > n would raise TypeError on a string
+    with pytest.raises(ValueError, match="^n must be an integer, got '3'$"):
+        build((2, 1), "3")
 
 
 # ------------------------------------------------------------------ counting
