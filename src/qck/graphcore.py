@@ -646,9 +646,97 @@ def to_json(g: QuasiCrystalGraph, out=None) -> str | None:
     return _stream(_json_pieces(g), out)
 
 
-def from_json(text: str) -> QuasiCrystalGraph:
+def _vertex_fields(rec, share) -> tuple:
+    """A JSON vertex record's (id, wt, eps, phi), its rows checked entry by
+    entry; the rows and a str id are shared through ``share``."""
     try:
-        doc = json.loads(text)
+        vid, wt, eps, phi = rec["id"], rec["wt"], rec["eps"], rec["phi"]
+    except (KeyError, TypeError) as exc:
+        raise GraphFormatError(f"bad vertex record {rec!r}: {exc}") from None
+    if not isinstance(eps, list) or not isinstance(phi, list):
+        raise GraphFormatError(f"{vid}: eps and phi must be lists")
+    eps = tuple([v if type(v) is int else _ext_from_json(v, vid) for v in eps])
+    phi = tuple([v if type(v) is int else _ext_from_json(v, vid) for v in phi])
+    if not isinstance(wt, list) or any(type(c) is not int for c in wt):
+        raise GraphFormatError(f"{vid}: weight entries must be finite ints")
+    wt = tuple(wt)
+    return share(vid, vid) if type(vid) is str else vid, share(wt, wt), share(eps, eps), share(phi, phi)
+
+
+def _edge_fields(rec, share) -> tuple:
+    """A JSON edge record's (from, to, label); str ends are shared through ``share``."""
+    try:
+        src, dst, label = rec["from"], rec["to"], rec["label"]
+    except (KeyError, TypeError) as exc:
+        raise GraphFormatError(f"bad edge record {rec!r}: {exc}") from None
+    return share(src, src) if type(src) is str else src, share(dst, dst) if type(dst) is str else dst, label
+
+
+def _json_doc(text: str, share) -> tuple:
+    """(doc, refused): the document of text as json.loads reads it, except that
+    a top-level object's "vertices" or "edges" list is the flat list of what
+    its reader reads from each record as it is decoded. A list ends at its
+    first refused record, whose GraphFormatError is refused[key]."""
+    ws, scan = json.decoder.WHITESPACE.match, json.scanner.make_scanner(json.JSONDecoder())
+    readers = {"vertices": _vertex_fields, "edges": _edge_fields}
+
+    def first(i: int, close: str) -> tuple[int, bool]:
+        """Past the opening bracket at i: where the first item starts, and whether there is one."""
+        i = ws(text, i + 1).end()
+        return (i + 1, False) if text.startswith(close, i) else (i, True)
+
+    def then(i: int, close: str) -> tuple[int, bool]:
+        """Past the comma or ``close`` after an item that ends at i: as ``first``."""
+        if not text.startswith(",", i):  # the writers put each comma right after its item
+            i = ws(text, i).end()
+            if text.startswith(close, i):
+                return i + 1, False
+            if not text.startswith(",", i):
+                raise ValueError(close)
+        return ws(text, i + 1).end(), True
+
+    # scan_once decodes each value from fewer frames than json.loads would
+    i = ws(text).end()
+    if text.startswith("{", i):
+        doc, refused = {}, {}
+        try:
+            i, more = first(i, "}")
+            while more:
+                if not text.startswith('"', i):
+                    raise ValueError('"')
+                key, i = json.decoder.scanstring(text, i + 1)
+                i = ws(text, i).end()
+                if not text.startswith(":", i):
+                    raise ValueError(":")
+                i = ws(text, i + 1).end()
+                read = readers.get(key)
+                refused.pop(key, None)
+                if read and text.startswith("[", i):
+                    out = doc[key] = []
+                    i, items = first(i, "]")
+                    while items:
+                        rec, i = scan(text, i)
+                        if key not in refused:
+                            try:
+                                out += read(rec, share)
+                            except GraphFormatError as exc:
+                                refused[key] = exc.with_traceback(None)
+                        i, items = then(i, "]")
+                else:
+                    doc[key], i = scan(text, i)
+                i, more = then(i, "}")
+            if ws(text, i).end() == len(text):
+                return doc, refused
+        except (ValueError, StopIteration, RecursionError):
+            json.loads(text)  # fails too, with json's own error
+            raise  # unless a record's reader recursed too deeply, as a repr can
+    return json.loads(text), {}  # not an object, or text after it
+
+
+def from_json(text: str) -> QuasiCrystalGraph:
+    share = {}.setdefault  # one object per distinct id, weight row or length row
+    try:
+        doc, refused = _json_doc(text, share)
     except (json.JSONDecodeError, RecursionError) as exc:  # json recurses once per nesting level
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
@@ -665,48 +753,29 @@ def from_json(text: str) -> QuasiCrystalGraph:
     if doc["n"] < 1:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(doc["n"])
-    ids: dict[str, str] = {}  # each id as stored, for the edge ends to share
-    share = {}.setdefault  # one tuple per distinct weight or length row
-    # Each record leaves the document as it is taken and is freed once it
-    # is stored, so the document shrinks as the graph grows.
-    for k, rec in enumerate(vertices):
-        vertices[k] = None
-        try:
-            vid = rec["id"]
-            wt = rec["wt"]
-            eps, phi = rec["eps"], rec["phi"]
-        except (KeyError, TypeError) as exc:
-            raise GraphFormatError(f"bad vertex record {rec!r}: {exc}") from None
-        if not isinstance(eps, list) or not isinstance(phi, list):
-            raise GraphFormatError(f"{vid}: eps and phi must be lists")
-        eps = tuple([v if type(v) is int else _ext_from_json(v, vid) for v in eps])
-        phi = tuple([v if type(v) is int else _ext_from_json(v, vid) for v in phi])
-        if not isinstance(wt, list) or any(type(c) is not int for c in wt):
-            raise GraphFormatError(f"{vid}: weight entries must be finite ints")
+    # a list ends at its refused record, if any, refused after the records before it
+    fields = iter(vertices)
+    for vid, wt, eps, phi in zip(fields, fields, fields, fields):
         try:
             g._new_id(vid)
-            wt = g._weight(vid, wt, ints=True)
-            g._put_vertex(vid, share(wt, wt), share(eps, eps), share(phi, phi))
+            g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
-        ids[vid] = vid
-    for k, rec in enumerate(edges):
-        edges[k] = None
-        try:
-            src, dst, label = rec["from"], rec["to"], rec["label"]
-        except (KeyError, TypeError) as exc:
-            raise GraphFormatError(f"bad edge record {rec!r}: {exc}") from None
-        # an end that is not a string may be a list or dict, which no dict lookup takes
-        x = ids.get(src) if isinstance(src, str) else None
-        y = ids.get(dst) if isinstance(dst, str) else None
-        if x is None or y is None:
+    if "vertices" in refused:
+        raise refused["vertices"]
+    ids, fields = g._wt, iter(edges)
+    for src, dst, label in zip(fields, fields, fields):
+        # a str end is the stored id itself, shared; a list or dict end takes no dict lookup
+        if not (type(src) is str and src in ids and type(dst) is str and dst in ids):
             raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
         if type(label) is not int:
             raise GraphFormatError(f"bad edge label {label!r}")
         try:
-            g.add_edge(x, label, y)
+            g.add_edge(src, label, dst)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
+    if "edges" in refused:
+        raise refused["edges"]
     return g
 
 

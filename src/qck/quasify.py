@@ -41,6 +41,7 @@ def quasify(c: QuasiCrystalGraph) -> QuasiCrystalGraph:
     (i+1)-th weight entry; elsewhere keep the crystal operators."""
     _require_compliant_crystal(c)
     q = QuasiCrystalGraph(c.n)
+    share = {}.setdefault  # one tuple per distinct weight or length row
     for x in c.vertex_ids():
         wt = c._wt[x]
         # validate checked that eps_i - wt_{i+1} is constant along each i-string,
@@ -51,7 +52,7 @@ def quasify(c: QuasiCrystalGraph) -> QuasiCrystalGraph:
         phi = tuple(v if k else POS_INF for v, k in zip(c._phi[x], keep))
         e = [y if k else None for y, k in zip(c._e[x], keep)]
         f = [y if k else None for y, k in zip(c._f[x], keep)]
-        q._put_vertex(x, wt, eps, phi, e, f)
+        q._put_vertex(x, share(wt, wt), share(eps, eps), share(phi, phi), e, f)
     return q
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from operator import add
+from operator import add, mul
 
 from .graphcore import POS_INF, QuasiCrystalGraph, _plain, is_crystal
 from .weightlattice import Weight, check_rank
@@ -158,6 +158,7 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
         return h._wt[x], h._eps[x], h._phi[x], e, f
 
     g = QuasiCrystalGraph(n)
+    share = {}.setdefault  # one tuple per distinct weight or length row
     for xa in a.vertex_ids():
         for xb in b.vertex_ids():
             left = row(a, xa, lambda y: _join_ids(y, xb, n))
@@ -166,7 +167,7 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
             vid = _join_ids(xa, xb, n)
             if vid in g:  # ids of unequal length can join to one id, as "23"+"1" and "3"+"12"
                 raise ValueError(f"pair id {vid!r} is given to two pairs of vertices")
-            g._put_vertex(vid, wt, eps, phi, list(e), list(f))
+            g._put_vertex(vid, share(wt, wt), share(eps, eps), share(phi, phi), list(e), list(f))
     return g
 
 
@@ -269,8 +270,11 @@ def _power(n: int, k: int, size_cap, blocking: bool) -> QuasiCrystalGraph:
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     cap = _size_cap(size_cap)
-    if n**k > cap:
-        raise SizeCapExceeded(f"{n}^{k} = {n**k} vertices exceeds the size cap {cap}")
+    # n, n^2, ..., n^k up to the first past the cap: n**k itself may take seconds
+    if any(size > cap for size in itertools.accumulate(itertools.repeat(n, k), mul)):
+        # n**k < 2**(k * n.bit_length()): at most 3,011 digits, within Python's int-to-string limit
+        shown = f" = {n**k}" if k * n.bit_length() <= 10_000 else ""
+        raise SizeCapExceeded(f"{n}^{k}{shown} vertices exceeds the size cap {cap}")
     if k == 1:  # for k > 1, n * (n - 1) < n**k: the standard crystal's cap holds too
         return standard_crystal(n, size_cap=cap)
     return words.graph(itertools.product(range(1, n + 1), repeat=k))

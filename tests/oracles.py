@@ -18,9 +18,10 @@ readers as they were written over the guarded per-entry accessors
 (``validate_via_accessors``, ``seminormal_via_accessors``,
 ``components_via_accessors``, ``text_via_accessors``,
 ``json_via_accessors``), and ``quasify_via_accessors`` (quasify through the
-accessors and the guarded setters), and ``subgraph_via_replay`` (a
+accessors and the guarded setters), ``subgraph_via_replay`` (a
 component's subgraph replayed through add_vertex and add_edge, which
-rebuilds e from f). Keep everything small-input only.
+rebuilds e from f), and ``from_json_via_loads`` (the JSON reader over the
+whole document that json.loads makes). Keep everything small-input only.
 """
 
 from __future__ import annotations
@@ -323,9 +324,10 @@ def content_component_via_power(shape: tuple[int, ...], n: int):
     the one with the least vertex id among those whose single highest weight
     is the shape."""
     from qck.structure import components
-    from qck.weightlattice import check_partition
+    from qck.weightlattice import check_partition, check_rank
 
     parts = check_partition(shape)
+    check_rank(n)
     if len(parts) > n:
         raise ValueError(f"shape {parts} has more than n={n} parts")
     target = parts + (0,) * (n - len(parts))
@@ -680,3 +682,61 @@ def quasify_via_accessors(c):
                     q.set_raising(x, i, y)
                     q.set_lowering(y, i, x)
     return q
+
+
+def from_json_via_loads(text: str):
+    """graphcore.from_json as it was before it read each record as it was
+    decoded: json.loads makes the whole document, then the same checks run
+    in the same order, and each record is stored through add_vertex or
+    add_edge."""
+    import json
+
+    from qck.graphcore import FORMAT_NAME, FORMAT_VERSION, GraphFormatError, QuasiCrystalGraph, _ext_from_json
+
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise GraphFormatError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
+        raise GraphFormatError(f"not a {FORMAT_NAME} document")
+    if doc.get("version") != FORMAT_VERSION:
+        raise GraphFormatError(f"unsupported format version {doc.get('version')!r}")
+    if type(doc.get("n")) is not int:
+        raise GraphFormatError("missing integer field 'n'")
+    vertices, edges = doc.get("vertices", []), doc.get("edges", [])
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise GraphFormatError("fields 'vertices' and 'edges' must be lists")
+    if doc["n"] < 1:
+        raise GraphFormatError("n must be a positive integer")
+    g = QuasiCrystalGraph(doc["n"])
+    for rec in vertices:
+        try:
+            vid = rec["id"]
+            wt = rec["wt"]
+            eps, phi = rec["eps"], rec["phi"]
+        except (KeyError, TypeError) as exc:
+            raise GraphFormatError(f"bad vertex record {rec!r}: {exc}") from None
+        if not isinstance(eps, list) or not isinstance(phi, list):
+            raise GraphFormatError(f"{vid}: eps and phi must be lists")
+        eps = [v if type(v) is int else _ext_from_json(v, vid) for v in eps]
+        phi = [v if type(v) is int else _ext_from_json(v, vid) for v in phi]
+        if not isinstance(wt, list) or any(type(c) is not int for c in wt):
+            raise GraphFormatError(f"{vid}: weight entries must be finite ints")
+        try:
+            g.add_vertex(vid, wt, eps, phi)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from None
+    for rec in edges:
+        try:
+            src, dst, label = rec["from"], rec["to"], rec["label"]
+        except (KeyError, TypeError) as exc:
+            raise GraphFormatError(f"bad edge record {rec!r}: {exc}") from None
+        if not (isinstance(src, str) and src in g and isinstance(dst, str) and dst in g):
+            raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
+        if type(label) is not int:
+            raise GraphFormatError(f"bad edge label {label!r}")
+        try:
+            g.add_edge(src, label, dst)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from None
+    return g

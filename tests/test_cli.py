@@ -72,6 +72,19 @@ def test_build_size_cap_refuses_blowup(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("what, n, k", [("qtensor-power", 2, 20_000), ("tensor-power", 3, 300_000)])
+def test_build_refuses_a_power_too_large_to_print_at_once(monkeypatch, capsys, what, n, k):
+    # n**k has more digits than Python turns into a string, and at large k
+    # takes seconds to compute: the cap is checked without it
+    monkeypatch.delenv("QCK_SIZE_CAP", raising=False)
+    started = time.monotonic()
+    assert main(["build", what, "--n", str(n), "--k", str(k)]) == 2
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert captured == ("", f"error: {n}^{k} vertices exceeds the size cap 1000000\n")
+    assert elapsed < 1.0, f"refusing took {elapsed:.2f}s"
+
+
 def test_build_std_respects_the_size_cap(capsys):
     assert main(["build", "std", "--n", "5", "--size-cap", "10"]) == 2
     captured = capsys.readouterr()

@@ -271,7 +271,7 @@ def test_long_column_builds_quickly():
 
 
 @pytest.mark.parametrize(
-    "shape,n", [((1, 2), 3), ((1, 1, 1, 1), 3), ((), 3), ((1,), 1), ((2, 0), 3), ((1,), 0)]
+    "shape,n", [((1, 2), 3), ((1, 1, 1, 1), 3), ((), 3), ((1,), 1), ((2, 0), 3), ((1,), 0), ((1,), "3")]
 )
 def test_content_crystal_errors_match_power_then_pick(shape, n):
     with pytest.raises(Exception) as fast:

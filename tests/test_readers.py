@@ -13,6 +13,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -205,6 +206,25 @@ def test_a_graph_read_from_its_file_is_no_larger_than_the_built_one(build, write
     assert loaded <= 1.05 * built, (loaded, built)
 
 
+@pytest.mark.parametrize("build", [tensor_power, quasi_tensor_power])
+def test_a_json_read_peaks_near_the_graph_it_holds(build):
+    # the reader holds no whole parsed document, with which a read peaked
+    # at 2.9 times the graph it returned
+    payload = to_json(build(4, 5))
+    from_json(payload)  # the first read fills the interpreter's own caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        h = from_json(payload)
+        gc.collect()
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert len(h) == 4**5
+    assert peak <= 1.6 * held, (peak, held)
+
+
 @pytest.mark.parametrize("write, read", [(to_text, from_text), (to_json, from_json)])
 def test_vertices_read_from_one_field_text_hold_their_own_rows(write, read):
     # fuzz edits a graph in place through the setters; vertices with equal
@@ -272,14 +292,27 @@ def test_every_constructor_and_reader_stores_tuple_rows():
     assert tuple_rows(added) and (added._eps["a"], added._phi["a"]) == ((0, 3), (1, 4))
 
 
-@pytest.mark.parametrize("build", [tensor_power, quasi_tensor_power])
+ROW_BUILDS = {
+    "tensor_power": lambda: tensor_power(3, 5),
+    "quasi_tensor_power": lambda: quasi_tensor_power(3, 5),
+    "tensor": lambda: tensor(tpow(3, 2), tpow(3, 3)),
+    "quasi_tensor": lambda: quasi_tensor(qpow(4, 3), qpow(4, 3)),
+    "quasify": lambda: quasify(crystal_of_content((4, 3, 1), 4)),
+}
+
+
+@pytest.mark.parametrize("build", ROW_BUILDS.values(), ids=list(ROW_BUILDS))
 def test_the_powers_and_their_reads_store_each_distinct_row_once(build):
-    # one (wt, eps, phi) object triple per distinct row value triple
-    g = build(3, 5)
+    # one (wt, eps, phi) object triple per distinct row value triple; the
+    # build also holds one object per distinct weight, eps or phi row
+    g = build()
+    for table in (g._wt, g._eps, g._phi):
+        assert len({id(row) for row in table.values()}) == len(set(table.values()))
+    assert len(set(g._eps.values())) < len(g) // 4
     for tag, h in (("build", g), ("text", from_text(to_text(g))), ("json", from_json(to_json(g)))):
         rows = [(h._wt[x], h._eps[x], h._phi[x]) for x in h.vertex_ids()]
         objects = {tuple(map(id, row)) for row in rows}
-        assert len(objects) == len(set(rows)) < len(h) // 4, tag
+        assert len(objects) == len(set(rows)) < len(h), tag
 
 
 def test_stored_infinities_are_the_two_singletons():
@@ -628,3 +661,105 @@ def test_json_reader_refuses_a_length_equal_to_a_string_already_read(value, show
     }
     with pytest.raises(GraphFormatError, match=rf"^b: expected int or '\+inf'/'-inf', got {shown}$"):
         from_json(json.dumps(doc))
+
+
+# ------------------------------------------------------------ the JSON scan
+
+
+def outcome(read, text):
+    """The graph read(text) stores, or the type and text of its refusal."""
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# what a corruption inserts: JSON tokens, whole or broken, and characters
+# the scan treats specially
+JSON_TOKENS = [
+    "{", "}", "[", "]", ",", ":", '"', " ", "\n", "\t", "\\", "\x01", "\ufeff",
+    '"id"', '"wt"', '"eps"', '"phi"', '"from"', '"to"', '"label"', '"vertices"', '"edges"', '"n"',
+    '"format"', "1", "0", "-1", "1.0", "1e309", "NaN", "Infinity", "true", "null",
+    '"+inf"', '"1"', '"\\u0041"', "[]", "{}",
+]
+
+
+def shuffled_fields(text: str, rng: random.Random) -> str:
+    """text's top-level fields in a random order, some of them twice with
+    another value, written with one of several spacings."""
+    items = [(k, json.dumps(v, indent=rng.choice([None, 2]))) for k, v in json.loads(text).items()]
+    rng.shuffle(items)
+    for _ in range(rng.randrange(3)):
+        key, value = rng.choice(items)
+        other = rng.choice([value, "[]", "1", '"qck-graph"', "null", '[{"id": "9"}]'])
+        items.insert(rng.randrange(len(items) + 1), (key, other))
+    return "{" + rng.choice([", ", ",\n  ", ","]).join(f'"{k}": {v}' for k, v in items) + "}"
+
+
+def corrupted(text: str, rng: random.Random) -> str:
+    """text with one random deletion, insertion, copied or moved block, or a
+    BOM or trailing text."""
+    kind = rng.randrange(5)
+    a = rng.randrange(len(text) + 1)
+    b = min(len(text), a + rng.choice([1, 1, 2, 3, 8, 30, 200]))
+    if kind == 0:
+        return text[:a] + text[b:]
+    if kind == 1:
+        return text[:a] + rng.choice(JSON_TOKENS) + text[a:]
+    if kind == 2:
+        c = rng.randrange(len(text) + 1)
+        return text[:c] + text[a:b] + text[c:]
+    if kind == 3:
+        block, rest = text[a:b], text[:a] + text[b:]
+        c = rng.randrange(len(rest) + 1)
+        return rest[:c] + block + rest[c:]
+    return rng.choice(["\ufeff" + text, text + rng.choice([" ", "\n", "x", "}", "{}"])])
+
+
+def test_json_reader_matches_the_whole_document_reader_on_corrupted_files():
+    # the scan decodes the top-level object itself and each record as it
+    # comes: any document must load as the same graph, or be refused with
+    # the same text, as when json.loads decoded it whole
+    rng = random.Random(26)
+    bases = [to_json(g) for g in (std(2), qpow(2, 2), tpow(3, 2), edge_case_graphs()[-1][1])]
+    seen = Counter()
+    for _ in range(2000):
+        text = rng.choice(bases)
+        if rng.random() < 0.3:
+            text = shuffled_fields(text, rng)
+        for _ in range(rng.randint(1, 3)):
+            text = corrupted(text, rng)
+        want = outcome(oracles.from_json_via_loads, text)
+        assert outcome(from_json, text) == want, text
+        seen["graph" if isinstance(want, QuasiCrystalGraph) else want[1].split(":")[0]] += 1
+    # every stage is reached: the scan, the document checks and both record readers
+    assert seen["graph"] > 50 and seen["invalid JSON"] < 1900, seen
+    assert seen["not a qck-graph document"] and seen["edge references unknown vertex"], seen
+    assert seen["bad vertex record {'id'"] > 5 and seen["bad edge record {'from'"] > 5, seen
+
+
+def test_json_reader_takes_the_top_level_fields_in_any_order():
+    for tag, g in quasi_corpus()[:3] + crystal_corpus()[:3]:
+        fields = json.loads(to_json(g))
+        backwards = json.dumps(dict(reversed(fields.items())))
+        twice = "{" + '"vertices": [], "n": 0, ' + to_json(g)[1:]  # the last value of a key counts
+        assert from_json(backwards) == from_json(twice) == g, tag
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+HEAD = '{"format": "qck-graph", "version": 1, "n": 2, '
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        DEEP,
+        HEAD + '"vertices": [' + DEEP + '], "edges": []}',
+        HEAD + '"vertices": [], "edges": [' + DEEP + "]}",
+        HEAD + '"vertices": [{"id": "a", "wt": ' + DEEP + ', "eps": [0], "phi": [0]}], "edges": []}',
+    ],
+    ids=["top level", "in vertices", "in edges", "in a record field"],
+)
+def test_json_reader_refuses_deep_nesting_anywhere(text):
+    expected = "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+    assert outcome(from_json, text) == outcome(oracles.from_json_via_loads, text) == ("GraphFormatError", expected)

@@ -302,7 +302,7 @@ def test_content_crystal_builds_each_row_once(monkeypatch):
 
 @pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
 @pytest.mark.parametrize(
-    "n,k,cap", [(1, 2, None), ("3", 0, None), (3, 0, None), (2, 4, 8), (5, 1, 19), (10, 7, None)]
+    "n,k,cap", [(1, 2, None), ("3", 0, None), (3, 0, None), (2, 4, 8), (5, 1, 19), (10, 7, None), (2, 5000, None)]
 )
 def test_power_refusals_match_pairwise_products(monkeypatch, n, k, cap, blocking):
     monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
