@@ -672,11 +672,12 @@ def _edge_fields(rec, share) -> tuple:
     return share(src, src) if type(src) is str else src, share(dst, dst) if type(dst) is str else dst, label
 
 
-def _json_doc(text: str, share) -> tuple:
-    """(doc, refused): the document of text as json.loads reads it, except that
-    a top-level object's "vertices" or "edges" list is the flat list of what
-    its reader reads from each record as it is decoded. A list ends at its
-    first refused record, whose GraphFormatError is refused[key]."""
+def _json_doc(text: str | bytes, share) -> tuple:
+    """(doc, refused): text's document as json.loads reads it, except that a top-level object's
+    "vertices" or "edges" list is the flat list of what its reader reads from each record as it
+    is decoded. A list ends at its first refused record, whose GraphFormatError is refused[key]."""
+    if isinstance(text, (bytes, bytearray)):  # decoded as json.loads decodes them
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
     ws, scan = json.decoder.WHITESPACE.match, json.scanner.make_scanner(json.JSONDecoder())
     readers = {"vertices": _vertex_fields, "edges": _edge_fields}
 
@@ -733,7 +734,7 @@ def _json_doc(text: str, share) -> tuple:
     return json.loads(text), {}  # not an object, or text after it
 
 
-def from_json(text: str) -> QuasiCrystalGraph:
+def from_json(text: str | bytes) -> QuasiCrystalGraph:
     share = {}.setdefault  # one object per distinct id, weight row or length row
     try:
         doc, refused = _json_doc(text, share)

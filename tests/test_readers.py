@@ -292,17 +292,19 @@ def test_every_constructor_and_reader_stores_tuple_rows():
     assert tuple_rows(added) and (added._eps["a"], added._phi["a"]) == ((0, 3), (1, 4))
 
 
+# build, and the divisor d of its vertex count that bounds its distinct
+# (wt, eps, phi) row triples: the quasified crystal has 132 for 175 vertices
 ROW_BUILDS = {
-    "tensor_power": lambda: tensor_power(3, 5),
-    "quasi_tensor_power": lambda: quasi_tensor_power(3, 5),
-    "tensor": lambda: tensor(tpow(3, 2), tpow(3, 3)),
-    "quasi_tensor": lambda: quasi_tensor(qpow(4, 3), qpow(4, 3)),
-    "quasify": lambda: quasify(crystal_of_content((4, 3, 1), 4)),
+    "tensor_power": (lambda: tensor_power(3, 5), 4),
+    "quasi_tensor_power": (lambda: quasi_tensor_power(3, 5), 4),
+    "tensor": (lambda: tensor(tpow(3, 2), tpow(3, 3)), 4),
+    "quasi_tensor": (lambda: quasi_tensor(qpow(4, 3), qpow(4, 3)), 4),
+    "quasify": (lambda: quasify(crystal_of_content((4, 3, 1), 4)), 1),
 }
 
 
-@pytest.mark.parametrize("build", ROW_BUILDS.values(), ids=list(ROW_BUILDS))
-def test_the_powers_and_their_reads_store_each_distinct_row_once(build):
+@pytest.mark.parametrize("build,d", ROW_BUILDS.values(), ids=list(ROW_BUILDS))
+def test_the_powers_and_their_reads_store_each_distinct_row_once(build, d):
     # one (wt, eps, phi) object triple per distinct row value triple; the
     # build also holds one object per distinct weight, eps or phi row
     g = build()
@@ -312,7 +314,7 @@ def test_the_powers_and_their_reads_store_each_distinct_row_once(build):
     for tag, h in (("build", g), ("text", from_text(to_text(g))), ("json", from_json(to_json(g)))):
         rows = [(h._wt[x], h._eps[x], h._phi[x]) for x in h.vertex_ids()]
         objects = {tuple(map(id, row)) for row in rows}
-        assert len(objects) == len(set(rows)) < len(h), tag
+        assert len(objects) == len(set(rows)) < len(h) // d, tag
 
 
 def test_stored_infinities_are_the_two_singletons():
@@ -744,6 +746,16 @@ def test_json_reader_takes_the_top_level_fields_in_any_order():
         backwards = json.dumps(dict(reversed(fields.items())))
         twice = "{" + '"vertices": [], "n": 0, ' + to_json(g)[1:]  # the last value of a key counts
         assert from_json(backwards) == from_json(twice) == g, tag
+
+
+def test_json_reader_reads_bytes_as_json_loads_does():
+    # bytes are decoded in the encoding json.detect_encoding finds, BOM and all
+    text = to_json(qpow(2, 2))
+    for data in (text.encode(), text.encode("utf-8-sig"), text.encode("utf-16"), bytearray(text.encode("utf-32-le"))):
+        assert from_json(data) == from_json(text), data[:4]
+    for data in (text.encode()[:-3], b'{"n": 2}', b"\xff" + text.encode(), ("\ufeff" + text).encode("utf-16-le")):
+        assert outcome(from_json, data) == outcome(oracles.from_json_via_loads, data), data[:4]
+    assert outcome(from_json, 7)[0] == outcome(oracles.from_json_via_loads, 7)[0] == "TypeError"
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
