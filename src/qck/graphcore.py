@@ -271,14 +271,18 @@ class QuasiCrystalGraph:
     def add_edge(self, x: str, i: int, y: str) -> None:
         """Record f_i(x) = y together with its inverse e_i(y) = x."""
         s = self._slot(i)
-        self._known(x)
-        self._known(y)
-        if self._f[x][s] is not None:
+        f = self._f.get(x)  # a vertex's e and f rows are stored with it: no row, no vertex
+        if f is None:
+            raise KeyError(f"unknown vertex {x!r}")
+        e = self._e.get(y)
+        if e is None:
+            raise KeyError(f"unknown vertex {y!r}")
+        if f[s] is not None:
             raise ValueError(f"f_{i}({x!r}) already set")
-        if self._e[y][s] is not None:
+        if e[s] is not None:
             raise ValueError(f"e_{i}({y!r}) already set")
-        self._f[x][s] = y
-        self._e[y][s] = x
+        f[s] = y
+        e[s] = x
 
     def copy(self) -> "QuasiCrystalGraph":
         g = QuasiCrystalGraph(self.n)
@@ -511,23 +515,39 @@ def to_text(g: QuasiCrystalGraph, out=None) -> str | None:
     return _stream(_text_pieces(g), out)
 
 
+# Characters the text reader splits into lines at a time: a chunk ends just
+# after the first "\n" this far past its start, so no "\r\n" is cut in two.
+_CHUNK = 1 << 16
+
+
+def _records(text: str):
+    """The lines of text.splitlines(), stripped, without blanks and comments,
+    split a chunk at a time so that no list of every line is made."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK) + 1 or len(text)
+        yield from [ln for ln in map(str.strip, text[start:end].splitlines()) if ln and ln[0] != "#"]
+        start = end
+
+
 def from_text(text: str) -> QuasiCrystalGraph:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    records = _records(text)
+    header = next(records, None)
+    if header is None:
         raise GraphFormatError("empty graph file")
-    head = lines[0].split()
+    head = header.split()
     if len(head) != 2 or head[0] != FORMAT_NAME:
-        raise GraphFormatError(f"bad header {lines[0]!r}; expected '{FORMAT_NAME} v{FORMAT_VERSION}'")
+        raise GraphFormatError(f"bad header {header!r}; expected '{FORMAT_NAME} v{FORMAT_VERSION}'")
     if head[1] != f"v{FORMAT_VERSION}":
         raise GraphFormatError(f"unsupported format version {head[1]!r}")
-    if len(lines) < 2 or not lines[1].startswith("n "):
+    rank_line = next(records, "")
+    if not rank_line.startswith("n "):
         raise GraphFormatError("missing 'n <rank>' line")
     try:
-        _, rank = lines[1].split()
+        _, rank = rank_line.split()
         n = int(_plain(rank))
     except ValueError:
-        raise GraphFormatError(f"bad rank line {lines[1]!r}") from None
+        raise GraphFormatError(f"bad rank line {rank_line!r}") from None
     if n < 1:
         raise GraphFormatError("n must be a positive integer")
     g = QuasiCrystalGraph(n)
@@ -538,8 +558,8 @@ def from_text(text: str) -> QuasiCrystalGraph:
     # stores the row's tuples, shared with the vertices of the same row.
     rows: dict[tuple[str, str, str], tuple] = {}
     # The first pass stores the vertices and checks every record's shape, so
-    # only edge records start with "edge"; the second adds them, held in no list.
-    for ln in lines[2:]:
+    # only edge records start with "edge"; the second walks the text again to add them.
+    for ln in records:
         parts = ln.split()
         if parts[0] == "vertex":
             if len(parts) != 5:
@@ -565,7 +585,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
         else:
             raise GraphFormatError(f"unknown record {parts[0]!r}")
     labels: dict[str, int] = {}
-    for _, src, dst, label in (ln.split() for ln in lines[2:] if ln.startswith("edge")):
+    for _, src, dst, label in (ln.split() for ln in islice(_records(text), 2, None) if ln.startswith("edge")):
         i = labels.get(label)
         if i is None:
             try:
@@ -672,12 +692,10 @@ def _edge_fields(rec, share) -> tuple:
     return share(src, src) if type(src) is str else src, share(dst, dst) if type(dst) is str else dst, label
 
 
-def _json_doc(text: str | bytes, share) -> tuple:
+def _json_doc(text: str, share) -> tuple:
     """(doc, refused): text's document as json.loads reads it, except that a top-level object's
     "vertices" or "edges" list is the flat list of what its reader reads from each record as it
     is decoded. A list ends at its first refused record, whose GraphFormatError is refused[key]."""
-    if isinstance(text, (bytes, bytearray)):  # decoded as json.loads decodes them
-        text = text.decode(json.detect_encoding(text), "surrogatepass")
     ws, scan = json.decoder.WHITESPACE.match, json.scanner.make_scanner(json.JSONDecoder())
     readers = {"vertices": _vertex_fields, "edges": _edge_fields}
 
@@ -735,10 +753,12 @@ def _json_doc(text: str | bytes, share) -> tuple:
 
 
 def from_json(text: str | bytes) -> QuasiCrystalGraph:
+    if isinstance(text, (bytes, bytearray)):  # decoded as json.loads decodes them
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
     share = {}.setdefault  # one object per distinct id, weight row or length row
     try:
         doc, refused = _json_doc(text, share)
-    except (json.JSONDecodeError, RecursionError) as exc:  # json recurses once per nesting level
+    except (ValueError, RecursionError) as exc:  # json's errors, int()'s past 4,300 digits, a nesting too deep
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise GraphFormatError(f"not a {FORMAT_NAME} document")

@@ -20,8 +20,10 @@ readers as they were written over the guarded per-entry accessors
 ``json_via_accessors``), and ``quasify_via_accessors`` (quasify through the
 accessors and the guarded setters), ``subgraph_via_replay`` (a
 component's subgraph replayed through add_vertex and add_edge, which
-rebuilds e from f), and ``from_json_via_loads`` (the JSON reader over the
-whole document that json.loads makes). Keep everything small-input only.
+rebuilds e from f), ``from_json_via_loads`` (the JSON reader over the
+whole document that json.loads makes), ``from_text_via_lines`` (the text
+reader over the list of every line) and ``add_edge_via_guards`` (add_edge
+through the guarded slot and vertex checks). Keep everything small-input only.
 """
 
 from __future__ import annotations
@@ -740,3 +742,88 @@ def from_json_via_loads(text: str):
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
     return g
+
+
+def from_text_via_lines(text: str):
+    """graphcore.from_text as it was before it walked the text in chunks:
+    the list of every stripped line that is not blank or a comment is made
+    first and held until the second pass, which adds the edges, ends."""
+    from qck.graphcore import FORMAT_NAME, FORMAT_VERSION, GraphFormatError, QuasiCrystalGraph, _parse_csv, _plain
+
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines:
+        raise GraphFormatError("empty graph file")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != FORMAT_NAME:
+        raise GraphFormatError(f"bad header {lines[0]!r}; expected '{FORMAT_NAME} v{FORMAT_VERSION}'")
+    if head[1] != f"v{FORMAT_VERSION}":
+        raise GraphFormatError(f"unsupported format version {head[1]!r}")
+    if len(lines) < 2 or not lines[1].startswith("n "):
+        raise GraphFormatError("missing 'n <rank>' line")
+    try:
+        _, rank = lines[1].split()
+        n = int(_plain(rank))
+    except ValueError:
+        raise GraphFormatError(f"bad rank line {lines[1]!r}") from None
+    if n < 1:
+        raise GraphFormatError("n must be a positive integer")
+    g = QuasiCrystalGraph(n)
+    ids: dict[str, str] = {}
+    rows: dict[tuple[str, str, str], tuple] = {}
+    for ln in lines[2:]:
+        parts = ln.split()
+        if parts[0] == "vertex":
+            if len(parts) != 5:
+                raise GraphFormatError(f"bad vertex line {ln!r}")
+            _, vid, wt_tok, eps_tok, phi_tok = parts
+            row = rows.get((wt_tok, eps_tok, phi_tok))
+            if row is None:
+                wt = _parse_csv(wt_tok, "weight", vid)
+                if any(not isinstance(c, int) for c in wt):
+                    raise GraphFormatError(f"{vid}: weight entries must be finite ints")
+                eps, phi = _parse_csv(eps_tok, "eps", vid), _parse_csv(phi_tok, "phi", vid)
+                row = rows[wt_tok, eps_tok, phi_tok] = (wt, eps, phi)
+            wt, eps, phi = row
+            try:
+                g._new_id(vid)
+                g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
+            except ValueError as exc:
+                raise GraphFormatError(str(exc)) from None
+            ids[vid] = vid
+        elif parts[0] == "edge":
+            if len(parts) != 4:
+                raise GraphFormatError(f"bad edge line {ln!r}")
+        else:
+            raise GraphFormatError(f"unknown record {parts[0]!r}")
+    labels: dict[str, int] = {}
+    for _, src, dst, label in (ln.split() for ln in lines[2:] if ln.startswith("edge")):
+        i = labels.get(label)
+        if i is None:
+            try:
+                i = labels[label] = int(_plain(label))
+            except ValueError:
+                raise GraphFormatError(f"bad edge label {label!r}") from None
+        x, y = ids.get(src), ids.get(dst)
+        if x is None or y is None:
+            raise GraphFormatError(f"edge references unknown vertex: {src} -> {dst}")
+        try:
+            add_edge_via_guards(g, x, i, y)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc)) from None
+    return g
+
+
+def add_edge_via_guards(g, x, i, y) -> None:
+    """QuasiCrystalGraph.add_edge as it was before it looked up each end's
+    rows once: the slot and both ends pass the guarded checks, then each
+    row is looked up again to test for an edge already set."""
+    s = g._slot(i)
+    g._known(x)
+    g._known(y)
+    if g._f[x][s] is not None:
+        raise ValueError(f"f_{i}({x!r}) already set")
+    if g._e[y][s] is not None:
+        raise ValueError(f"e_{i}({y!r}) already set")
+    g._f[x][s] = y
+    g._e[y][s] = x

@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 from hypothesis import given, strategies as st
 import pytest
@@ -174,6 +175,37 @@ def test_add_edge_conflict():
     g = chain2()
     with pytest.raises(ValueError):
         g.add_edge("x", 1, "x")
+
+
+def edge_outcome(add, g, x, i, y):
+    """The type and text of add's refusal of the edge, or the graph it leaves."""
+    try:
+        add(g, x, i, y)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return to_text(g) + repr(g.raising_edges())
+
+
+def test_add_edge_refuses_as_the_guarded_checks_do():
+    # add_edge looks up each end's rows once; its checks, their order, the
+    # exception types and their texts are those of _slot and _known
+    ends = ["a", "b", "c", "ghost", ["a"], None, 7]
+    labels = [0, 1, 2, 3, -1, True, 1.0, 2.5, "1", None]
+    kinds = Counter()
+    for x in ends:
+        for i in labels:
+            for y in ends:
+                graphs = []
+                for _ in range(2):
+                    g = QuasiCrystalGraph(3)
+                    for vid, wt in (("a", (2, 0, 0)), ("b", (1, 1, 0)), ("c", (1, 0, 1))):
+                        g.add_vertex(vid, wt, (0, 0), (0, 0))
+                    g.add_edge("a", 1, "b")
+                    graphs.append(g)
+                got = edge_outcome(QuasiCrystalGraph.add_edge, graphs[0], x, i, y)
+                assert got == edge_outcome(oracles.add_edge_via_guards, graphs[1], x, i, y), (x, i, y)
+                kinds[got[0] if isinstance(got, tuple) else "stored"] += 1
+    assert set(kinds) == {"stored", "KeyError", "ValueError", "TypeError"}, kinds
 
 
 def test_loop_is_derived_not_stored():

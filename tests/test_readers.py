@@ -14,7 +14,9 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from qck import graphcore
@@ -206,23 +208,50 @@ def test_a_graph_read_from_its_file_is_no_larger_than_the_built_one(build, write
     assert loaded <= 1.05 * built, (loaded, built)
 
 
+def held_and_peak(make):
+    """make()'s result, the bytes it still holds and the most it held while
+    it ran, by tracemalloc; a first call fills the interpreter's own caches."""
+    make()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        gc.collect()
+        return (made, *(m - before for m in tracemalloc.get_traced_memory()))
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("build", [tensor_power, quasi_tensor_power])
 def test_a_json_read_peaks_near_the_graph_it_holds(build):
     # the reader holds no whole parsed document, with which a read peaked
     # at 2.9 times the graph it returned
     payload = to_json(build(4, 5))
-    from_json(payload)  # the first read fills the interpreter's own caches
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        h = from_json(payload)
-        gc.collect()
-        held, peak = (m - before for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
+    h, held, peak = held_and_peak(lambda: from_json(payload))
     assert len(h) == 4**5
     assert peak <= 1.6 * held, (peak, held)
+
+
+@pytest.mark.parametrize("build", [tensor_power, quasi_tensor_power])
+def test_a_text_read_peaks_near_the_graph_it_holds(build):
+    # the reader walks the text a chunk at a time, twice; with the list of
+    # every line held until its second pass ended, a read of these files
+    # peaked at 1.69-1.83 times the graph it returned (1.34 without)
+    payload = to_text(build(4, 6))
+    h, held, peak = held_and_peak(lambda: from_text(payload))
+    assert len(h) == 4**6
+    assert peak <= 1.5 * held, (peak, held)
+
+
+@pytest.mark.parametrize("build", [tensor_power, quasi_tensor_power])
+def test_a_power_build_peaks_near_the_graph_it_holds(build):
+    # each vertex is stored as its row is made, and the words of full length
+    # are not memoized; with a list of every row and a memo of every word,
+    # these builds peaked at 1.98-1.99 times the graph (1.78 without)
+    g, held, peak = held_and_peak(lambda: build(4, 6))
+    assert len(g) == 4**6
+    assert peak <= 1.9 * held, (peak, held)
 
 
 @pytest.mark.parametrize("write, read", [(to_text, from_text), (to_json, from_json)])
@@ -402,6 +431,13 @@ def test_copy_is_equal_and_independent_on_the_mutated_corpus(mutants):
 # ------------------------------------------------------------ hostile input
 
 
+BIG = "9" * 5000
+INT_LIMIT = (
+    "Exceeds the limit (4300 digits) for integer string conversion: value has 5000 digits;"
+    " use sys.set_int_max_str_digits() to increase the limit"
+)
+
+
 def hostile_reads():
     """(label, reader, payload) for every refusal the file readers make."""
     text = to_text(std(2))
@@ -505,6 +541,15 @@ def hostile_reads():
         ("json weight Infinity", from_json, bare(vertex_field("wt", [1, 12345]), "Infinity")),
         ("json rank Infinity", from_json, bare(lambda d: d.__setitem__("n", 12345), "Infinity")),
         ("json label Infinity", from_json, bare(lambda d: d["edges"][0].__setitem__("label", 12345), "Infinity")),
+    ]
+    # integers past int()'s limit of 4,300 digits for a string
+    cases += [
+        ("json rank of 5,000 digits", from_json, bare(lambda d: d.__setitem__("n", 12345), BIG)),
+        ("json weight entry of 5,000 digits", from_json, bare(vertex_field("wt", [1, 12345]), BIG)),
+        ("json label of 5,000 digits", from_json, bare(lambda d: d["edges"][0].__setitem__("label", 12345), BIG)),
+        ("text rank of 5,000 digits", from_text, f"qck-graph v1\nn {BIG}\n"),
+        ("text weight entry of 5,000 digits", from_text, text + f"vertex 9 1,{BIG} 0 1\n"),
+        ("text label of 5,000 digits", from_text, text + f"edge 1 2 {BIG}\n"),
     ]
     # tokens that float() reads but the text format never writes
     for token in ("inf", "infinity", "nan", "1e309"):
@@ -614,6 +659,13 @@ HOSTILE_REFUSALS = {
     "text eps 1e309": ("GraphFormatError", "9: bad eps: not an extended integer: '1e309'"),
     "text edge set twice before a short vertex line": ("GraphFormatError", "bad vertex line 'vertex 9 1,0'"),
     "text short edge line before a short vertex line": ("GraphFormatError", "bad edge line 'edge 1 2'"),
+    # json's scanner raised int()'s plain ValueError, which no reader caught
+    "json rank of 5,000 digits": ("GraphFormatError", f"invalid JSON: {INT_LIMIT}"),
+    "json weight entry of 5,000 digits": ("GraphFormatError", f"invalid JSON: {INT_LIMIT}"),
+    "json label of 5,000 digits": ("GraphFormatError", f"invalid JSON: {INT_LIMIT}"),
+    "text rank of 5,000 digits": ("GraphFormatError", f"bad rank line 'n {BIG}'"),
+    "text weight entry of 5,000 digits": ("GraphFormatError", f"9: bad weight: not an extended integer: '{BIG}'"),
+    "text label of 5,000 digits": ("GraphFormatError", f"bad edge label '{BIG}'"),
 }
 
 
@@ -646,6 +698,73 @@ def test_text_reader_takes_edge_lines_before_vertex_lines():
         assert from_text("".join(lines[:2] + edges + vertices)) == from_text("".join(lines)) == g, tag
         moved += len(edges)
     assert moved > 500
+
+
+# ------------------------------------------------------------ the streamed text reader
+
+
+# every boundary at which str.splitlines cuts a line
+LINE_BREAKS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def test_line_breaks_are_those_of_splitlines():
+    cut = {chr(c) for c in range(0x110000) if len(f"a{chr(c)}b".splitlines()) == 2}
+    assert cut | {"\r\n"} == set(LINE_BREAKS) and "a\r\nb".splitlines() == ["a", "b"]
+
+
+# lines a text file may hold besides its graph's records: blanks, comments
+# (some after whitespace that is no line break, \x1f), and bad records
+SKIPPED_LINES = ["", "   ", "\t", "\x1f", "# a comment", "  # indented", "#", "\x1f# after a separator"]
+BAD_RECORDS = [
+    "vertex 9 1,0,0 0,0 0,0", "vertex 9 1,0", "edge 11 99 1", "edge 11 12", "edge 11 12 1", "arc 1 2 1",
+    "qck-graph v1", "n 3",
+]
+SMALL_RECORDS = to_text(qpow(3, 2)).splitlines()
+
+
+@st.composite
+def text_files(draw):
+    """(text, chunk): a file of the records of a small graph and extra
+    ones, cut by every kind of line break, and a chunk size; about half the
+    chunk sizes are within two characters of where a line break ends."""
+    records = SMALL_RECORDS[draw(st.sampled_from([0, 0, 0, 0, 1, 2])):]  # sometimes without the header or rank line
+    if draw(st.booleans()):  # edge lines before vertex lines, among others
+        records = records[:2] + draw(st.permutations(records[2:]))
+    extras = st.sampled_from(SKIPPED_LINES * 3 + BAD_RECORDS)
+    for _ in range(draw(st.integers(0, 8))):
+        at = draw(st.integers(0, len(records)))
+        padded = draw(st.sampled_from(["{}", " {} ", "\t{}\x1f"])).format(draw(extras))
+        records = records[:at] + [padded] + records[at:]
+    breaks = draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(records), max_size=len(records)))
+    text = "".join(ln + br for ln, br in zip(records, breaks))
+    if draw(st.booleans()):
+        text = text[: -len(breaks[-1])]  # no break after the last line
+    ends = [i + 1 for i, ch in enumerate(text) if ch in "".join(LINE_BREAKS)]
+    if ends and draw(st.booleans()):
+        chunk = max(1, draw(st.sampled_from(ends)) + draw(st.integers(-2, 2)))
+    else:
+        chunk = draw(st.integers(1, 40))
+    return text, chunk
+
+
+@settings(deadline=None, max_examples=300)
+@given(text_files())
+def test_text_reader_walks_the_text_as_the_list_of_its_lines(drawn):
+    # the chunk walk must store the graph the old reader stored, or refuse
+    # with the same text, wherever a chunk ends
+    text, chunk = drawn
+    want = outcome(oracles.from_text_via_lines, text)
+    with mock.patch.object(graphcore, "_CHUNK", chunk):
+        assert outcome(from_text, text) == want
+
+
+@pytest.mark.parametrize("br", ["\n", "\r\n", "\r", "\u2028"])
+def test_text_reader_reads_a_file_of_many_chunks(br):
+    # a chunk ends after a "\n"; a file with none is one chunk
+    g = qpow(4, 6)
+    text = to_text(g).replace("\n", br)
+    assert len(text) > 4 * graphcore._CHUNK
+    assert from_text(text) == oracles.from_text_via_lines(text) == g
 
 
 @pytest.mark.parametrize("value, shown", [(True, "True"), (1.0, "1.0")])
