@@ -32,7 +32,6 @@ from .weightlattice import (
     pairing,
     partitions_of,
     rho,
-    simple_root,
 )
 from .wordmodel import (
     SizeCapExceeded,

@@ -51,25 +51,9 @@ class IntPolynomial:
     def monomial(cls, n: int, expo, coeff: int = 1) -> "IntPolynomial":
         return cls(n, {tuple(expo): coeff})
 
-    @classmethod
-    def variables_sum(cls, n: int) -> "IntPolynomial":
-        """x1 + x2 + ... + xn."""
-        terms = {}
-        for k in range(n):
-            expo = [0] * n
-            expo[k] = 1
-            terms[tuple(expo)] = 1
-        return cls(n, terms)
-
     def terms(self):
         """Canonical (exponent, coefficient) pairs, leading monomial first."""
         return tuple(sorted(self._terms.items(), key=lambda kv: kv[0], reverse=True))
-
-    def coefficient(self, expo) -> int:
-        return self._terms.get(tuple(expo), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def _check_rank(self, other: "IntPolynomial") -> None:
         if self.n != other.n:

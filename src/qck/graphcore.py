@@ -753,12 +753,12 @@ def _json_doc(text: str, share) -> tuple:
 
 
 def from_json(text: str | bytes) -> QuasiCrystalGraph:
-    if isinstance(text, (bytes, bytearray)):  # decoded as json.loads decodes them
-        text = text.decode(json.detect_encoding(text), "surrogatepass")
     share = {}.setdefault  # one object per distinct id, weight row or length row
     try:
+        if isinstance(text, (bytes, bytearray)):  # decoded as json.loads decodes them
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
         doc, refused = _json_doc(text, share)
-    except (ValueError, RecursionError) as exc:  # json's errors, int()'s past 4,300 digits, a nesting too deep
+    except (ValueError, RecursionError) as exc:  # bad bytes, json's errors, int()'s past 4,300 digits, too deep a nesting
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_NAME:
         raise GraphFormatError(f"not a {FORMAT_NAME} document")

@@ -77,7 +77,7 @@ def _content_words(shape, n: int) -> tuple[tuple[int, ...], WordCrystal]:
     """The partition and the power of rank n that crystal_of_content(shape, n)
     walks, refused unless the size cap allows the walk; no tableau is listed."""
     parts = check_partition(shape)
-    if not isinstance(n, int):
+    if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be an integer, got {n!r}")
     if len(parts) > n:
         raise ValueError(f"shape {parts} has more than n={n} parts")

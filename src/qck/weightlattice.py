@@ -24,17 +24,6 @@ def check_rank(n) -> int:
     return n
 
 
-def simple_root(i: int, n: int) -> Weight:
-    """e_i - e_{i+1} as a length-n vector; valid for 1 <= i <= n-1."""
-    check_rank(n)
-    if isinstance(i, bool) or not isinstance(i, int) or not 1 <= i <= n - 1:
-        raise ValueError(f"index {i} out of range for n={n}")
-    v = [0] * n
-    v[i - 1] = 1
-    v[i] = -1
-    return tuple(v)
-
-
 def pairing(u: Weight, v: Weight) -> int:
     """Standard dot product; the roots are self-dual here."""
     if len(u) != len(v):
@@ -45,10 +34,6 @@ def pairing(u: Weight, v: Weight) -> int:
 def rho(n: int) -> Weight:
     """(n-1, n-2, ..., 1, 0); pairs to 1 with every simple root."""
     return tuple(range(check_rank(n) - 1, -1, -1))
-
-
-def add(u: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def sub(u: Weight, v: Weight) -> Weight:

@@ -65,14 +65,6 @@ def word_to_id(word: Word, n: int) -> str:
     return _id_sep(n).join(str(a) for a in word)
 
 
-def id_to_word(vid: str, n: int) -> Word:
-    sep = _id_sep(n)
-    letters = tuple(int(c) for c in (vid.split(sep) if sep else vid))
-    if any(not 1 <= a <= n for a in letters):
-        raise ValueError(f"id {vid!r} is not a word over 1..{n}")
-    return letters
-
-
 def word_content(word: Word, n: int) -> Weight:
     wt = [0] * n
     for a in word:

@@ -182,9 +182,9 @@ def bfs_distances(arrows: dict[tuple[str, int], str], start: str) -> dict[str, i
 
 def product_via_pairs(a, b, blocking: bool):
     """tensor(a, b) (blocking=False) or quasi_tensor(a, b) (blocking=True),
-    computed per pair of vertex ids through the guarded accessors."""
+    computed per pair of vertex ids through the guarded accessors; <wt, alpha_i>
+    is read off the weight as wt[i-1] - wt[i]."""
     from qck.graphcore import POS_INF, QuasiCrystalGraph, is_crystal
-    from qck.weightlattice import pairing, simple_root
 
     if not blocking and (not is_crystal(a) or not is_crystal(b)):
         raise ValueError("classical tensor requires crystal operands (no +inf lengths)")
@@ -192,7 +192,6 @@ def product_via_pairs(a, b, blocking: bool):
         raise ValueError(f"rank mismatch: {a.n} vs {b.n}")
     n = a.n
     g = QuasiCrystalGraph(n)
-    roots = {i: simple_root(i, n) for i in range(1, n)}
 
     def join(xa, xb):
         # the pair (xa, xb) reads as the word "xb then xa"
@@ -210,8 +209,8 @@ def product_via_pairs(a, b, blocking: bool):
                 phi_row.append(POS_INF)
                 acts.append((None, None))
                 continue
-            eps_row.append(max(a.eps(xa, i), eps_b - pairing(wt_a, roots[i])))
-            phi_row.append(max(phi_a + pairing(wt_b, roots[i]), b.phi(xb, i)))
+            eps_row.append(max(a.eps(xa, i), eps_b - (wt_a[i - 1] - wt_a[i])))
+            phi_row.append(max(phi_a + (wt_b[i - 1] - wt_b[i]), b.phi(xb, i)))
             if phi_a >= eps_b:
                 ea = a.e(xa, i)
                 e_target = (ea, xb) if ea is not None else None
@@ -455,9 +454,9 @@ def fuzz_via_copies(g, count: int, seed: int):
 
 def validate_via_accessors(g):
     """graphcore.validate, reading every entry through g.eps(x, i) and the
-    other guarded accessors."""
+    other guarded accessors; <wt, alpha_i> and wt + alpha_i are read off the
+    weight's entries i-1 and i."""
     from qck.graphcore import NEG_INF, POS_INF, AxiomReport, Witness, ext_str
-    from qck.weightlattice import add, pairing, simple_root
 
     ws = []
     ids = g._wt.keys()
@@ -470,7 +469,8 @@ def validate_via_accessors(g):
                     ws.append(
                         Witness("structural", (x,), (i,), f"{tag}->{target}", "target must be a vertex")
                     )
-            expected_phi = eps + pairing(g.wt(x), simple_root(i, g.n))
+            wt = g.wt(x)
+            expected_phi = eps + (wt[i - 1] - wt[i])
             if phi != expected_phi:
                 ws.append(
                     Witness(
@@ -493,7 +493,7 @@ def validate_via_accessors(g):
                     ws.append(
                         Witness("Q1", (x, y), (i,), f"f_{i}({y})={g.f(y, i)}", f"inverse of e_{i}({x})={y}")
                     )
-                if g.wt(y) != add(g.wt(x), simple_root(i, g.n)):
+                if g.wt(y) != wt[:i - 1] + (wt[i - 1] + 1, wt[i] - 1) + wt[i + 1:]:
                     ws.append(Witness("Q1", (x, y), (i,), f"wt({y})={g.wt(y)}", f"wt({x})+alpha_{i}"))
                 if g.eps(y, i) != eps - 1:
                     ws.append(

@@ -38,20 +38,13 @@ def small_polys(draw, n=3):
 
 
 def test_constructors():
-    z = IntPolynomial.zero(3)
-    assert z.is_zero()
-    one = IntPolynomial.one(3)
-    assert one.coefficient((0, 0, 0)) == 1
-    m = IntPolynomial.monomial(3, (2, 0, 1), 5)
-    assert m.coefficient((2, 0, 1)) == 5
-    assert m.coefficient((0, 0, 0)) == 0
-    s = IntPolynomial.variables_sum(3)
-    assert s.coefficient((1, 0, 0)) == s.coefficient((0, 1, 0)) == 1
+    assert IntPolynomial.zero(3).terms() == ()
+    assert dict(IntPolynomial.one(3).terms()) == {(0, 0, 0): 1}
+    assert dict(IntPolynomial.monomial(3, (2, 0, 1), 5).terms()) == {(2, 0, 1): 5}
 
 
 def test_zero_coefficients_are_dropped():
     p = IntPolynomial.monomial(2, (1, 0), 3) - IntPolynomial.monomial(2, (1, 0), 3)
-    assert p.is_zero()
     assert list(p.terms()) == []
     assert p == IntPolynomial.zero(2)
 
@@ -84,13 +77,13 @@ def test_pow_matches_repeated_multiplication(p, k):
 
 def test_pow_rejects_negative():
     with pytest.raises(ValueError):
-        IntPolynomial.variables_sum(2) ** -1
+        character(standard_crystal(2)) ** -1
 
 
 @pytest.mark.parametrize("k", [True, False])
 def test_pow_refuses_a_bool_exponent(k):
     with pytest.raises(ValueError, match="^exponent must be a non-negative int$"):
-        IntPolynomial.variables_sum(2) ** k
+        character(standard_crystal(2)) ** k
 
 
 @pytest.mark.parametrize("expo", [(1.5, 0), (-1, 0), (True, 0), (0, False), ("1", 0)])
@@ -117,7 +110,7 @@ def test_equal_polys_share_hash(p, q):
 
 
 def test_str_ordering_frozen():
-    s = IntPolynomial.variables_sum(3)
+    s = IntPolynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
     assert str(s) == "x1 + x2 + x3"
     assert (
         str(s**2)
@@ -133,12 +126,12 @@ def test_str_ordering_frozen():
 
 def test_character_of_standard_crystal():
     for n in (2, 3, 5):
-        assert character(std(n)) == IntPolynomial.variables_sum(n)
+        assert str(character(std(n))) == " + ".join(f"x{j}" for j in range(1, n + 1))
 
 
 def test_character_of_powers_is_the_power():
     for n, k in [(2, 3), (3, 2), (3, 3), (4, 2)]:
-        expected = IntPolynomial.variables_sum(n) ** k
+        expected = character(standard_crystal(n)) ** k
         assert character(qpow(n, k)) == expected
         assert character(tpow(n, k)) == expected
 
@@ -223,7 +216,7 @@ def test_fundamental_terms_over_permutations_sum_to_the_full_power():
             bounds = [0] + descents + [m]
             alpha = tuple(bounds[t + 1] - bounds[t] for t in range(len(bounds) - 1))
             total = total + fundamental_qsym(alpha, 3)
-        assert total == IntPolynomial.variables_sum(3) ** m
+        assert total == character(standard_crystal(3)) ** m
 
 
 def test_fundamental_of_a_long_composition_needs_no_deep_recursion():

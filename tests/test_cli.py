@@ -251,8 +251,12 @@ def test_check_missing_and_malformed_files(tmp_path, capsys):
     junk = tmp_path / "junk"
     junk.write_text("not a graph\n", encoding="utf-8")
     assert main(["check", str(junk), "--axioms", "all"]) == 2
-    err = capsys.readouterr().err
-    assert err.count("error:") == 2
+    stray = tmp_path / "stray-byte.json"  # not UTF-8, so refused before either reader runs
+    stray.write_bytes(b"\xff{}")
+    assert main(["check", str(stray), "--axioms", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == captured.err.count("\n") == 3
 
 
 def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):

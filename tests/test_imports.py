@@ -71,3 +71,46 @@ def test_every_traced_bench_target_names_a_qck_function():
     assert proc.returncode == 0, proc.stderr
     count, *missing = proc.stdout.split()
     assert int(count) > 0 and missing == []
+
+
+def names_read(path: Path) -> set[str]:
+    """Every name, attribute and string constant in one source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_names_read_finds_names_attributes_and_strings(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text(
+        "from .weightlattice import rho\nx = qck.pairing(rho)\nTARGETS = [('mutation', 'fuzz_graph')]\n",
+        encoding="utf-8",
+    )
+    # an imported name counts only where it is used
+    assert names_read(src) == {"x", "qck", "pairing", "rho", "TARGETS", "mutation", "fuzz_graph"}
+
+
+# The exports that no module or bench script reads, kept on purpose:
+# partitions_of lists the shapes the tests range over, and tensor and
+# quasi_tensor are the paper's two products of graphs. A name that gains a
+# reader leaves this list.
+UNREAD_EXPORTS = {"partitions_of", "tensor", "quasi_tensor"}
+
+
+def test_every_export_is_read_by_the_package_or_the_bench():
+    init = SRC / "__init__.py"
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = [p for p in SRC.glob("*.py") if p != init] + sorted((ROOT / "bench").glob("*.py"))
+    read = set().union(*map(names_read, sources))
+    assert sorted(exported - read) == sorted(UNREAD_EXPORTS)

@@ -12,7 +12,7 @@ from qck.quasify import (
 )
 from qck.structure import components, unique_highest_weight
 from qck.weightlattice import entry_rows, enumerate_syt, partitions_of
-from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, WordCrystal, id_to_word, word_content, word_to_id
+from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, WordCrystal, word_content, word_to_id
 
 from corpus import content_cases, content_crystal, content_quasi, crystal_corpus, qpow, std, tpow
 
@@ -186,7 +186,7 @@ def test_content_crystal_contract(shape, n):
 def test_content_crystal_vertices_carry_their_content():
     c = content_crystal((2, 1), 3)
     for x in c.vertex_ids():
-        assert c.wt(x) == word_content(id_to_word(x, 3), 3)
+        assert c.wt(x) == word_content(tuple(map(int, x)), 3)
 
 
 def test_content_crystal_picks_least_qualifying_vertex():
@@ -328,9 +328,10 @@ def test_content_crystal_rejects_bad_shapes():
 
 @pytest.mark.parametrize("build", [crystal_of_content, count_quasi_components, verify_schur_decomposition])
 def test_content_crystal_refuses_a_rank_that_is_not_an_int(build):
-    # len(parts) > n would raise TypeError on a string
-    with pytest.raises(ValueError, match="^n must be an integer, got '3'$"):
-        build((2, 1), "3")
+    # len(parts) > n would raise TypeError on a string, and a bool passes for an int
+    for n in ("3", True, False):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            build((2, 1), n)
 
 
 # ------------------------------------------------------------------ counting
@@ -355,5 +356,5 @@ def test_quasi_component_highest_weights_for_library_pick():
     hw_words = sorted(unique_highest_weight(c) for c in components(q))
     assert hw_words == ["1321", "2321", "3321"]
     # their weights differ; only the crystal's own highest weight keeps the content
-    contents = sorted(word_content(id_to_word(w, 3), 3) for w in hw_words)
+    contents = sorted(word_content(tuple(map(int, w)), 3) for w in hw_words)
     assert contents == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]

@@ -872,9 +872,30 @@ def test_json_reader_reads_bytes_as_json_loads_does():
     text = to_json(qpow(2, 2))
     for data in (text.encode(), text.encode("utf-8-sig"), text.encode("utf-16"), bytearray(text.encode("utf-32-le"))):
         assert from_json(data) == from_json(text), data[:4]
-    for data in (text.encode()[:-3], b'{"n": 2}', b"\xff" + text.encode(), ("\ufeff" + text).encode("utf-16-le")):
+    for data in (text.encode()[:-3], b'{"n": 2}', ("\ufeff" + text).encode("utf-16-le")):
         assert outcome(from_json, data) == outcome(oracles.from_json_via_loads, data), data[:4]
+    # json.loads lets UnicodeDecodeError out; from_json refuses the byte as invalid JSON
+    data = b"\xff" + text.encode()
+    kind, message = outcome(oracles.from_json_via_loads, data)
+    assert kind == "UnicodeDecodeError"
+    assert outcome(from_json, data) == ("GraphFormatError", "invalid JSON: " + message)
     assert outcome(from_json, 7)[0] == outcome(oracles.from_json_via_loads, 7)[0] == "TypeError"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"n": "\xc3("}',
+        "{}".encode("utf-16-le") + b"\x00",
+        "{}".encode("utf-32-le") + b"\x00\x00\x11\x00",
+    ],
+    ids=["utf-8", "utf-16", "utf-32"],
+)
+def test_json_reader_refuses_undecodable_bytes_as_invalid_json(data):
+    # whatever codec json.detect_encoding picks, its own message follows "invalid JSON: "
+    kind, message = outcome(oracles.from_json_via_loads, data)
+    assert kind == "UnicodeDecodeError"
+    assert outcome(from_json, data) == ("GraphFormatError", "invalid JSON: " + message)
 
 
 DEEP = "[" * 100_000 + "]" * 100_000
