@@ -185,7 +185,7 @@ def uncounted_length(g: QuasiCrystalGraph, around=None):
         for s, pair in enumerate(zip(EPS[x], PHI[x])):
             for v in pair:
                 # a stored length is an int or +-inf: only -inf and ints < 0 are < 0
-                if v is not POS_INF and v < 0:
+                if v < 0:
                     return x, s + 1, v
     return None
 

@@ -172,10 +172,10 @@ class QuasiCrystalGraph:
         wt = self._weight(vid, wt)
         self._put_vertex(vid, wt, tuple(map(_check_ext, eps)), tuple(map(_check_ext, phi)))
 
-    # add_vertex in parts, split around its per-entry checks of eps and phi,
-    # which the file readers and the constructors skip: their rows hold only
-    # ints and the two infinities. The readers check each vertex's id and
-    # weight length, after their own test of the weight's entries.
+    # add_vertex in parts, split around its per-entry checks of wt, eps and
+    # phi, which the file readers and the constructors skip: their rows hold
+    # only ints and the two infinities. The readers check each vertex's id,
+    # after their own test of the weight's entries.
 
     def _new_id(self, vid) -> None:
         """Refuse an id that is not a non-empty string without spaces, or is taken."""
@@ -185,11 +185,10 @@ class QuasiCrystalGraph:
         if vid in self._wt:
             raise ValueError(f"duplicate vertex id {vid!r}")
 
-    def _weight(self, vid, wt, ints: bool = False) -> Weight:
-        """wt as a tuple, refused unless it is n ints; ``ints`` when the
-        caller has already refused every entry that is not an int."""
+    def _weight(self, vid, wt) -> Weight:
+        """wt as a tuple, refused unless it is n ints."""
         wt = tuple(wt)
-        if len(wt) != self.n or not ints and any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
+        if len(wt) != self.n or any(isinstance(c, bool) or not isinstance(c, int) for c in wt):
             raise ValueError(f"weight of {vid!r} must be {self.n} ints, got {wt!r}")
         return wt
 
@@ -198,6 +197,8 @@ class QuasiCrystalGraph:
         the one path by which rows enter a graph. The rows are stored as given,
         not copied: wt, eps and phi are tuples, which other vertices may share;
         e and f, the vertex's own lists of ids or None, default to no edge."""
+        if len(wt) != self.n:
+            raise ValueError(f"weight of {vid!r} must be {self.n} ints, got {wt!r}")
         if len(eps) != self.n - 1 or len(phi) != self.n - 1:
             raise ValueError(f"{vid!r}: need {self.n - 1} eps and phi entries")
         self._wt[vid] = wt
@@ -575,7 +576,7 @@ def from_text(text: str) -> QuasiCrystalGraph:
             wt, eps, phi = row
             try:
                 g._new_id(vid)
-                g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
+                g._put_vertex(vid, wt, eps, phi)
             except ValueError as exc:
                 raise GraphFormatError(str(exc)) from None
             ids[vid] = vid
@@ -603,15 +604,13 @@ def from_text(text: str) -> QuasiCrystalGraph:
 
 
 def _ext_from_json(v, where: str):
-    """v as an extended integer."""
-    if isinstance(v, str):
-        try:
-            return parse_ext(v)
-        except ValueError as exc:
-            raise GraphFormatError(f"{where}: {exc}") from None
-    if type(v) is not int:
+    """v, a JSON value that is not an int, as an extended integer."""
+    if not isinstance(v, str):
         raise GraphFormatError(f"{where}: expected int or '+inf'/'-inf', got {v!r}")
-    return v
+    try:
+        return parse_ext(v)
+    except ValueError as exc:
+        raise GraphFormatError(f"{where}: {exc}") from None
 
 
 # json.dumps writes a string with this under its default ensure_ascii=True
@@ -779,7 +778,7 @@ def from_json(text: str | bytes) -> QuasiCrystalGraph:
     for vid, wt, eps, phi in zip(fields, fields, fields, fields):
         try:
             g._new_id(vid)
-            g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
+            g._put_vertex(vid, wt, eps, phi)
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
     if "vertices" in refused:

@@ -14,6 +14,7 @@ caller's graph in place, re-checks only the anchors that can read x (see
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,7 +70,6 @@ class _Sampler:
             raise ValueError("fuzz needs a graph with a vertex and an index to mutate")
         self.g = g
         self.ids = g.vertex_ids()
-        self.pos = {v: k for k, v in enumerate(self.ids)}
         E, F = g._e, g._f
         self.entries = [
             (x, s + 1, side)
@@ -108,7 +108,7 @@ class _Sampler:
         old = get(x, i)
         # rng.choice([v for v in ids if v != old] + [None]), with the same draw, unbuilt
         k = rng.randrange(len(self.ids))
-        new = None if k == len(self.ids) - 1 else self.ids[k + (k >= self.pos[old])]
+        new = None if k == len(self.ids) - 1 else self.ids[k + (k >= bisect_left(self.ids, old))]
         return _Edit(Mutation(f"edge-{side}", x, i, f"{old}->{new}"), put, (x, i), old, new)
 
     def _weight(self, rng: random.Random) -> _Edit:

@@ -18,7 +18,7 @@ import os
 from operator import add, mul
 
 from .graphcore import POS_INF, QuasiCrystalGraph, _plain, is_crystal
-from .weightlattice import Weight, check_rank
+from .weightlattice import check_rank
 
 Word = tuple[int, ...]
 
@@ -63,13 +63,6 @@ def word_to_id(word: Word, n: int) -> str:
     if any(not 1 <= a <= n for a in word):
         raise ValueError(f"word letters must lie in 1..{n}: {word}")
     return _id_sep(n).join(str(a) for a in word)
-
-
-def word_content(word: Word, n: int) -> Weight:
-    wt = [0] * n
-    for a in word:
-        wt[a - 1] += 1
-    return tuple(wt)
 
 
 def _join_ids(left_id: str, right_id: str, n: int) -> str:
@@ -235,15 +228,14 @@ class WordCrystal:
         def targets(x, positions, d):
             return [None if p is None else ids.get(_step(x, p, d)) for p in positions]
 
-        # each vertex is stored as its row is made, and a word's row is not
-        # memoized unless a component walk did so: the q(5,6) build peaks at
-        # 8.9 MB, not 10.7 (tracemalloc), and the q(5,6) and t(4,7) builds
-        # took -8 to +12 ms longer, of about 250 (median paired differences
-        # in four runs of 15-30 alternating pairs; Python 3.11, 2 vCPUs)
+        # each vertex is stored as its row is made, in the order of ``words``,
+        # and the rows of full-length words are not memoized, so the build
+        # holds little beyond the graph and ``ids``
+        # (test_a_power_build_peaks_near_the_graph_it_holds bounds it)
         g = QuasiCrystalGraph(self.n)
-        for x in sorted(ids, key=ids.get):
+        for x, vid in ids.items():
             wt, eps, phi, e, f = self.row(x, keep=False)
-            g._put_vertex(ids[x], wt, eps, phi, targets(x, e, -1), targets(x, f, 1))
+            g._put_vertex(vid, wt, eps, phi, targets(x, e, -1), targets(x, f, 1))
         return g
 
 

@@ -787,7 +787,7 @@ def from_text_via_lines(text: str):
             wt, eps, phi = row
             try:
                 g._new_id(vid)
-                g._put_vertex(vid, g._weight(vid, wt, ints=True), eps, phi)
+                g._put_vertex(vid, wt, eps, phi)
             except ValueError as exc:
                 raise GraphFormatError(str(exc)) from None
             ids[vid] = vid

@@ -92,6 +92,21 @@ def test_constructor_refuses_an_exponent_entry_that_is_not_a_non_negative_int(ex
         IntPolynomial(2, {expo: 1})
 
 
+@pytest.mark.parametrize(
+    "terms,message",
+    [
+        ({(1,): 1}, r"^exponent vector \(1,\) has length != 2$"),
+        ({(1, 0, 0): 1}, r"^exponent vector \(1, 0, 0\) has length != 2$"),
+        ({(1, 0): 1.0}, r"^coefficient must be int, got 1\.0$"),
+        ({(1, 0): True}, r"^coefficient must be int, got True$"),
+        ({(1, 0): "1"}, r"^coefficient must be int, got '1'$"),
+    ],
+)
+def test_constructor_refuses_a_wrong_length_exponent_or_a_coefficient_that_is_not_an_int(terms, message):
+    with pytest.raises(ValueError, match=message):
+        IntPolynomial(2, terms)
+
+
 @pytest.mark.parametrize("n", [True, False, 2.0, "2", 0])
 def test_constructor_refuses_a_rank_that_is_not_a_positive_int(n):
     with pytest.raises(ValueError, match=r"^n must be a positive integer$"):

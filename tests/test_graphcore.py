@@ -304,6 +304,12 @@ def test_validate_structural_dangling_target():
     g._f["y"][0] = "ghost"
     report = validate(g)
     assert any(w.axiom == "structural" for w in report.witnesses)
+    g._e["x"][0] = "phantom"
+    structural = [w.line() for w in validate(g).witnesses if w.axiom == "structural"]
+    assert structural == [
+        "structural\tx\t1\te->phantom\ttarget must be a vertex",
+        "structural\ty\t1\tf->ghost\ttarget must be a vertex",
+    ]
 
 
 def test_validate_mixed_infinities_fail_the_phi_relation():

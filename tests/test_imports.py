@@ -114,3 +114,38 @@ def test_every_export_is_read_by_the_package_or_the_bench():
     sources = [p for p in SRC.glob("*.py") if p != init] + sorted((ROOT / "bench").glob("*.py"))
     read = set().union(*map(names_read, sources))
     assert sorted(exported - read) == sorted(UNREAD_EXPORTS)
+
+
+def public_definitions(path: Path) -> set[str]:
+    """The public names a source file defines at module level: each def,
+    class and assigned name that does not start with an underscore."""
+    found = set()
+    for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {name for name in found if not name.startswith("_")}
+
+
+def names_loaded(path: Path) -> set[str]:
+    """Every name a source file loads, every attribute it names and every
+    name it imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name for alias in node.names}
+    return found
+
+
+def test_every_public_module_name_is_exported_or_read():
+    init = SRC / "__init__.py"
+    modules = [p for p in sorted(SRC.glob("*.py")) if p != init]
+    read = set().union(*map(names_loaded, modules + [init]))
+    unread = {(p.name, name) for p in modules for name in public_definitions(p) - read}
+    assert sorted(unread) == []

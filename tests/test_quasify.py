@@ -12,7 +12,7 @@ from qck.quasify import (
 )
 from qck.structure import components, unique_highest_weight
 from qck.weightlattice import entry_rows, enumerate_syt, partitions_of
-from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, WordCrystal, word_content, word_to_id
+from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, WordCrystal, word_to_id
 
 from corpus import content_cases, content_crystal, content_quasi, crystal_corpus, qpow, std, tpow
 
@@ -186,7 +186,7 @@ def test_content_crystal_contract(shape, n):
 def test_content_crystal_vertices_carry_their_content():
     c = content_crystal((2, 1), 3)
     for x in c.vertex_ids():
-        assert c.wt(x) == word_content(tuple(map(int, x)), 3)
+        assert c.wt(x) == tuple(x.count(a) for a in "123")
 
 
 def test_content_crystal_picks_least_qualifying_vertex():
@@ -356,5 +356,5 @@ def test_quasi_component_highest_weights_for_library_pick():
     hw_words = sorted(unique_highest_weight(c) for c in components(q))
     assert hw_words == ["1321", "2321", "3321"]
     # their weights differ; only the crystal's own highest weight keeps the content
-    contents = sorted(word_content(tuple(map(int, w)), 3) for w in hw_words)
+    contents = sorted(tuple(w.count(a) for a in "123") for w in hw_words)
     assert contents == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]

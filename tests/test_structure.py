@@ -264,8 +264,50 @@ def test_isomorphic_reports_structural_failure():
     b.add_edge("x", 1, "y")
     (ca,) = components(a)
     (cb,) = components(b)
-    with pytest.raises(TheoremViolation):
+    with pytest.raises(TheoremViolation) as info:
         isomorphic(ca, cb)
+    assert info.value.lines() == ["equal highest weights but mismatched lowering edges", "stuck\tx\tx\t1\tNone vs y"]
+
+
+def _graph(n, weights, edges):
+    """A rank-n graph with the given vertex weights, zero string lengths and lowering edges."""
+    g = QuasiCrystalGraph(n)
+    for x, wt in weights.items():
+        g.add_vertex(x, wt, (0,) * (n - 1), (0,) * (n - 1))
+    for x, i, y in edges:
+        g.add_edge(x, i, y)
+    return g
+
+
+def test_isomorphic_names_each_way_the_construction_fails():
+    zero = (0, 0, 0)
+    # a diamond u -> p, q -> r against one whose two sides end apart, at r1 and r2
+    diamond = _graph(3, dict.fromkeys("upqr", zero), [("u", 1, "p"), ("u", 2, "q"), ("p", 2, "r"), ("q", 1, "r")])
+    split = _graph(
+        3, dict.fromkeys(["u", "p", "q", "r1", "r2"], zero), [("u", 1, "p"), ("u", 2, "q"), ("p", 2, "r1"), ("q", 1, "r2")]
+    )
+    (c1,), (c2,) = components(diamond), components(split)
+    with pytest.raises(TheoremViolation) as info:
+        isomorphic(c1, c2)
+    assert info.value.lines() == ["lowering edges disagree with an earlier assignment", "conflict\tr\tr1 vs r2"]
+
+    # u's one lowering edge reaches a; z and w, a cycle under f_1, lower onto a by f_2
+    hanging = _graph(3, dict.fromkeys("uazw", zero), [("u", 1, "a"), ("z", 2, "a"), ("z", 1, "w"), ("w", 1, "z")])
+    (c,) = components(hanging)
+    assert c.hw_vertices == ("u",)
+    with pytest.raises(TheoremViolation) as info:
+        isomorphic(c, c)
+    assert info.value.lines() == [
+        "component not reachable from its highest weight by lowering edges",
+        "covered 2 of 4 vertices",
+    ]
+
+    # the same edges, but the lower vertex's weight differs
+    (c1,) = components(_graph(2, {"u": (1, 0), "a": (0, 1)}, [("u", 1, "a")]))
+    (c2,) = components(_graph(2, {"u": (1, 0), "a": (0, 2)}, [("u", 1, "a")]))
+    with pytest.raises(TheoremViolation) as info:
+        isomorphic(c1, c2)
+    assert info.value.lines() == ["constructed vertex map fails verification", "wt\ta\ta\t(0, 1) vs (0, 2)"]
 
 
 def test_iso_witness_verify_catches_corruption():

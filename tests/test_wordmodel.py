@@ -1,11 +1,13 @@
 import importlib
+import itertools
+import random
 import re
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
 from qck import wordmodel
-from qck.graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, validate
+from qck.graphcore import POS_INF, QuasiCrystalGraph, is_crystal, is_seminormal, to_json, to_text, validate
 from qck.weightlattice import entry_rows, enumerate_syt
 from qck.wordmodel import (
     DEFAULT_SIZE_CAP,
@@ -19,21 +21,12 @@ from qck.wordmodel import (
     standard_crystal,
     tensor,
     tensor_power,
-    word_content,
     word_to_id,
 )
 
 from corpus import content_crystal, content_quasi, qpow, std, tpow
 
 import oracles
-
-
-@st.composite
-def words(draw):
-    n = draw(st.integers(min_value=2, max_value=12))
-    length = draw(st.integers(min_value=1, max_value=6))
-    word = tuple(draw(st.integers(min_value=1, max_value=n)) for _ in range(length))
-    return word, n
 
 
 def test_word_id_digit_and_dash_forms():
@@ -44,15 +37,10 @@ def test_word_id_digit_and_dash_forms():
     assert word_to_id((11, 1), 12) == "11-1"
 
 
-def test_word_content():
-    assert word_content((1, 2, 2, 3), 3) == (1, 2, 1)
-    assert word_content((2,), 4) == (0, 1, 0, 0)
-
-
-@given(words())
-def test_word_content_sums_to_length(word_n):
-    word, n = word_n
-    assert sum(word_content(word, n)) == len(word)
+@pytest.mark.parametrize("word,n", [((1, 4), 3), ((0, 1), 3), ((13,), 12)])
+def test_word_to_id_refuses_a_letter_out_of_range(word, n):
+    with pytest.raises(ValueError, match=rf"^word letters must lie in 1\.\.{n}: {re.escape(str(word))}$"):
+        word_to_id(word, n)
 
 
 def test_standard_crystal_tables():
@@ -142,7 +130,7 @@ def test_power_matches_manual_iteration():
 def test_power_weight_is_word_content():
     g = qpow(3, 3)
     for x in g.vertex_ids():
-        assert g.wt(x) == word_content(tuple(map(int, x)), 3)
+        assert g.wt(x) == tuple(x.count(a) for a in "123")
 
 
 def test_tensor_requires_crystals():
@@ -293,6 +281,25 @@ def test_content_crystal_builds_each_row_once(monkeypatch):
     assert len(quasify.crystal_of_content((3, 2, 1), 5)) == 280
     # each call stores one row under its word, and the empty word's row is no call
     assert len(calls) == len(made[0]._rows) - 1
+
+
+@pytest.mark.parametrize(
+    "n,blocking,words",
+    [
+        (3, True, list(itertools.product(range(1, 4), repeat=4))),
+        (4, False, sorted(tuple(map(int, x)) for x in content_crystal((3, 2, 1), 4).vertex_ids())),
+    ],
+    ids=["quasi-power", "content-crystal"],
+)
+def test_word_crystal_graph_does_not_depend_on_word_order(n, blocking, words):
+    in_order = WordCrystal(n, blocking).graph(words)
+    shuffled = words[:]
+    random.Random(7).shuffle(shuffled)
+    got = WordCrystal(n, blocking).graph(shuffled)
+    assert list(got._wt) != in_order.vertex_ids()  # stored in the shuffled order
+    assert got == in_order
+    assert to_text(got) == to_text(in_order)
+    assert to_json(got) == to_json(in_order)
 
 
 @pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
