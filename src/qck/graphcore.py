@@ -10,6 +10,7 @@ are each vertex's own lists. Loops are a derived notion (both string lengths
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -516,22 +517,30 @@ def to_text(g: QuasiCrystalGraph, out=None) -> str | None:
     return _stream(_text_pieces(g), out)
 
 
-# Characters the text reader splits into lines at a time: a chunk ends just
-# after the first "\n" this far past its start, so no "\r\n" is cut in two.
+# Characters the readers take at a time: a chunk ends just after the first
+# "\n" this far past its start, so no "\r\n" is cut in two.
 _CHUNK = 1 << 16
 
 
-def _records(text: str):
-    """The lines of text.splitlines(), stripped, without blanks and comments,
-    split a chunk at a time so that no list of every line is made."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _CHUNK) + 1 or len(text)
-        yield from [ln for ln in map(str.strip, text[start:end].splitlines()) if ln and ln[0] != "#"]
-        start = end
+def _chunks(text):
+    """text, a str or a text file read from its start, a chunk at a time."""
+    if isinstance(text, io.TextIOBase):
+        text.seek(0)
+        yield from iter(lambda: text.read(_CHUNK) + text.readline(), "")
+        return
+    end = 0
+    while end < len(text):
+        start, end = end, text.find("\n", end + _CHUNK) + 1 or len(text)
+        yield text[start:end]
 
 
-def from_text(text: str) -> QuasiCrystalGraph:
+def _records(text):
+    """text.splitlines(), stripped, without blanks and comments, made a chunk of lines at a time."""
+    for chunk in _chunks(text):
+        yield from [ln for ln in map(str.strip, chunk.splitlines()) if ln and ln[0] != "#"]
+
+
+def from_text(text: str | io.TextIOBase) -> QuasiCrystalGraph:
     records = _records(text)
     header = next(records, None)
     if header is None:
@@ -691,67 +700,92 @@ def _edge_fields(rec, share) -> tuple:
     return share(src, src) if type(src) is str else src, share(dst, dst) if type(dst) is str else dst, label
 
 
-def _json_doc(text: str, share) -> tuple:
-    """(doc, refused): text's document as json.loads reads it, except that a top-level object's
+def _json_doc(src, share) -> tuple:
+    """(doc, refused): src's document as json.loads reads it, except that a top-level object's
     "vertices" or "edges" list is the flat list of what its reader reads from each record as it
     is decoded. A list ends at its first refused record, whose GraphFormatError is refused[key]."""
     ws, scan = json.decoder.WHITESPACE.match, json.scanner.make_scanner(json.JSONDecoder())
     readers = {"vertices": _vertex_fields, "edges": _edge_fields}
+    # The window of src's text that the scan decodes: what reaches index end may go on past it. It ends
+    # just after a "\n" or with the text, and no JSON token holds a raw "\n": only a cut list or object fails.
+    chunks, text, end = _chunks(src), "", 0
 
-    def first(i: int, close: str) -> tuple[int, bool]:
-        """Past the opening bracket at i: where the first item starts, and whether there is one."""
+    def step(parse, i: int, *args) -> tuple:
+        """parse(i, *args), ending with the index it reaches; the window widens while it fails or reaches end."""
+        nonlocal text, end
+        while True:
+            try:
+                got = parse(i, *args)
+                if got[-1] < end:
+                    return got
+            except (ValueError, StopIteration):
+                if end > len(text):
+                    raise
+            added = "".join(islice(chunks, 1 + (len(text) - i) // _CHUNK))  # outgrows text[i:], or ends the text
+            text, end, i = text[i:] + added, len(text) - i + len(added) + (not added), 0
+
+    def first(i: int, close: str) -> tuple[bool, int]:
+        """Past the opening bracket at i: whether there is a first item, and where it starts."""
         i = ws(text, i + 1).end()
-        return (i + 1, False) if text.startswith(close, i) else (i, True)
+        return (False, i + 1) if text.startswith(close, i) else (True, i)
 
-    def then(i: int, close: str) -> tuple[int, bool]:
+    def then(i: int, close: str) -> tuple[bool, int]:
         """Past the comma or ``close`` after an item that ends at i: as ``first``."""
         if not text.startswith(",", i):  # the writers put each comma right after its item
             i = ws(text, i).end()
             if text.startswith(close, i):
-                return i + 1, False
+                return False, i + 1
             if not text.startswith(",", i):
                 raise ValueError(close)
-        return ws(text, i + 1).end(), True
+        return True, ws(text, i + 1).end()
+
+    def member(i: int) -> tuple[str, int]:
+        """The key at i, and where its value starts, past the colon."""
+        if not text.startswith('"', i):
+            raise ValueError('"')
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = ws(text, i).end()
+        if not text.startswith(":", i):
+            raise ValueError(":")
+        return key, ws(text, i + 1).end()
 
     # scan_once decodes each value from fewer frames than json.loads would
-    i = ws(text).end()
+    i = step(lambda i: (ws(text, i).end(),), 0)[0]
     if text.startswith("{", i):
         doc, refused = {}, {}
         try:
-            i, more = first(i, "}")
+            more, i = step(first, i, "}")
             while more:
-                if not text.startswith('"', i):
-                    raise ValueError('"')
-                key, i = json.decoder.scanstring(text, i + 1)
-                i = ws(text, i).end()
-                if not text.startswith(":", i):
-                    raise ValueError(":")
-                i = ws(text, i + 1).end()
+                key, i = step(member, i)
                 read = readers.get(key)
                 refused.pop(key, None)
                 if read and text.startswith("[", i):
                     out = doc[key] = []
-                    i, items = first(i, "]")
+                    items, i = step(first, i, "]")
                     while items:
-                        rec, i = scan(text, i)
+                        try:
+                            rec, j = scan(text, i)
+                            items, i = then(j, "]")
+                        except (ValueError, StopIteration):  # perhaps cut by the window's end
+                            rec, j = step(lambda i: scan(text, ws(text, i).end()), i)
+                            items, i = step(then, j, "]")
                         if key not in refused:
                             try:
                                 out += read(rec, share)
                             except GraphFormatError as exc:
                                 refused[key] = exc.with_traceback(None)
-                        i, items = then(i, "]")
                 else:
-                    doc[key], i = scan(text, i)
-                i, more = then(i, "}")
-            if ws(text, i).end() == len(text):
+                    doc[key], i = step(lambda i: scan(text, i), i)
+                more, i = step(then, i, "}")
+            if step(lambda i: (ws(text, i).end(),), i)[0] == len(text):
                 return doc, refused
         except (ValueError, StopIteration, RecursionError):
-            json.loads(text)  # fails too, with json's own error
+            json.loads("".join(_chunks(src)))  # fails too, with json's own error
             raise  # unless a record's reader recursed too deeply, as a repr can
-    return json.loads(text), {}  # not an object, or text after it
+    return json.loads("".join(_chunks(src))), {}  # not an object, or text after it
 
 
-def from_json(text: str | bytes) -> QuasiCrystalGraph:
+def from_json(text: str | bytes | io.TextIOBase) -> QuasiCrystalGraph:
     share = {}.setdefault  # one object per distinct id, weight row or length row
     try:
         if isinstance(text, (bytes, bytearray)):  # decoded as json.loads decodes them
@@ -841,17 +875,23 @@ def to_dot(g: QuasiCrystalGraph, out=None) -> str | None:
     return _stream(_dot_pieces(g), out)
 
 
-def loads(text: str) -> QuasiCrystalGraph:
-    """Parse either interchange format, sniffing JSON by the leading brace."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return from_json(text)
-    return from_text(text)
+def loads(text: str | io.TextIOBase) -> QuasiCrystalGraph:
+    """Parse either interchange format: JSON if its first character that is not isspace() is "{"."""
+    head = next((chunk.lstrip()[0] for chunk in _chunks(text) if not chunk.isspace()), "")
+    return (from_json if head == "{" else from_text)(text)
 
 
 def read_graph(path: str) -> QuasiCrystalGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+    """loads of the file's text, past a UTF-8 byte order mark; bytes that are not UTF-8 are refused first."""
+    with open(path, encoding="utf-8-sig") as fh:
+        if not fh.seekable():  # a pipe is read once, whole
+            return loads(fh.read())
+        try:
+            return loads(fh)
+        except ValueError:
+            fh.seek(0)
+            fh.buffer.read().decode("utf-8")  # a file that is not UTF-8 is refused for that, first
+            raise
 
 
 def _writer(fmt: str):

@@ -22,7 +22,8 @@ accessors and the guarded setters), ``subgraph_via_replay`` (a
 component's subgraph replayed through add_vertex and add_edge, which
 rebuilds e from f), ``from_json_via_loads`` (the JSON reader over the
 whole document that json.loads makes), ``from_text_via_lines`` (the text
-reader over the list of every line) and ``add_edge_via_guards`` (add_edge
+reader over the list of every line), ``read_graph_via_whole_text`` (the file
+reader over the file's whole decoded text) and ``add_edge_via_guards`` (add_edge
 through the guarded slot and vertex checks). Keep everything small-input only.
 """
 
@@ -812,6 +813,16 @@ def from_text_via_lines(text: str):
         except ValueError as exc:
             raise GraphFormatError(str(exc)) from None
     return g
+
+
+def read_graph_via_whole_text(path: str):
+    """graphcore.read_graph as it was before it read a file a chunk at a
+    time: the whole file is decoded as UTF-8 at once, a byte order mark
+    kept, and loads reads the text."""
+    from qck.graphcore import loads
+
+    with open(path, "r", encoding="utf-8") as fh:
+        return loads(fh.read())
 
 
 def add_edge_via_guards(g, x, i, y) -> None:

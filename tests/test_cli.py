@@ -10,8 +10,9 @@ import qck.axioms
 import qck.cli
 import qck.mutation
 import qck.wordmodel
+from qck import graphcore
 from qck.cli import main
-from qck.graphcore import AxiomReport, QuasiCrystalGraph, read_graph, write_graph
+from qck.graphcore import AxiomReport, QuasiCrystalGraph, dumps, read_graph, write_graph
 from qck.structure import components
 
 from corpus import qpow
@@ -295,6 +296,31 @@ def test_hostile_json_sections_are_input_errors(tmp_path, capsys, tail):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_check_refuses_a_byte_deep_in_a_file_that_is_not_utf8(fmt, tmp_path, capsys):
+    # the file is read a chunk at a time; the position still counts from its start
+    data = dumps(qpow(4, 6), fmt).encode()
+    at = 3 * graphcore._CHUNK + 10
+    bad = tmp_path / "bad"
+    bad.write_bytes(data[:at] + b"\xff" + data[at:])
+    assert main(["check", str(bad), "--axioms", "all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n"
+
+
+def test_check_reads_a_json_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # it was read as text and refused with "error: bad header '\ufeff{'"
+    doc = dumps(qpow(3, 3), "json")
+    plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+    plain.write_text(doc, encoding="utf-8")
+    bom.write_text(doc, encoding="utf-8-sig")
+    assert main(["check", str(plain), "--axioms", "all"]) == 0
+    want = capsys.readouterr()
+    assert main(["check", str(bom), "--axioms", "all"]) == 0
+    assert capsys.readouterr() == want
 
 
 # --- decompose ---------------------------------------------------------------

@@ -11,7 +11,9 @@ import gc
 import io
 import json
 import math
+import os
 import random
+import threading
 import tracemalloc
 from collections import Counter
 from unittest import mock
@@ -29,6 +31,8 @@ from qck.graphcore import (
     from_json,
     from_text,
     is_seminormal,
+    loads,
+    read_graph,
     to_dot,
     to_json,
     to_text,
@@ -837,19 +841,26 @@ def corrupted(text: str, rng: random.Random) -> str:
     return rng.choice(["\ufeff" + text, text + rng.choice([" ", "\n", "x", "}", "{}"])])
 
 
-def test_json_reader_matches_the_whole_document_reader_on_corrupted_files():
-    # the scan decodes the top-level object itself and each record as it
-    # comes: any document must load as the same graph, or be refused with
-    # the same text, as when json.loads decoded it whole
+def corrupted_files(count: int = 2000):
+    """Documents of small graphs, some with their fields shuffled, each with
+    one to three corruptions; the same ones on every call."""
     rng = random.Random(26)
     bases = [to_json(g) for g in (std(2), qpow(2, 2), tpow(3, 2), edge_case_graphs()[-1][1])]
-    seen = Counter()
-    for _ in range(2000):
+    for _ in range(count):
         text = rng.choice(bases)
         if rng.random() < 0.3:
             text = shuffled_fields(text, rng)
         for _ in range(rng.randint(1, 3)):
             text = corrupted(text, rng)
+        yield text
+
+
+def test_json_reader_matches_the_whole_document_reader_on_corrupted_files():
+    # the scan decodes the top-level object itself and each record as it
+    # comes: any document must load as the same graph, or be refused with
+    # the same text, as when json.loads decoded it whole
+    seen = Counter()
+    for text in corrupted_files():
         want = outcome(oracles.from_json_via_loads, text)
         assert outcome(from_json, text) == want, text
         seen["graph" if isinstance(want, QuasiCrystalGraph) else want[1].split(":")[0]] += 1
@@ -915,3 +926,148 @@ HEAD = '{"format": "qck-graph", "version": 1, "n": 2, '
 def test_json_reader_refuses_deep_nesting_anywhere(text):
     expected = "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a unicode string"
     assert outcome(from_json, text) == outcome(oracles.from_json_via_loads, text) == ("GraphFormatError", expected)
+
+
+# ------------------------------------------------------------ files read a chunk at a time
+
+# read_graph feeds both readers from the open file, a chunk of about _CHUNK
+# characters at a time; oracles.read_graph_via_whole_text decodes the whole
+# file first, as read_graph did before.
+
+
+def file_of(directory, text: str, name: str = "g") -> str:
+    """The path of a new file holding text in UTF-8, its line breaks as given."""
+    path = directory / name
+    path.write_text(text, encoding="utf-8", newline="")
+    return str(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 64])
+def test_json_reader_matches_the_whole_document_reader_through_any_window(chunk):
+    # the scan widens its window where a value may run past its end; a small
+    # chunk puts that end inside every record and between every token
+    with mock.patch.object(graphcore, "_CHUNK", chunk):
+        for text in corrupted_files():
+            assert outcome(from_json, text) == outcome(oracles.from_json_via_loads, text), text
+
+
+@pytest.mark.parametrize("chunk", [3, 64])
+def test_file_reader_matches_the_whole_text_reader_on_corrupted_files(chunk, tmp_path):
+    # read_graph skips a byte order mark at the start of a file, which the
+    # whole text reader keeps, so that reader is given the file without it
+    with mock.patch.object(graphcore, "_CHUNK", chunk):
+        for k, text in enumerate(corrupted_files(300)):
+            want = outcome(oracles.read_graph_via_whole_text, file_of(tmp_path, text.removeprefix("\ufeff"), "want"))
+            assert outcome(read_graph, file_of(tmp_path, text)) == want, (k, text)
+
+
+@settings(deadline=None, max_examples=200)
+@given(text_files())
+def test_file_reader_walks_a_text_file_as_the_whole_text_reader(tmp_path_factory, drawn):
+    # the same graph, or the same refusal, wherever a chunk ends; "\r" and
+    # "\r\n" are read as "\n", as a whole read of the file reads them
+    text, chunk = drawn
+    path = file_of(tmp_path_factory.mktemp("text"), text)
+    want = outcome(oracles.read_graph_via_whole_text, path)
+    with mock.patch.object(graphcore, "_CHUNK", chunk):
+        assert outcome(read_graph, path) == want
+
+
+@pytest.mark.parametrize("chunk", [1, 7, graphcore._CHUNK])
+def test_hostile_files_keep_their_refusals(chunk, tmp_path):
+    payloads = [payload for _, _, payload in hostile_reads() if isinstance(payload, str)]
+    assert len(payloads) > 40
+    with mock.patch.object(graphcore, "_CHUNK", chunk):
+        for payload in payloads:
+            path = file_of(tmp_path, payload)
+            assert outcome(read_graph, path) == outcome(oracles.read_graph_via_whole_text, path), payload[:80]
+
+
+@pytest.mark.parametrize("build, k, fmt, bound", [(tensor_power, 5, "json", 1.6), (quasi_tensor_power, 6, "text", 1.5)])
+def test_a_file_read_peaks_near_the_graph_it_holds(build, k, fmt, bound, tmp_path):
+    # the file's text is counted: read whole, it took a t(4,5) JSON read to
+    # 2.29 times the graph it returned and a q(4,6) text read to 1.53
+    path = str(tmp_path / "g")
+    write_graph(build(4, k), path, fmt)
+    h, held, peak = held_and_peak(lambda: read_graph(path))
+    assert len(h) == 4**k
+    assert peak <= bound * held, (peak, held)
+
+
+def bad_byte_files(directory, fmt: str):
+    """(path, position) of files of several chunks with the byte 0xff at the
+    position, some after a record that the reader would refuse."""
+    doc = dumps(qpow(3, 4), fmt)
+    broken = doc.replace("n 3\n", "n 3\narc 1 2 1\n", 1) if fmt == "text" else doc.replace('"id"', '"di"', 1)
+    assert broken != doc and len(doc) > 20 * 64
+    for k, (text, at) in enumerate((t, at) for t in (doc, broken) for at in (5, 3 * 64 + 5, 12 * 64, len(doc) - 2)):
+        data = text.encode()
+        path = directory / f"bad{k}"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        yield str(path), at
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_undecodable_bytes_are_refused_at_their_place_in_the_file(fmt, tmp_path):
+    # first, before any other refusal, with the position counted from the
+    # file's start, as when the whole file was decoded at once
+    with mock.patch.object(graphcore, "_CHUNK", 64):
+        for path, at in bad_byte_files(tmp_path, fmt):
+            want = ("UnicodeDecodeError", f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte")
+            assert outcome(read_graph, path) == outcome(oracles.read_graph_via_whole_text, path) == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_file_that_starts_with_a_byte_order_mark_reads_as_without(fmt, tmp_path):
+    # such a JSON file was read as text and refused as "bad header '\ufeff{'";
+    # from_json of its bytes read it
+    g = qpow(3, 2)
+    path = tmp_path / "bom"
+    path.write_text(dumps(g, fmt), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outcome(oracles.read_graph_via_whole_text, str(path))[0] == "GraphFormatError"
+    for chunk in (1, 7, graphcore._CHUNK):
+        with mock.patch.object(graphcore, "_CHUNK", chunk):
+            assert read_graph(str(path)) == g
+    assert fmt == "text" or from_json(path.read_bytes()) == g
+
+
+@pytest.mark.parametrize("br", ["\r\n", "\r"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_file_line_breaks_read_as_newlines_wherever_a_chunk_ends(fmt, br, tmp_path):
+    g = qpow(3, 2)
+    doc = dumps(g, fmt)
+    path, lf = file_of(tmp_path, doc.replace("\n", br)), file_of(tmp_path, doc, "lf")
+    for chunk in range(1, 41):  # among them, a chunk that ends between "\r" and "\n"
+        with mock.patch.object(graphcore, "_CHUNK", chunk):
+            assert read_graph(path) == read_graph(lf) == g, chunk
+
+
+@pytest.mark.parametrize("chunk", [16, graphcore._CHUNK])
+def test_json_after_whitespace_longer_than_a_chunk_reads_as_json(chunk, tmp_path):
+    g = qpow(3, 2)
+    text = " \n\t\r" * chunk + to_json(g)
+    path = file_of(tmp_path, text)
+    with mock.patch.object(graphcore, "_CHUNK", chunk):
+        assert read_graph(path) == loads(text) == from_json(text) == g
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_read_graph_reads_a_pipe(fmt):
+    # a pipe cannot be read twice, so it is read whole
+    g = qpow(4, 6)
+    data = dumps(g, fmt).encode()
+    assert len(data) > 2 * graphcore._CHUNK
+    r, w = os.pipe()
+
+    def write():
+        with os.fdopen(w, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        assert read_graph(f"/dev/fd/{r}") == g
+    finally:
+        writer.join()
+        os.close(r)
