@@ -29,9 +29,7 @@ from .graphcore import (
 from .weightlattice import (
     descent_composition,
     enumerate_syt,
-    pairing,
     partitions_of,
-    rho,
 )
 from .wordmodel import (
     SizeCapExceeded,

@@ -285,45 +285,48 @@ def check_cor_infs(g: QuasiCrystalGraph, around=None) -> AxiomReport:
 @_report("infs")
 def _infs(g: QuasiCrystalGraph, around) -> AxiomReport:
     senses = (_Sense(g, True), _Sense(g, False))
-    indices = g.index_set
-    limit = len(g) + 1
-    for x, i, y in g.raising_edges(around):
+    indices, anchors = g.index_set, g.anchors(around)
+    for i in indices:
         for s in senses:
             j = i + s.d
             if j not in indices:
                 continue
             E, L, w = s.e, s.eps, s.w
-            near, far = s.pair(x, y)
-            if L[far][j - 1] is not POS_INF:
-                continue
-            if L[near][j - 1] is not POS_INF:
-                yield Witness(
-                    w.infs,
-                    (x, y),
-                    (i, j),
-                    f"{w.eps}_{j}({w.near})={ext_str(L[near][j - 1])}",
-                    f"+inf must propagate {w.edge} the edge",
-                )
-            z = far
-            found = False
-            for _ in range(limit):
-                if L[z][i - 1] == 0 or L[z][i - 1] is POS_INF:
-                    break
-                nxt = E[z][i - 1]
-                if nxt is None:
-                    break
-                z = nxt
-                if L[z][j - 1] != 0 and L[z][j - 1] is not POS_INF:
-                    found = True
-                    break
-            if not found:
-                yield Witness(
-                    w.infs,
-                    (x, y),
-                    (i, j),
-                    f"no unfreezing vertex {w.chain} the chain",
-                    f"some {w.e}_i^k({w.far}) with finite positive {w.eps}_{{i{w.pm}1}}",
-                )
+            # whether a walk that reaches a vertex finds j unfrozen there or further along
+            # the i-string; False till that walk ends, so a walk round a cycle finds nothing
+            unfreezes = {}
+            for x in anchors:
+                y = g._e[x][i - 1]
+                if y is None:
+                    continue
+                near, far = s.pair(x, y)
+                if L[far][j - 1] is not POS_INF:
+                    continue
+                if L[near][j - 1] is not POS_INF:
+                    yield Witness(
+                        w.infs,
+                        (x, y),
+                        (i, j),
+                        f"{w.eps}_{j}({w.near})={ext_str(L[near][j - 1])}",
+                        f"+inf must propagate {w.edge} the edge",
+                    )
+                path, z = [], far
+                while z is not None and z not in unfreezes:
+                    path.append(z)
+                    unfreezes[z] = L[z][j - 1] != 0 and L[z][j - 1] is not POS_INF
+                    if unfreezes[z]:
+                        break
+                    z = None if L[z][i - 1] == 0 or L[z][i - 1] is POS_INF else E[z][i - 1]
+                found = z is not None and unfreezes[z]
+                unfreezes.update(dict.fromkeys(path, found))
+                if not found:
+                    yield Witness(
+                        w.infs,
+                        (x, y),
+                        (i, j),
+                        f"no unfreezing vertex {w.chain} the chain",
+                        f"some {w.e}_i^k({w.far}) with finite positive {w.eps}_{{i{w.pm}1}}",
+                    )
 
 
 # Not a dual pair: lemij.3 guards on eps_{i-1}(x), not phi_{i-1}(y), and prints eps first.

@@ -408,30 +408,29 @@ def validate(g: QuasiCrystalGraph, around=None) -> AxiomReport:
                 )
 
 
-def _chain_length(rows: dict, x: str, s: int, limit: int) -> tuple[int, bool]:
-    """Length of the strict operator chain from x in slot s of rows (g._e or
-    g._f); flags chains exceeding limit."""
-    k = 0
-    z = rows[x][s]
-    while z is not None:
-        k += 1
-        if k > limit:
-            return k, True
-        z = rows[z][s]
-    return k, False
-
-
 @_report("seminormal")
 def is_seminormal(g: QuasiCrystalGraph, around=None) -> AxiomReport:
-    """Finite string lengths must equal actual operator chain lengths."""
-    limit = len(g)
-    for x in g.anchors(around):
-        for field_name, lengths, rows in (("eps", g._eps[x], g._e), ("phi", g._phi[x], g._f)):
-            for s, length in enumerate(lengths):
+    """Finite string lengths must equal actual operator chain lengths; each index's chains are walked once."""
+    limit, anchors = len(g), g.anchors(around)
+    for s in range(g.n - 1):
+        for field_name, lengths, rows in (("eps", g._eps, g._e), ("phi", g._phi, g._f)):
+            chain = {}  # the chain length at s of each vertex walked through
+            for x in anchors:
+                length = lengths[x][s]
                 if length is POS_INF:
                     continue
-                k, cyclic = _chain_length(rows, x, s, limit)
-                if cyclic:
+                z = rows[x][s]
+                k = 0 if z is None else 1 if rows[z][s] is None else None
+                if k is None:  # two steps or more: walk on to where an earlier walk passed
+                    path, z = [], x
+                    while z is not None and z not in chain and len(path) <= limit:
+                        path.append(z)
+                        z = rows[z][s]
+                    k = -1 if z is None else chain.get(z, POS_INF)  # past len(g) steps: a cycle
+                    for u in reversed(path):
+                        k += 1
+                        chain[u] = k
+                if k > limit:
                     yield Witness(
                         "seminormal",
                         (x,),
@@ -523,12 +522,13 @@ _CHUNK = 1 << 16
 
 
 def _chunks(text):
-    """text, a str or a text file read from its start, a chunk at a time."""
+    """text, a str or a text file read from its start, a chunk at a time; a
+    (str, start) pair, which loads makes, is the str from index start on."""
     if isinstance(text, io.TextIOBase):
         text.seek(0)
         yield from iter(lambda: text.read(_CHUNK) + text.readline(), "")
         return
-    end = 0
+    text, end = text if isinstance(text, tuple) else (text, 0)
     while end < len(text):
         start, end = end, text.find("\n", end + _CHUNK) + 1 or len(text)
         yield text[start:end]
@@ -876,7 +876,10 @@ def to_dot(g: QuasiCrystalGraph, out=None) -> str | None:
 
 
 def loads(text: str | io.TextIOBase) -> QuasiCrystalGraph:
-    """Parse either interchange format: JSON if its first character that is not isspace() is "{"."""
+    """Parse either interchange format: JSON if its first character that is not isspace() is "{".
+    A str is read past one leading byte order mark."""
+    if isinstance(text, str) and text.startswith("\ufeff"):
+        text = (text, 1)  # read by _chunks past the mark, with no copy made
     head = next((chunk.lstrip()[0] for chunk in _chunks(text) if not chunk.isspace()), "")
     return (from_json if head == "{" else from_text)(text)
 
@@ -884,7 +887,8 @@ def loads(text: str | io.TextIOBase) -> QuasiCrystalGraph:
 def read_graph(path: str) -> QuasiCrystalGraph:
     """loads of the file's text, past a UTF-8 byte order mark; bytes that are not UTF-8 are refused first."""
     with open(path, encoding="utf-8-sig") as fh:
-        if not fh.seekable():  # a pipe is read once, whole
+        if not fh.seekable():  # a pipe is read once, whole, and loads skips its mark
+            fh.reconfigure(encoding="utf-8")
             return loads(fh.read())
         try:
             return loads(fh)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from .graphcore import QuasiCrystalGraph, ext_str
-from .weightlattice import pairing, rho, sub
 
 
 class TheoremViolation(Exception):
@@ -93,13 +93,14 @@ def unique_highest_weight(c: Component) -> str:
 
 
 def rank_table(c: Component) -> dict[str, int]:
-    """Lowering steps below the highest weight u of each vertex x: <wt(u)-wt(x), rho>."""
+    """Lowering steps below the highest weight u of each vertex x: <wt(u), rho> - <wt(x), rho>."""
     u = unique_highest_weight(c)
     W = c.graph._wt
-    r_n = rho(c.graph.n)
+    heights = range(c.graph.n - 1, -1, -1)  # rho = (n-1, ..., 1, 0)
+    top = sum(map(mul, W[u], heights))
     out = {}
     for x in c.vertices:
-        r = pairing(sub(W[u], W[x]), r_n)
+        r = top - sum(map(mul, W[x], heights))
         if r < 0:
             raise TheoremViolation(
                 f"vertex {x!r} sits above the highest weight of its component",

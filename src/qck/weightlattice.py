@@ -24,22 +24,6 @@ def check_rank(n) -> int:
     return n
 
 
-def pairing(u: Weight, v: Weight) -> int:
-    """Standard dot product; the roots are self-dual here."""
-    if len(u) != len(v):
-        raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
-
-
-def rho(n: int) -> Weight:
-    """(n-1, n-2, ..., 1, 0); pairs to 1 with every simple root."""
-    return tuple(range(check_rank(n) - 1, -1, -1))
-
-
-def sub(u: Weight, v: Weight) -> Weight:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def is_partition(shape) -> bool:
     parts = tuple(shape)
     if not parts or any(isinstance(p, bool) or not isinstance(p, int) or p <= 0 for p in parts):

@@ -10,6 +10,8 @@ import random
 from functools import lru_cache
 
 from qck import (
+    POS_INF,
+    QuasiCrystalGraph,
     crystal_of_content,
     quasi_tensor_power,
     quasify,
@@ -105,3 +107,22 @@ def witness_plan():
             for _ in range(rng.randint(1, 3)):
                 mutant, _ = random_mutation(mutant, rng)
             yield f"{name}\t{seed}", mutant
+
+
+def long_string(m: int, frozen: int | None = None):
+    """B(m) of rank 2, one f_1-string v0 -> v1 -> ... -> v<m>, where v<j>
+    has weight (m - j, j), eps_1 = j and phi_1 = m - j. With ``frozen`` 2
+    (or 1), the same string at rank 3 runs at index 1 (or 2) beside a frozen
+    index: +inf lengths there and a 0 weight entry, so no vertex up or down
+    the string unfreezes it and infs fails on every edge."""
+    g = QuasiCrystalGraph(2 if frozen is None else 3)
+    for j in range(m + 1):
+        wt, eps, phi = (m - j, j), (j,), (m - j,)
+        if frozen == 2:
+            wt, eps, phi = wt + (0,), eps + (POS_INF,), phi + (POS_INF,)
+        elif frozen == 1:
+            wt, eps, phi = (0,) + wt, (POS_INF,) + eps, (POS_INF,) + phi
+        g.add_vertex(f"v{j}", wt, eps, phi)
+    for j in range(m):
+        g.add_edge(f"v{j}", 2 if frozen == 1 else 1, f"v{j + 1}")
+    return g

@@ -23,8 +23,11 @@ component's subgraph replayed through add_vertex and add_edge, which
 rebuilds e from f), ``from_json_via_loads`` (the JSON reader over the
 whole document that json.loads makes), ``from_text_via_lines`` (the text
 reader over the list of every line), ``read_graph_via_whole_text`` (the file
-reader over the file's whole decoded text) and ``add_edge_via_guards`` (add_edge
-through the guarded slot and vertex checks). Keep everything small-input only.
+reader over the file's whole decoded text), ``add_edge_via_guards`` (add_edge
+through the guarded slot and vertex checks) and ``cor_infs_via_walks`` (the
+freeze walk of check_cor_infs from every raising edge on its own; with
+``seminormal_via_accessors``, quadratic in an i-string's length). Keep
+everything small-input only.
 """
 
 from __future__ import annotations
@@ -560,6 +563,61 @@ def seminormal_via_accessors(g):
     return AxiomReport("seminormal", ws)
 
 
+def cor_infs_via_walks(g, around=None):
+    """axioms.check_cor_infs without its guard, as it was before it walked each
+    i-string once: every raising edge walks its own way up the string, for at
+    most len(g) + 1 steps."""
+    from qck.axioms import _Sense
+    from qck.graphcore import POS_INF, AxiomReport, Witness, ext_str
+
+    ws = []
+    senses = (_Sense(g, True), _Sense(g, False))
+    indices = g.index_set
+    limit = len(g) + 1
+    for x, i, y in g.raising_edges(around):
+        for s in senses:
+            j = i + s.d
+            if j not in indices:
+                continue
+            E, L, w = s.e, s.eps, s.w
+            near, far = s.pair(x, y)
+            if L[far][j - 1] is not POS_INF:
+                continue
+            if L[near][j - 1] is not POS_INF:
+                ws.append(
+                    Witness(
+                        w.infs,
+                        (x, y),
+                        (i, j),
+                        f"{w.eps}_{j}({w.near})={ext_str(L[near][j - 1])}",
+                        f"+inf must propagate {w.edge} the edge",
+                    )
+                )
+            z = far
+            found = False
+            for _ in range(limit):
+                if L[z][i - 1] == 0 or L[z][i - 1] is POS_INF:
+                    break
+                nxt = E[z][i - 1]
+                if nxt is None:
+                    break
+                z = nxt
+                if L[z][j - 1] != 0 and L[z][j - 1] is not POS_INF:
+                    found = True
+                    break
+            if not found:
+                ws.append(
+                    Witness(
+                        w.infs,
+                        (x, y),
+                        (i, j),
+                        f"no unfreezing vertex {w.chain} the chain",
+                        f"some {w.e}_i^k({w.far}) with finite positive {w.eps}_{{i{w.pm}1}}",
+                    )
+                )
+    return AxiomReport("infs", ws)
+
+
 def components_via_accessors(g) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:
     """(vertices, highest-weight vertices) of each component, in the order of
     structure.components, found through g.e and g.f."""
@@ -818,7 +876,7 @@ def from_text_via_lines(text: str):
 def read_graph_via_whole_text(path: str):
     """graphcore.read_graph as it was before it read a file a chunk at a
     time: the whole file is decoded as UTF-8 at once, a byte order mark
-    kept, and loads reads the text."""
+    kept, and loads reads the text, past that mark."""
     from qck.graphcore import loads
 
     with open(path, "r", encoding="utf-8") as fh:

@@ -89,11 +89,11 @@ def names_read(path: Path) -> set[str]:
 def test_names_read_finds_names_attributes_and_strings(tmp_path):
     src = tmp_path / "m.py"
     src.write_text(
-        "from .weightlattice import rho\nx = qck.pairing(rho)\nTARGETS = [('mutation', 'fuzz_graph')]\n",
+        "from .weightlattice import check_rank\nx = qck.syt_count(check_rank)\nTARGETS = [('mutation', 'fuzz_graph')]\n",
         encoding="utf-8",
     )
     # an imported name counts only where it is used
-    assert names_read(src) == {"x", "qck", "pairing", "rho", "TARGETS", "mutation", "fuzz_graph"}
+    assert names_read(src) == {"x", "qck", "syt_count", "check_rank", "TARGETS", "mutation", "fuzz_graph"}
 
 
 # The exports that no module or bench script reads, kept on purpose:

@@ -953,12 +953,12 @@ def test_json_reader_matches_the_whole_document_reader_through_any_window(chunk)
 
 @pytest.mark.parametrize("chunk", [3, 64])
 def test_file_reader_matches_the_whole_text_reader_on_corrupted_files(chunk, tmp_path):
-    # read_graph skips a byte order mark at the start of a file, which the
-    # whole text reader keeps, so that reader is given the file without it
+    # both skip one byte order mark at the start of the file: read_graph as
+    # it decodes, the whole text reader as loads reads the text
     with mock.patch.object(graphcore, "_CHUNK", chunk):
         for k, text in enumerate(corrupted_files(300)):
-            want = outcome(oracles.read_graph_via_whole_text, file_of(tmp_path, text.removeprefix("\ufeff"), "want"))
-            assert outcome(read_graph, file_of(tmp_path, text)) == want, (k, text)
+            path = file_of(tmp_path, text)
+            assert outcome(read_graph, path) == outcome(oracles.read_graph_via_whole_text, path), (k, text)
 
 
 @settings(deadline=None, max_examples=200)
@@ -1020,12 +1020,12 @@ def test_undecodable_bytes_are_refused_at_their_place_in_the_file(fmt, tmp_path)
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_file_that_starts_with_a_byte_order_mark_reads_as_without(fmt, tmp_path):
     # such a JSON file was read as text and refused as "bad header '\ufeff{'";
-    # from_json of its bytes read it
+    # from_json of its bytes read it, and now loads of its whole text does
     g = qpow(3, 2)
     path = tmp_path / "bom"
     path.write_text(dumps(g, fmt), encoding="utf-8-sig")
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
-    assert outcome(oracles.read_graph_via_whole_text, str(path))[0] == "GraphFormatError"
+    assert oracles.read_graph_via_whole_text(str(path)) == g
     for chunk in (1, 7, graphcore._CHUNK):
         with mock.patch.object(graphcore, "_CHUNK", chunk):
             assert read_graph(str(path)) == g
@@ -1060,12 +1060,8 @@ def test_json_after_whitespace_longer_than_a_chunk_reads_as_json(chunk, tmp_path
         assert read_graph(path) == loads(text) == from_json(text) == g
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_read_graph_reads_a_pipe(fmt):
-    # a pipe cannot be read twice, so it is read whole
-    g = qpow(4, 6)
-    data = dumps(g, fmt).encode()
-    assert len(data) > 2 * graphcore._CHUNK
+def read_pipe(data: bytes):
+    """read_graph's outcome on a pipe that data is written into."""
     r, w = os.pipe()
 
     def write():
@@ -1075,7 +1071,46 @@ def test_read_graph_reads_a_pipe(fmt):
     writer = threading.Thread(target=write)
     writer.start()
     try:
-        assert read_graph(f"/dev/fd/{r}") == g
+        return outcome(read_graph, f"/dev/fd/{r}")
     finally:
         writer.join()
         os.close(r)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_read_graph_reads_a_pipe(fmt):
+    # a pipe cannot be read twice, so it is read whole
+    g = qpow(4, 6)
+    data = dumps(g, fmt).encode()
+    assert len(data) > 2 * graphcore._CHUNK
+    assert read_pipe(data) == g
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_loads_reads_a_str_past_one_byte_order_mark(fmt, tmp_path):
+    # such a str was refused as "bad header '\ufeff{'" (text: '\ufeffqck-graph
+    # v1'); from_json and from_text still refuse it, from_json as json.loads does
+    g = qpow(3, 2)
+    doc = dumps(g, fmt)
+    for chunk in (1, 7, graphcore._CHUNK):
+        with mock.patch.object(graphcore, "_CHUNK", chunk):
+            assert loads("\ufeff" + doc) == g
+    head = doc.splitlines()[0]
+    assert outcome(from_text, "\ufeff" + doc) == ("GraphFormatError", f"bad header {chr(0xFEFF) + head!r}; expected 'qck-graph v1'")
+    assert outcome(from_json, "\ufeff" + doc) == outcome(oracles.from_json_via_loads, "\ufeff" + doc)
+    assert outcome(from_json, "\ufeff" + doc)[1].startswith("invalid JSON: Unexpected UTF-8 BOM")
+    # one mark only, as a file or a pipe of the same bytes is read
+    twice = "\ufeff\ufeff" + doc
+    want = ("GraphFormatError", f"bad header {chr(0xFEFF) + head!r}; expected 'qck-graph v1'")
+    path = file_of(tmp_path, twice)
+    assert outcome(loads, twice) == outcome(read_graph, path) == read_pipe(twice.encode()) == want
+
+
+def test_a_pipe_counts_an_undecodable_byte_from_its_start_as_a_file_does(tmp_path):
+    # the pipe was decoded past its byte order mark, so the position read 3 short (17 here)
+    data = ("\ufeff" + dumps(qpow(2, 2), "text")).encode()
+    data = data[:20] + b"\xff" + data[20:]
+    path = tmp_path / "bad"
+    path.write_bytes(data)
+    want = ("UnicodeDecodeError", "'utf-8' codec can't decode byte 0xff in position 20: invalid start byte")
+    assert read_pipe(data) == outcome(read_graph, str(path)) == want

@@ -4,67 +4,22 @@ import pytest
 from qck.weightlattice import (
     check_composition,
     check_partition,
+    check_rank,
     descent_composition,
     entry_rows,
     enumerate_syt,
     is_partition,
-    pairing,
     partitions_of,
-    rho,
     ssyt_count,
-    sub,
     syt_count,
 )
 
 import oracles
 
 
-vectors = st.integers(min_value=2, max_value=6).flatmap(
-    lambda n: st.tuples(
-        *([st.integers(min_value=-20, max_value=20)] * n),
-    )
-)
-
-
-@st.composite
-def vector_pairs(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    ints = st.integers(min_value=-20, max_value=20)
-    u = tuple(draw(ints) for _ in range(n))
-    v = tuple(draw(ints) for _ in range(n))
-    return u, v
-
-
-def test_pairing_length_mismatch():
-    with pytest.raises(ValueError):
-        pairing((1, 2), (1, 2, 3))
-
-
-@given(vector_pairs())
-def test_pairing_symmetric(uv):
-    u, v = uv
-    assert pairing(u, v) == pairing(v, u)
-
-
-@given(vector_pairs())
-def test_pairing_additive(uv):
-    u, v = uv
-    w = tuple(2 * a + 1 for a in u)
-    assert pairing(sub(u, w), v) == pairing(u, v) - pairing(w, v)
-
-
-def test_rho_values():
-    assert rho(1) == (0,)
-    assert rho(3) == (2, 1, 0)
-    assert rho(5) == (4, 3, 2, 1, 0)
-    for n in range(2, 7):
-        for i in range(1, n):
-            assert rho(n)[i - 1] - rho(n)[i] == 1
-
-
 @pytest.mark.parametrize("n", [True, False, 2.0, "2", 0, -1])
 def test_lattice_helpers_refuse_a_rank_that_is_not_a_positive_int(n):
-    for helper in (rho, lambda n: ssyt_count((1,), n)):
+    for helper in (check_rank, lambda n: ssyt_count((1,), n)):
         with pytest.raises(ValueError, match="^n must be a positive integer$"):
             helper(n)
 
