@@ -1,10 +1,16 @@
-"""qck imports nothing outside the standard library at runtime."""
+"""What qck imports: nothing outside the standard library at runtime, and no
+submodule before the first use of one of its names."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import qck
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qck"
@@ -44,6 +50,14 @@ def test_runtime_imports_are_stdlib_only():
     assert bad == set()
 
 
+def run_child(code: str, *args: str) -> str:
+    """Run code in a fresh interpreter on the checkout's sources; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 RESOLVE_TRACED_NAMES = """
 import importlib, sys
 sys.path.insert(0, sys.argv[1])
@@ -63,13 +77,7 @@ def test_every_traced_bench_target_names_a_qck_function():
     # bench/tracing.py wraps qck functions by name; a deleted or renamed one
     # would otherwise only break the traced bench run. A child process keeps
     # bench's modules (its own oracles among them) out of this test session.
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", RESOLVE_TRACED_NAMES, str(ROOT / "bench")],
-        capture_output=True, text=True, env=env, check=False,
-    )
-    assert proc.returncode == 0, proc.stderr
-    count, *missing = proc.stdout.split()
+    count, *missing = run_child(RESOLVE_TRACED_NAMES, str(ROOT / "bench")).split()
     assert int(count) > 0 and missing == []
 
 
@@ -104,16 +112,11 @@ UNREAD_EXPORTS = {"partitions_of", "tensor", "quasi_tensor"}
 
 
 def test_every_export_is_read_by_the_package_or_the_bench():
+    # the exported names come from the package's export table
     init = SRC / "__init__.py"
-    exported = {
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
     sources = [p for p in SRC.glob("*.py") if p != init] + sorted((ROOT / "bench").glob("*.py"))
     read = set().union(*map(names_read, sources))
-    assert sorted(exported - read) == sorted(UNREAD_EXPORTS)
+    assert sorted(qck._MODULE_OF.keys() - read) == sorted(UNREAD_EXPORTS)
 
 
 def public_definitions(path: Path) -> set[str]:
@@ -146,6 +149,99 @@ def names_loaded(path: Path) -> set[str]:
 def test_every_public_module_name_is_exported_or_read():
     init = SRC / "__init__.py"
     modules = [p for p in sorted(SRC.glob("*.py")) if p != init]
-    read = set().union(*map(names_loaded, modules + [init]))
+    read = set().union(qck._MODULE_OF, *map(names_loaded, modules + [init]))
     unread = {(p.name, name) for p in modules for name in public_definitions(p) - read}
     assert sorted(unread) == []
+
+
+# The library surface `import qck` binds: each submodule and the names the
+# package re-exports from it, pinned here apart from the package's own table
+# so that a name dropped there fails below.
+SURFACE = {
+    "graphcore": "AxiomReport GraphFormatError NEG_INF POS_INF QuasiCrystalGraph Witness dumps from_json"
+    " from_text is_crystal is_seminormal loads read_graph to_dot to_json to_text validate write_graph",
+    "weightlattice": "descent_composition enumerate_syt partitions_of",
+    "wordmodel": "SizeCapExceeded default_size_cap quasi_tensor quasi_tensor_power standard_crystal tensor"
+    " tensor_power",
+    "axioms": "check_cor_infs check_lemma_ij check_local_ax_cases check_lq1 check_lq2 check_lq3 check_lq3p"
+    " check_stembridge",
+    "structure": "Component IsoWitness TheoremViolation components isomorphic rank_table unique_highest_weight",
+    "quasify": "count_quasi_components crystal_of_content quasify",
+    "characters": "IntPolynomial SchurDecompositionReport character fundamental_qsym verify_schur_decomposition",
+    "mutation": "FuzzResult Mutation fuzz_graph random_mutation run_detectors",
+}
+# What `from qck import *` binds: every export and every submodule name, where
+# quasify names the function.
+STAR_NAMES = sorted({name for names in SURFACE.values() for name in names.split()} | SURFACE.keys())
+
+
+@pytest.mark.parametrize("first_use, loaded", [
+    ("", []),
+    ("qck.read_graph", ["qck.graphcore", "qck.weightlattice"]),
+    ("qck.graphcore", ["qck.graphcore", "qck.weightlattice"]),
+])
+def test_import_qck_loads_a_submodule_at_the_first_use_of_its_names(first_use, loaded):
+    out = run_child(f"import sys, qck\n{first_use}\nprint(*sorted(m for m in sys.modules if m.startswith('qck.')))")
+    assert out.split() == loaded
+
+
+LIBRARY_SURFACE_CHECK = """
+import importlib, json, sys
+import qck
+surface = json.loads(sys.argv[1])
+got = {name: getattr(qck, name) for names in surface.values() for name in names.split()}
+got.update((module, getattr(qck, module)) for module in surface if module not in got)
+bad = []
+for module, names in surface.items():
+    defining = importlib.import_module(f"qck.{module}")
+    if module not in names.split() and got[module] is not defining:
+        bad.append(module)
+    bad += [name for name in names.split() if got[name] is not getattr(defining, name)]
+print(qck.__version__, *bad)
+"""
+
+
+def test_every_export_and_submodule_is_the_defining_object():
+    # read from the package first, then from each defining module
+    assert run_child(LIBRARY_SURFACE_CHECK, json.dumps(SURFACE)).split() == ["0.1.0"]
+
+
+@pytest.mark.parametrize("first_step", [
+    "",
+    "import qck.cli",
+    "import qck.characters",
+    "from qck.quasify import crystal_of_content",
+    "qck.crystal_of_content",
+])
+def test_qck_quasify_stays_the_function_whatever_loads_its_module(first_step):
+    # Loading the submodule qck/quasify.py binds it on the package under the
+    # function's name; the function must keep the name either way.
+    out = run_child(
+        f"import sys, qck\n{first_step}\n"
+        "print(qck.quasify is sys.modules['qck.quasify'].quasify)\n"
+        "import qck.cli, qck.quasify\n"
+        "print(qck.quasify is sys.modules['qck.quasify'].quasify)\n"
+    )
+    assert out.split() == ["True", "True"]
+
+
+def test_star_import_dir_and_unknown_names():
+    out = run_child(
+        "import qck\nns = {}\nexec('from qck import *', ns)\n"
+        "star = sorted(set(ns) - {'__builtins__'})\n"
+        "print(*star)\n"
+        "print(set(star) <= set(dir(qck)), hasattr(qck, 'nope'), hasattr(qck, 'cli'))\n"
+    )
+    star, checks = out.splitlines()
+    assert star.split() == STAR_NAMES and len(STAR_NAMES) == 63
+    # dir lists them; an unknown name, and the CLI before it is imported, raise AttributeError
+    assert checks.split() == ["True", "False", "False"]
+
+
+def test_readme_library_tour_runs_and_prints_what_its_comments_show():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    sizes = ["10 ('111',)", "4 ('121',)", "4 ('211',)", "4 ('212',)", "4 ('221',)", "1 ('321',)"]
+    # the lines the tour's comments say it prints
+    assert f"# {'   '.join(sizes)}\n" in tour and "# x1*x2*x3\n" in tour
+    assert run_child(tour).splitlines() == [*sizes, "x1*x2*x3"]
