@@ -8,8 +8,7 @@ anywhere, so equality is honest equality.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from itertools import accumulate
 
 from .quasify import _content_graph, _content_words, quasify
@@ -173,17 +172,18 @@ def fundamental_qsym(alpha, n: int) -> IntPolynomial:
     return IntPolynomial(n, Counter(expo for _, expo in level))
 
 
-@dataclass
-class SchurDecompositionReport:
-    """Everything the decomposition identity asserts, checked exactly."""
+class SchurDecompositionReport(
+    namedtuple(
+        "SchurDecompositionReport",
+        "shape n identity_ok multiset_ok term_compositions component_records mismatches",
+    )
+):
+    """Everything the decomposition identity asserts, checked exactly: the
+    shape and n, whether the polynomial identity and the term-by-component
+    pairing hold, the sorted F-term compositions, one (highest-weight id,
+    composition or None, matched) record per component, and the mismatch notes."""
 
-    shape: tuple[int, ...]
-    n: int
-    identity_ok: bool
-    multiset_ok: bool
-    term_compositions: list[tuple[int, ...]]
-    component_records: list[tuple[str, tuple[int, ...] | None, bool]]
-    mismatches: list[str] = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

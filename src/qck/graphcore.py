@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import wraps
 from itertools import islice
 
@@ -75,15 +75,11 @@ def _check_ext(v):
     return v
 
 
-@dataclass(frozen=True)
-class Witness:
-    """One concrete axiom violation, printable as a single tab-separated line."""
+class Witness(namedtuple("Witness", "axiom vertices indices observed required")):
+    """One concrete axiom violation, printable as a single tab-separated line.
+    Witnesses sort as their fields, in this order."""
 
-    axiom: str
-    vertices: tuple[str, ...]
-    indices: tuple[int, ...]
-    observed: str
-    required: str
+    __slots__ = ()
 
     def line(self) -> str:
         return "\t".join(
@@ -96,19 +92,21 @@ class Witness:
             ]
         )
 
-    def sort_key(self):
-        return (self.axiom, self.vertices, self.indices, self.observed, self.required)
 
-
-@dataclass
 class AxiomReport:
     """Result of one checker: its name and every witness found, sorted."""
 
-    name: str
-    witnesses: list[Witness] = field(default_factory=list)
+    def __init__(self, name: str, witnesses=()):
+        self.name = name
+        self.witnesses = sorted(witnesses)
 
-    def __post_init__(self):
-        self.witnesses = sorted(self.witnesses, key=Witness.sort_key)
+    def __repr__(self) -> str:
+        return f"AxiomReport(name={self.name!r}, witnesses={self.witnesses!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.witnesses) == (other.name, other.witnesses)
 
     @property
     def passed(self) -> bool:

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable
+from collections import namedtuple
 
 from .axioms import COUNTING_LEMMAS, CORE, CRYSTAL_AXIOMS, battery, family, run_checks, uncounted_length
 from .graphcore import POS_INF, QuasiCrystalGraph, ext_str
@@ -33,26 +32,20 @@ GAP_NOTE = "unclassified gap"
 RADIUS = 4
 
 
-@dataclass
-class Mutation:
-    kind: str
-    vertex: str
-    index: int
-    detail: str
+class Mutation(namedtuple("Mutation", "kind vertex index detail")):
+    """What one edit changed: its kind, the vertex, the index (or weight
+    coordinate) and the old and new values."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         return f"{self.kind}\t{self.vertex}\t{self.index}\t{self.detail}"
 
 
-@dataclass
-class _Edit:
+class _Edit(namedtuple("_Edit", "mutation put key old new")):
     """One drawn mutation: put(*key, new) applies it, put(*key, old) undoes it."""
 
-    mutation: Mutation
-    put: Callable
-    key: tuple
-    old: object
-    new: object
+    __slots__ = ()
 
     def apply(self) -> None:
         self.put(*self.key, self.new)
@@ -185,11 +178,10 @@ def region(g: QuasiCrystalGraph, x: str) -> set[str]:
     return near
 
 
-@dataclass
-class FuzzResult:
-    total: int
-    detected: int
-    silent: list[tuple[Mutation, str]]
+class FuzzResult(namedtuple("FuzzResult", "total detected silent")):
+    """How many mutants were scored and detected, and each silent one with its note."""
+
+    __slots__ = ()
 
     @property
     def rate(self) -> float:

@@ -10,8 +10,7 @@ returning wrong answers.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from operator import mul
 
 from .graphcore import QuasiCrystalGraph, ext_str
@@ -28,13 +27,11 @@ class TheoremViolation(Exception):
         return [str(self)] + self.details
 
 
-@dataclass
-class Component:
-    """One connected component, with its highest-weight data precomputed."""
+class Component(namedtuple("Component", "graph vertices hw_vertices")):
+    """One connected component, with its highest-weight data precomputed: its
+    graph, its sorted vertex ids and its highest-weight vertex ids."""
 
-    graph: QuasiCrystalGraph
-    vertices: tuple[str, ...]
-    hw_vertices: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def size(self) -> int:
@@ -110,11 +107,11 @@ def rank_table(c: Component) -> dict[str, int]:
     return out
 
 
-@dataclass
-class IsoWitness:
-    """A vertex bijection claimed to preserve all structure; self-checking."""
+class IsoWitness(namedtuple("IsoWitness", "mapping")):
+    """A vertex bijection, a dict from the first component's ids to the
+    second's, claimed to preserve all structure; self-checking."""
 
-    mapping: dict[str, str]
+    __slots__ = ()
 
     def verify(self, c1: Component, c2: Component) -> list[str]:
         """Re-check the claim from scratch; returns problems, empty when good."""

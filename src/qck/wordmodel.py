@@ -2,8 +2,9 @@
 
 The product rule is written once, in ``_pair_row``: it gives the row of a
 pair from the rows of its two factors. ``_product`` applies it to every pair
-of vertices of two graphs; ``WordCrystal`` applies it to one letter prepended
-to a word, which is how the powers and the content crystals are built.
+of vertices of two graphs. The powers and the content crystals apply it to
+one letter prepended to a word: ``_power`` to every distinct row of the
+shorter words at once, a level at a time, and ``WordCrystal`` word by word.
 
 Vertices of products are identified with words over {1..n}: the pair (x, y)
 with x on the left carries the word of y followed by the word of x, so the
@@ -156,6 +157,13 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
     return g
 
 
+def _check_power_rank(n) -> int:
+    """n, refused unless it is an int of at least 2, the least rank with an edge."""
+    if not isinstance(n, int) or n < 2:
+        raise ValueError("power constructions need n >= 2")
+    return n
+
+
 def _step(word: Word, p: int, d: int) -> Word:
     """word with its letter at position p from the end changed by d: f_i acts
     there with d = 1 and e_i with d = -1."""
@@ -173,22 +181,20 @@ class WordCrystal:
     counted from the end of the word, of the letter they change, so a
     suffix's entries hold in every word that ends with it and a new word
     costs O(n) given the row of its rest. Equal row tuples are one object,
-    which graphs store as it is: q(5,6) has 685 (wt, eps, phi) rows.
+    which graphs store as it is. The content crystals walk it; ``_power``
+    builds whole powers by the same rule without it.
     """
 
     def __init__(self, n: int, blocking: bool = False):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError("power constructions need n >= 2")
-        self.n = n
+        self.n = _check_power_rank(n)
         self._blocking = blocking
         self._rows: dict[Word, tuple] = {}  # the empty word's row comes with the first word's
         self._letters: dict[tuple[int, int], tuple] = {}  # (length of rest, letter) -> the letter's row
         self._shared: dict[tuple, tuple] = {}  # each distinct row tuple, once
 
-    def row(self, word: Word, keep: bool = True) -> tuple:
+    def row(self, word: Word) -> tuple:
         """The row (wt, eps, phi, e, f) of word. The suffixes without a row
-        get theirs first, shortest first, each from the row of its rest;
-        word's own new row is memoized only with ``keep``."""
+        get theirs first, shortest first, each from the row of its rest."""
         rows = self._rows
         if not rows:  # made here, so a construction refused for its size holds no row of length n
             rows[()] = _letter_row(0, self.n)  # no letter is 0: the zero row
@@ -201,8 +207,7 @@ class WordCrystal:
             if (p, c) not in self._letters:
                 self._letters[(p, c)] = _letter_row(c, self.n, p, p)
             row = tuple(self._shared.setdefault(t, t) for t in _pair_row(row, self._letters[(p, c)], self._blocking))
-            if j or keep:
-                rows[word[j:]] = row
+            rows[word[j:]] = row
         return row
 
     def component(self, top: Word) -> set[Word]:
@@ -228,13 +233,9 @@ class WordCrystal:
         def targets(x, positions, d):
             return [None if p is None else ids.get(_step(x, p, d)) for p in positions]
 
-        # each vertex is stored as its row is made, in the order of ``words``,
-        # and the rows of full-length words are not memoized, so the build
-        # holds little beyond the graph and ``ids``
-        # (test_a_power_build_peaks_near_the_graph_it_holds bounds it)
         g = QuasiCrystalGraph(self.n)
         for x, vid in ids.items():
-            wt, eps, phi, e, f = self.row(x, keep=False)
+            wt, eps, phi, e, f = self.row(x)
             g._put_vertex(vid, wt, eps, phi, targets(x, e, -1), targets(x, f, 1))
         return g
 
@@ -252,8 +253,16 @@ def quasi_tensor(a: QuasiCrystalGraph, b: QuasiCrystalGraph) -> QuasiCrystalGrap
 
 
 def _power(n: int, k: int, size_cap, blocking: bool) -> QuasiCrystalGraph:
-    """The graph of all n^k words."""
-    words = WordCrystal(n, blocking)
+    """The graph of all n^k words, built a level at a time.
+
+    Word w of k letters is the w-th of ``itertools.product`` in word order,
+    so its letter at position p from the end weighs n**p in w: f acting there
+    gives word w + n**p, and e gives w - n**p. The words of L + 1 letters are
+    each letter c prepended to the words of L, and the row of (c,) + rest is
+    ``_pair_row`` of rest's row and c's, as in ``WordCrystal``. Equal rows are
+    one object, so ``_pair_row`` runs once per distinct row and letter of a level.
+    """
+    _check_power_rank(n)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     cap = _size_cap(size_cap)
@@ -264,7 +273,30 @@ def _power(n: int, k: int, size_cap, blocking: bool) -> QuasiCrystalGraph:
         raise SizeCapExceeded(f"{n}^{k}{shown} vertices exceeds the size cap {cap}")
     if k == 1:  # for k > 1, n * (n - 1) < n**k: the standard crystal's cap holds too
         return standard_crystal(n, size_cap=cap)
-    return words.graph(itertools.product(range(1, n + 1), repeat=k))
+    shared = {}  # each distinct tuple in a row, once
+    rows = [_letter_row(0, n)]  # a level's distinct rows; no letter is 0: the empty word's zero row
+    row_of = [0]  # each word's index into rows
+    for p in range(k):
+        index = {}  # each distinct row of the new level -> its index in the new rows
+        tables = []  # per letter c, the index of (c,) + rest's row by the index of rest's
+        for c in range(1, n + 1):
+            letter = _letter_row(c, n, p, p)
+            table = []
+            for row in rows:
+                new = _pair_row(row, letter, blocking)
+                table.append(index.setdefault(tuple(map(shared.setdefault, new, new)), len(index)))
+            tables.append(table)
+        rows = list(index)
+        row_of = [table[r] for table in tables for r in row_of]
+    ids = list(map(_id_sep(n).join, itertools.product([str(c) for c in range(1, n + 1)], repeat=k)))
+    place = [n**p for p in range(k)]  # what the letter at position p from the end weighs in w
+    g = QuasiCrystalGraph(n)
+    for w, (vid, r) in enumerate(zip(ids, row_of)):
+        wt, eps, phi, e, f = rows[r]
+        e = [None if p is None else ids[w - place[p]] for p in e]
+        f = [None if p is None else ids[w + place[p]] for p in f]
+        g._put_vertex(vid, wt, eps, phi, e, f)
+    return g
 
 
 def tensor_power(n: int, k: int, size_cap: int | None = None) -> QuasiCrystalGraph:

@@ -379,6 +379,20 @@ def test_witness_line_and_sorting():
     assert report.lines() == [w2.line(), w1.line()]
 
 
+def test_a_report_sorts_witnesses_by_their_fields_and_keeps_its_repr_and_equality():
+    ws = [
+        Witness("B", ("a",), (1,), "o", "r"),
+        Witness("A", ("b",), (2,), "o", "r"),
+        Witness("A", ("b",), (1,), "p", "r"),
+        Witness("A", ("b",), (1,), "o", "r"),
+    ]
+    report = AxiomReport("demo", ws)
+    assert report.witnesses == ws[::-1]  # by axiom, vertices, indices, observed, required
+    assert repr(report) == f"AxiomReport(name='demo', witnesses={ws[::-1]!r})"
+    assert report == AxiomReport("demo", ws[::-1]) and report != AxiomReport("other", ws)
+    assert AxiomReport("demo") == AxiomReport("demo", []) and AxiomReport("demo").passed
+
+
 # ---------------------------------------------------------------- serialization
 
 

@@ -2,6 +2,7 @@
 submodule before the first use of one of its names."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -183,6 +184,45 @@ STAR_NAMES = sorted({name for names in SURFACE.values() for name in names.split(
 def test_import_qck_loads_a_submodule_at_the_first_use_of_its_names(first_use, loaded):
     out = run_child(f"import sys, qck\n{first_use}\nprint(*sorted(m for m in sys.modules if m.startswith('qck.')))")
     assert out.split() == loaded
+
+
+def test_cli_start_loads_neither_dataclasses_nor_inspect():
+    # qck's records are namedtuples and one plain class: importing dataclasses,
+    # which imports inspect, cost every command about 9-10 ms of its start
+    out = run_child("import sys, qck.cli\nprint('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    assert out.split() == ["False", "False"]
+
+
+# Each record from its fields, and the repr that the dataclass it replaced printed.
+RECORDS = [
+    (
+        "graphcore.Witness",
+        ("LQ1", ("11",), (1,), "o", "r"),
+        "Witness(axiom='LQ1', vertices=('11',), indices=(1,), observed='o', required='r')",
+    ),
+    (
+        "mutation.Mutation",
+        ("weight", "321", 1, "(1, 1, 1)->(2, 1, 1)"),
+        "Mutation(kind='weight', vertex='321', index=1, detail='(1, 1, 1)->(2, 1, 1)')",
+    ),
+    ("mutation.FuzzResult", (3, 2, []), "FuzzResult(total=3, detected=2, silent=[])"),
+    ("structure.IsoWitness", ({"1": "2"},), "IsoWitness(mapping={'1': '2'})"),
+    (
+        "characters.SchurDecompositionReport",
+        ((1,), 2, True, False, [(1,)], [("1", (1,), True)], ["m"]),
+        "SchurDecompositionReport(shape=(1,), n=2, identity_ok=True, multiset_ok=False,"
+        " term_compositions=[(1,)], component_records=[('1', (1,), True)], mismatches=['m'])",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, fields, shown", RECORDS, ids=[r[0] for r in RECORDS])
+def test_records_keep_their_dataclass_reprs_and_equality(record, fields, shown):
+    module, name = record.split(".")
+    make = getattr(importlib.import_module(f"qck.{module}"), name)
+    rec = make(*fields)
+    assert repr(rec) == shown
+    assert rec == make(*fields) and rec != make("other", *fields[1:])
 
 
 LIBRARY_SURFACE_CHECK = """

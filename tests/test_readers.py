@@ -250,9 +250,10 @@ def test_a_text_read_peaks_near_the_graph_it_holds(build):
 
 @pytest.mark.parametrize("build", [tensor_power, quasi_tensor_power])
 def test_a_power_build_peaks_near_the_graph_it_holds(build):
-    # each vertex is stored as its row is made, and the words of full length
-    # are not memoized; with a list of every row and a memo of every word,
-    # these builds peaked at 1.98-1.99 times the graph (1.78 without)
+    # besides the graph, the build holds a level's distinct rows, the ids and
+    # one row index per word, and no word-keyed map: it peaks at 1.48-1.64
+    # times the graph (1.75 with a map from every word tuple to its id, and
+    # 1.98-1.99 with a list of every row and a memo of every word as well)
     g, held, peak = held_and_peak(lambda: build(4, 6))
     assert len(g) == 4**6
     assert peak <= 1.9 * held, (peak, held)

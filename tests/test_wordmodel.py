@@ -223,8 +223,10 @@ def test_all_corpus_powers_validate():
 
 # --- one product rule, checked against the retired pairwise products --------
 
-# n = 10 and 11 check the dash-separated ids, whose order is not the word order
-POWER_CASES = [(n, k) for n in (2, 3, 4) for k in range(1, 6)] + [(10, 2), (11, 2)]
+# n = 10 and 11 check the dash-separated ids, whose order is not the word order;
+# (10, 3) joins three of them, and (2, 8) and (3, 6) reach each edge's target
+# n**p words away for every position p of a long word
+POWER_CASES = [(n, k) for n in (2, 3, 4) for k in range(1, 6)] + [(10, 2), (11, 2), (10, 3), (2, 8), (3, 6)]
 
 
 @pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
@@ -242,7 +244,8 @@ def test_power_matches_pairwise_products(n, k, blocking):
 @pytest.mark.parametrize(
     "blocking,n,k",
     [(True, n, k) for n, k in [(2, 3), (3, 3), (3, 4), (4, 3), (2, 5), (5, 2)]]
-    + [(False, n, k) for n, k in [(2, 4), (3, 3), (3, 4), (4, 3), (5, 2), (2, 6)]],
+    + [(False, n, k) for n, k in [(2, 4), (3, 3), (3, 4), (4, 3), (5, 2), (2, 6)]]
+    + [(blocking, n, k) for n, k in [(10, 3), (2, 8), (3, 6)] for blocking in (True, False)],
 )
 def test_power_matches_the_word_rule(blocking, n, k):
     fast = (quasi_tensor_power if blocking else tensor_power)(n, k)
@@ -264,6 +267,19 @@ def test_power_builds_each_suffix_row_once(monkeypatch, power):
     monkeypatch.setattr(wordmodel, "_pair_row", lambda *args: calls.append(1) or pair_row(*args))
     power(3, 4)
     assert len(calls) == 3 + 9 + 27 + 81  # one per nonempty word of at most 4 letters
+
+
+@pytest.mark.parametrize("power, count", [(quasi_tensor_power, 114), (tensor_power, 266)])
+def test_power_builds_each_distinct_row_once_per_letter(monkeypatch, power, count):
+    # a level of L letters makes n rows per distinct row of L - 1 letters, not
+    # one per word: 2 + 4 + ... + 256 = 510 words for n = 2, k = 8. In the quasi
+    # power a word of L letters over {1, 2} is 1^a 2^b (L + 1 rows) or frozen,
+    # one row per weight with both letters (L - 1), so 2 * (1 + 2 + 4 + 6 + ... + 14)
+    calls = []
+    pair_row = wordmodel._pair_row
+    monkeypatch.setattr(wordmodel, "_pair_row", lambda *args: calls.append(1) or pair_row(*args))
+    power(2, 8)
+    assert len(calls) == count
 
 
 def test_content_crystal_builds_each_row_once(monkeypatch):
@@ -304,7 +320,10 @@ def test_word_crystal_graph_does_not_depend_on_word_order(n, blocking, words):
 
 @pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
 @pytest.mark.parametrize(
-    "n,k,cap", [(1, 2, None), ("3", 0, None), (3, 0, None), (2, 4, 8), (5, 1, 19), (10, 7, None), (2, 5000, None)]
+    "n,k,cap",
+    [(1, 2, None), ("3", 0, None), (3, 0, None), (2, 4, 8), (5, 1, 19), (10, 7, None), (2, 5000, None)]
+    # several faults at once: n is refused before k, and k before the cap
+    + [(1, 0, 1), (True, 3, 1), (3, 0, 1)],
 )
 def test_power_refusals_match_pairwise_products(monkeypatch, n, k, cap, blocking):
     monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
