@@ -21,7 +21,7 @@ _EXPORTS = {
         "dumps", "from_json", "from_text", "is_crystal", "is_seminormal", "loads", "read_graph",
         "to_dot", "to_json", "to_text", "validate", "write_graph",
     ),
-    "weightlattice": ("descent_composition", "enumerate_syt", "partitions_of"),
+    "weightlattice": ("descent_composition", "enumerate_syt"),
     "wordmodel": (
         "SizeCapExceeded", "default_size_cap", "quasi_tensor", "quasi_tensor_power",
         "standard_crystal", "tensor", "tensor_power",

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import Counter
 from math import prod
-from typing import Iterator
 
 Weight = tuple[int, ...]
 Partition = tuple[int, ...]
@@ -43,23 +42,6 @@ def check_composition(alpha) -> Composition:
     if not parts or any(isinstance(p, bool) or not isinstance(p, int) or p <= 0 for p in parts):
         raise ValueError(f"not a composition (positive parts): {parts}")
     return parts
-
-
-def partitions_of(m: int, max_parts: int | None = None) -> Iterator[Partition]:
-    """All partitions of m, largest-part-first lexicographic order."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
-
-    def gen(rest: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
-        if rest == 0:
-            yield prefix
-            return
-        if max_parts is not None and len(prefix) >= max_parts:
-            return
-        for part in range(min(rest, cap), 0, -1):
-            yield from gen(rest - part, part, prefix + (part,))
-
-    yield from gen(m, m, ())
 
 
 def enumerate_syt(shape) -> list[Tableau]:

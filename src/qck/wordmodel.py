@@ -172,70 +172,68 @@ def _step(word: Word, p: int, d: int) -> Word:
 
 
 class WordCrystal:
-    """The left-iterated power of the standard crystal, evaluated on words;
-    blocking=True gives the quasi power, as in ``_product``.
+    """The left-iterated power of the standard crystal, evaluated on words.
 
     The word ``(c,) + rest`` is the pair (rest, c), so its row is
-    ``_pair_row`` of the rows of rest and of the letter c. Rows are memoized
-    per word tuple, that is over suffixes. e and f entries are the position,
-    counted from the end of the word, of the letter they change, so a
-    suffix's entries hold in every word that ends with it and a new word
-    costs O(n) given the row of its rest. Equal row tuples are one object,
-    which graphs store as it is. The content crystals walk it; ``_power``
-    builds whole powers by the same rule without it.
+    ``_pair_row`` of the rows of rest and of the letter c. A row's weight sums
+    to its word's length, which fixes the letter's row, so rows are memoized
+    per (row of rest, letter): a word's row is a fold over its letters from
+    the end. e and f entries are the position, counted from the end of the
+    word, of the letter they change, so a suffix's entries hold in every word
+    that ends with it. Equal row entries are one object, which graphs store
+    as it is. The content crystals walk it; ``_power`` builds whole powers by
+    the same rule without it.
     """
 
-    def __init__(self, n: int, blocking: bool = False):
+    def __init__(self, n: int):
         self.n = _check_power_rank(n)
-        self._blocking = blocking
-        self._rows: dict[Word, tuple] = {}  # the empty word's row comes with the first word's
-        self._letters: dict[tuple[int, int], tuple] = {}  # (length of rest, letter) -> the letter's row
-        self._shared: dict[tuple, tuple] = {}  # each distinct row tuple, once
+        self._zero = None  # the empty word's row, made with the first word's
+        self._next: dict[tuple[tuple, int], tuple] = {}  # (row of rest, c) -> row of (c,) + rest
+        self._letters: dict[tuple[int, int], tuple] = {}  # (length of rest, c) -> the letter's row
+        self._shared: dict[tuple, tuple] = {}  # each distinct entry of a row, once
 
     def row(self, word: Word) -> tuple:
-        """The row (wt, eps, phi, e, f) of word. The suffixes without a row
-        get theirs first, shortest first, each from the row of its rest."""
-        rows = self._rows
-        if not rows:  # made here, so a construction refused for its size holds no row of length n
-            rows[()] = _letter_row(0, self.n)  # no letter is 0: the zero row
-        new = 0
-        while word[new:] not in rows:
-            new += 1
-        row = rows[word[new:]]
-        for j in reversed(range(new)):
-            p, c = len(word) - 1 - j, word[j]
-            if (p, c) not in self._letters:
-                self._letters[(p, c)] = _letter_row(c, self.n, p, p)
-            row = tuple(self._shared.setdefault(t, t) for t in _pair_row(row, self._letters[(p, c)], self._blocking))
-            rows[word[j:]] = row
+        """The row (wt, eps, phi, e, f) of word."""
+        if self._zero is None:  # made here, so a construction refused for its size holds no row of length n
+            self._zero = tuple(map(tuple, _letter_row(0, self.n)))  # no letter is 0: the zero row
+        row, memo = self._zero, self._next
+        for c in reversed(word):
+            new = memo.get((row, c))
+            if new is None:
+                p = sum(row[0])  # the length of rest, the position of c from the end
+                if (p, c) not in self._letters:
+                    self._letters[(p, c)] = _letter_row(c, self.n, p, p)
+                new = _pair_row(row, self._letters[(p, c)], False)
+                new = memo[(row, c)] = tuple(map(self._shared.setdefault, new, new))
+            row = new
         return row
 
-    def component(self, top: Word) -> set[Word]:
-        """The words reached from ``top`` by lowering operators."""
-        seen = {top}
+    def component(self, top: Word) -> dict[Word, tuple]:
+        """Each word reached from ``top`` by lowering operators, with its row."""
+        rows = {top: self.row(top)}
         todo = [top]
         while todo:
             word = todo.pop()
-            for p in self.row(word)[4]:
+            for p in rows[word][4]:
                 if p is not None:
                     y = _step(word, p, 1)
-                    if y not in seen:
-                        seen.add(y)
+                    if y not in rows:
+                        rows[y] = self.row(y)
                         todo.append(y)
-        return seen
+        return rows
 
-    def graph(self, words) -> QuasiCrystalGraph:
-        """The subgraph of the power on the given words. Its e and f tables
-        are both read off the rows' positions, so ``validate`` still tests
-        each against the other."""
-        ids = {x: word_to_id(x, self.n) for x in words}
+    def graph(self, rows: dict[Word, tuple]) -> QuasiCrystalGraph:
+        """The subgraph of the power on the words of ``rows``, each mapped to
+        its row. Its e and f tables are both read off the rows' positions, so
+        ``validate`` still tests each against the other."""
+        ids = {x: word_to_id(x, self.n) for x in rows}
 
         def targets(x, positions, d):
             return [None if p is None else ids.get(_step(x, p, d)) for p in positions]
 
         g = QuasiCrystalGraph(self.n)
         for x, vid in ids.items():
-            wt, eps, phi, e, f = self.row(x)
+            wt, eps, phi, e, f = rows[x]
             g._put_vertex(vid, wt, eps, phi, targets(x, e, -1), targets(x, f, 1))
         return g
 

@@ -19,7 +19,8 @@ from qck import (
     tensor_power,
 )
 from qck.mutation import random_mutation
-from qck.weightlattice import partitions_of
+
+from oracles import partitions_brute
 
 # (n, k) pairs kept small enough that every axiom check stays fast.
 QUASI_POWERS = (
@@ -36,7 +37,7 @@ def content_cases(max_cells: int = 4, ranks: tuple[int, ...] = (3, 4)):
     out = []
     for n in ranks:
         for m in range(1, max_cells + 1):
-            for shape in partitions_of(m, max_parts=n):
+            for shape in partitions_brute(m, max_parts=n):
                 out.append((shape, n))
     return out
 

@@ -10,8 +10,10 @@ of whole graphs), ``power_via_word_rule`` (the powers from the word rules
 of the literature: the quasi rule of Cain and Malheiro and the classical
 signature rule, neither of which restates the product rule),
 ``content_component_via_power`` (content crystals by power-then-pick, the
-power from the signature rule), ``content_component_all_walks`` (content crystals by a
-walk of every component with the wanted highest weight, whose top words
+power from the signature rule), ``RowsViaSuffixMemo`` (the content
+crystals' word rows memoized per suffix tuple),
+``content_component_all_walks`` (content crystals by a walk of every
+component with the wanted highest weight, whose top words
 ``highest_weight_words_via_rule`` finds by the product rule's rows),
 ``fuzz_via_copies`` (fuzz by copy and full battery), and the whole-graph
 readers as they were written over the guarded per-entry accessors
@@ -247,7 +249,7 @@ def power_via_products(n: int, k: int, blocking: bool, size_cap: int | None = No
 
     if not isinstance(n, int) or n < 2:
         raise ValueError("power constructions need n >= 2")
-    if not isinstance(k, int) or k < 1:
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     cap = default_size_cap() if size_cap is None else size_cap
     if n**k > cap:
@@ -343,16 +345,46 @@ def content_component_via_power(shape: tuple[int, ...], n: int):
     raise RuntimeError(f"no component with highest weight {target} found")
 
 
+class RowsViaSuffixMemo:
+    """The rows of ``WordCrystal(n)`` as its memo once kept them, one per
+    suffix tuple: a word's row comes from the row of its longest suffix with
+    a row, each shorter suffix's row is made by ``_pair_row`` and stored under
+    its own slice. ``calls`` counts those ``_pair_row`` calls, one per
+    distinct nonempty suffix of the words asked for. It holds memory cubic in
+    the length of a one-row shape, so keep the words short.
+    """
+
+    def __init__(self, n: int):
+        from qck.wordmodel import _letter_row
+
+        self.n = n
+        self.rows = {(): _letter_row(0, n)}
+        self.calls = 0
+
+    def row(self, word: tuple[int, ...]) -> tuple:
+        from qck.wordmodel import _letter_row, _pair_row
+
+        new = 0
+        while word[new:] not in self.rows:
+            new += 1
+        row = self.rows[word[new:]]
+        for j in reversed(range(new)):
+            p = len(word) - 1 - j
+            row = _pair_row(row, _letter_row(word[j], self.n, p, p), False)
+            self.calls += 1
+            self.rows[word[j:]] = row
+        return row
+
+
 def highest_weight_words_via_rule(words, content) -> list[tuple[int, ...]]:
     """Every highest-weight word of the given content in the classical power
     ``words`` (a ``WordCrystal``), read off the product rule's rows.
 
     Grown by prepending letters: by the product rule every suffix of a
     highest-weight word is highest weight, and ``(c,) + rest`` with rest
-    highest weight is so iff c = 1 or phi_{c-1}(rest) > 0. Blocking breaks
-    that pruning, since a frozen index hides a suffix's raising edge.
+    highest weight is so iff c = 1 or phi_{c-1}(rest) > 0. The quasi power
+    breaks that pruning, since a frozen index hides a suffix's raising edge.
     """
-    assert not words._blocking, "the pruning holds for the classical power only"
     out = []
     stack = [((), tuple(content))]
     while stack:

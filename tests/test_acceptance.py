@@ -23,7 +23,7 @@ from qck.graphcore import is_seminormal, validate
 from qck.mutation import fuzz_graph
 from qck.quasify import count_quasi_components, quasify
 from qck.structure import components, isomorphic
-from qck.weightlattice import enumerate_syt, partitions_of
+from qck.weightlattice import enumerate_syt
 
 from corpus import (
     QUASI_POWERS,
@@ -34,7 +34,7 @@ from corpus import (
     std,
     tpow,
 )
-from oracles import component_partition, hook_length_count
+from oracles import component_partition, hook_length_count, partitions_brute
 
 LOCAL_CHECKS = (
     validate,
@@ -81,7 +81,7 @@ def test_quasi_component_counts_match_standard_tableaux():
     mismatches = []
     for n in (3, 4, 5):
         for m in range(1, 6):
-            for shape in partitions_of(m, max_parts=n):
+            for shape in partitions_brute(m, max_parts=n):
                 got = count_quasi_components(shape, n)
                 expected = len(enumerate_syt(shape))
                 if got != expected:
@@ -171,7 +171,7 @@ def test_schur_equals_descent_fundamental_sum_everywhere():
     failures = []
     for n in (3, 4):
         for m in range(1, 6):
-            for shape in partitions_of(m, max_parts=n):
+            for shape in partitions_brute(m, max_parts=n):
                 report = verify_schur_decomposition(shape, n)
                 if not report.passed:
                     failures.append(

@@ -105,11 +105,10 @@ def test_names_read_finds_names_attributes_and_strings(tmp_path):
     assert names_read(src) == {"x", "qck", "syt_count", "check_rank", "TARGETS", "mutation", "fuzz_graph"}
 
 
-# The exports that no module or bench script reads, kept on purpose:
-# partitions_of lists the shapes the tests range over, and tensor and
-# quasi_tensor are the paper's two products of graphs. A name that gains a
+# The exports that no module or bench script reads, kept on purpose: tensor
+# and quasi_tensor are the paper's two products of graphs. A name that gains a
 # reader leaves this list.
-UNREAD_EXPORTS = {"partitions_of", "tensor", "quasi_tensor"}
+UNREAD_EXPORTS = {"tensor", "quasi_tensor"}
 
 
 def test_every_export_is_read_by_the_package_or_the_bench():
@@ -161,7 +160,7 @@ def test_every_public_module_name_is_exported_or_read():
 SURFACE = {
     "graphcore": "AxiomReport GraphFormatError NEG_INF POS_INF QuasiCrystalGraph Witness dumps from_json"
     " from_text is_crystal is_seminormal loads read_graph to_dot to_json to_text validate write_graph",
-    "weightlattice": "descent_composition enumerate_syt partitions_of",
+    "weightlattice": "descent_composition enumerate_syt",
     "wordmodel": "SizeCapExceeded default_size_cap quasi_tensor quasi_tensor_power standard_crystal tensor"
     " tensor_power",
     "axioms": "check_cor_infs check_lemma_ij check_local_ax_cases check_lq1 check_lq2 check_lq3 check_lq3p"
@@ -273,7 +272,7 @@ def test_star_import_dir_and_unknown_names():
         "print(set(star) <= set(dir(qck)), hasattr(qck, 'nope'), hasattr(qck, 'cli'))\n"
     )
     star, checks = out.splitlines()
-    assert star.split() == STAR_NAMES and len(STAR_NAMES) == 63
+    assert star.split() == STAR_NAMES and len(STAR_NAMES) == 62
     # dir lists them; an unknown name, and the CLI before it is imported, raise AttributeError
     assert checks.split() == ["True", "False", "False"]
 

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 from hypothesis import assume, given, settings, strategies as st
 import pytest
@@ -11,7 +12,7 @@ from qck.quasify import (
     quasify,
 )
 from qck.structure import components, unique_highest_weight
-from qck.weightlattice import entry_rows, enumerate_syt, partitions_of
+from qck.weightlattice import entry_rows, enumerate_syt
 from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, WordCrystal, word_to_id
 
 from corpus import content_cases, content_crystal, content_quasi, crystal_corpus, qpow, std, tpow
@@ -242,6 +243,39 @@ def test_content_crystal_matches_all_walks(shape, n):
 
 
 @pytest.mark.parametrize("shape,n", sorted(set(DIFFERENTIAL_CASES + ALL_WALKS_CASES)))
+def test_content_rows_match_the_suffix_memo(shape, n):
+    # crystal_of_content's walk: the least top word's component for n <= 9, each top's beyond
+    tops = sorted(entry_rows(t)[::-1] for t in enumerate_syt(shape))
+    words, memo = WordCrystal(n), oracles.RowsViaSuffixMemo(n)
+    for top in tops[:1] if n <= 9 else tops:
+        for word, row in words.component(top).items():
+            assert row == memo.row(word), word
+    # one _pair_row call per memo entry, and no more than one per distinct suffix
+    assert 0 < len(words._next) <= memo.calls
+
+
+@settings(deadline=None)
+@given(st.sampled_from([p for m in range(1, 7) for p in oracles.partitions_brute(m)]), st.integers(2, 5))
+def test_content_rows_match_the_suffix_memo_everywhere(shape, n):
+    assume(len(shape) <= n)
+    test_content_rows_match_the_suffix_memo(shape, n)
+
+
+def test_one_row_content_crystal_holds_no_row_per_suffix_slice():
+    # (300) at n = 2 has 301 words; a memo keyed by every suffix tuple held
+    # about 300^3 / 3 tuple slots, a peak of 83-87 MB here
+    crystal_of_content((3,), 2)  # a first call fills the interpreter's own caches
+    tracemalloc.start()
+    try:
+        c = crystal_of_content((300,), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(c) == 301
+    assert peak < 25e6
+
+
+@pytest.mark.parametrize("shape,n", sorted(set(DIFFERENTIAL_CASES + ALL_WALKS_CASES)))
 def test_top_words_are_reversed_tableaux(shape, n):
     # the tops that the product rule's rows find are the standard tableaux read backwards
     found = oracles.highest_weight_words_via_rule(WordCrystal(n), shape + (0,) * (n - len(shape)))
@@ -249,7 +283,7 @@ def test_top_words_are_reversed_tableaux(shape, n):
 
 
 @settings(deadline=None)
-@given(st.sampled_from([p for m in range(1, 8) for p in partitions_of(m)]), st.integers(2, 5))
+@given(st.sampled_from([p for m in range(1, 8) for p in oracles.partitions_brute(m)]), st.integers(2, 5))
 def test_top_words_are_reversed_tableaux_everywhere(shape, n):
     assume(len(shape) <= n)
     test_top_words_are_reversed_tableaux(shape, n)
@@ -340,7 +374,7 @@ def test_content_crystal_refuses_a_rank_that_is_not_an_int(build):
 def test_count_matches_standard_tableaux_small():
     for n in (3, 4):
         for m in range(1, 5):
-            for shape in partitions_of(m, max_parts=n):
+            for shape in oracles.partitions_brute(m, max_parts=n):
                 assert count_quasi_components(shape, n) == len(enumerate_syt(shape))
 
 

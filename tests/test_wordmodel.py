@@ -294,28 +294,36 @@ def test_content_crystal_builds_each_row_once(monkeypatch):
 
     quasify = importlib.import_module("qck.quasify")  # the package's quasify is the function
     monkeypatch.setattr(quasify, "WordCrystal", Recorded)
-    assert len(quasify.crystal_of_content((3, 2, 1), 5)) == 280
-    # each call stores one row under its word, and the empty word's row is no call
-    assert len(calls) == len(made[0]._rows) - 1
+    # each call stores one row under (row of rest, letter): as many calls as
+    # the walk meets distinct suffixes, which the memo once kept one by one
+    for shape, n, size, count in [((3, 2, 1), 5, 280, 404), ((4, 3, 1), 4, 175, 305), ((200,), 2, 201, 20_300)]:
+        calls.clear()
+        assert len(quasify.crystal_of_content(shape, n)) == size
+        assert len(calls) == len(made[-1]._next) == count
 
 
 @pytest.mark.parametrize(
-    "n,blocking,words",
+    "n,words,expected",
     [
-        (3, True, list(itertools.product(range(1, 4), repeat=4))),
-        (4, False, sorted(tuple(map(int, x)) for x in content_crystal((3, 2, 1), 4).vertex_ids())),
+        (3, list(itertools.product(range(1, 4), repeat=4)), lambda: tpow(3, 4)),
+        (
+            4,
+            [tuple(map(int, x)) for x in content_crystal((3, 2, 1), 4).vertex_ids()],
+            lambda: content_crystal((3, 2, 1), 4),
+        ),
     ],
-    ids=["quasi-power", "content-crystal"],
+    ids=["tensor-power", "content-crystal"],
 )
-def test_word_crystal_graph_does_not_depend_on_word_order(n, blocking, words):
-    in_order = WordCrystal(n, blocking).graph(words)
+def test_word_crystal_graph_does_not_depend_on_word_order(n, words, expected):
+    # the whole power's words give _power's graph, a component's its content crystal
     shuffled = words[:]
     random.Random(7).shuffle(shuffled)
-    got = WordCrystal(n, blocking).graph(shuffled)
-    assert list(got._wt) != in_order.vertex_ids()  # stored in the shuffled order
-    assert got == in_order
-    assert to_text(got) == to_text(in_order)
-    assert to_json(got) == to_json(in_order)
+    crystal = WordCrystal(n)
+    got = crystal.graph({x: crystal.row(x) for x in shuffled})
+    assert list(got._wt) != sorted(got._wt)  # stored in the shuffled order
+    assert got == expected()
+    assert to_text(got) == to_text(expected())
+    assert to_json(got) == to_json(expected())
 
 
 @pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
@@ -323,7 +331,7 @@ def test_word_crystal_graph_does_not_depend_on_word_order(n, blocking, words):
     "n,k,cap",
     [(1, 2, None), ("3", 0, None), (3, 0, None), (2, 4, 8), (5, 1, 19), (10, 7, None), (2, 5000, None)]
     # several faults at once: n is refused before k, and k before the cap
-    + [(1, 0, 1), (True, 3, 1), (3, 0, 1)],
+    + [(1, 0, 1), (True, 3, 1), (3, 0, 1), (3, True, 1)],
 )
 def test_power_refusals_match_pairwise_products(monkeypatch, n, k, cap, blocking):
     monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
