@@ -487,14 +487,9 @@ def _by_row(g: QuasiCrystalGraph, render):
 
 
 def _stream(pieces, out):
-    """The pieces of a document joined, or, with ``out``, written to that
-    text file and None. The file gets joined batches of a few thousand
-    pieces, so the whole document is never held at once."""
-    if out is None:
-        return "".join(pieces)
-    for batch in iter(lambda: list(islice(pieces, 4096)), []):
-        out.write("".join(batch))
-    return None
+    """The pieces of a document joined, or, with ``out``, handed to that
+    text file's writelines one at a time as they are made, and None."""
+    return "".join(pieces) if out is None else out.writelines(pieces)
 
 
 def _text_row(wt, eps, phi) -> str:

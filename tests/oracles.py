@@ -28,7 +28,10 @@ reader over the list of every line), ``read_graph_via_whole_text`` (the file
 reader over the file's whole decoded text), ``add_edge_via_guards`` (add_edge
 through the guarded slot and vertex checks) and ``cor_infs_via_walks`` (the
 freeze walk of check_cor_infs from every raising edge on its own; with
-``seminormal_via_accessors``, quadratic in an i-string's length). Keep
+``seminormal_via_accessors``, quadratic in an i-string's length).
+``lq1_via_accessors``, ``lq3_via_accessors`` and ``lemma_ij_via_accessors``
+restate the rules of check_lq1, check_lq3/check_lq3p and check_lemma_ij as
+plain loops over the guarded accessors, with no dual-sense reading. Keep
 everything small-input only.
 """
 
@@ -648,6 +651,64 @@ def cor_infs_via_walks(g, around=None):
                     )
                 )
     return AxiomReport("infs", ws)
+
+
+def lq1_via_accessors(g) -> Counter:
+    """(axiom, vertices, indices) of each check_lq1 witness: eps_i(x) = 0
+    exactly when phi_{i+1}(x) = 0, for i and i + 1 both indices."""
+    found = Counter()
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            if i + 1 in g.index_set and (g.eps(x, i) == 0) != (g.phi(x, i + 1) == 0):
+                found["LQ1", (x,), (i, i + 1)] += 1
+    return found
+
+
+def lq3_via_accessors(g, lowering: bool = False) -> Counter:
+    """(axiom, vertices, indices) of each check_lq3 witness, or with
+    ``lowering`` each check_lq3p one: where e_i x and e_j x are both
+    defined, i < j, e_j e_i x and e_i e_j x must be defined and equal (f in
+    place of e with ``lowering``)."""
+    op, axiom = (g.f, "LQ3'") if lowering else (g.e, "LQ3")
+    found = Counter()
+    for x in g.vertex_ids():
+        for i, j in itertools.combinations(g.index_set, 2):
+            a, b = op(x, i), op(x, j)
+            if a is None or b is None:
+                continue
+            ab, ba = op(a, j), op(b, i)
+            if ab is None or ba is None or ab != ba:
+                found[axiom, (x,), (i, j)] += 1
+    return found
+
+
+def lemma_ij_via_accessors(g) -> Counter:
+    """(axiom, vertices, indices) of each check_lemma_ij witness. Across each
+    raising edge y = e_i x, at each index j:
+    lemij.1, |i - j| > 1: eps_j is unchanged iff phi_j is unchanged;
+    lemij.2, j = i + 1 and eps_j(x) not +inf: eps_j is unchanged iff phi_j drops by 1;
+    lemij.3, j = i - 1 and eps_j(x) not +inf: eps_j rises by 1 iff phi_j is unchanged."""
+    from qck.graphcore import POS_INF
+
+    found = Counter()
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            y = g.e(x, i)
+            if y is None:
+                continue
+            for j in g.index_set:
+                ex, ey, px, py = g.eps(x, j), g.eps(y, j), g.phi(x, j), g.phi(y, j)
+                if abs(i - j) > 1:
+                    axiom, broken = "lemij.1", (ey == ex) != (py == px)
+                elif j == i + 1 and ex != POS_INF:
+                    axiom, broken = "lemij.2", (ey == ex) != (py == px - 1)
+                elif j == i - 1 and ex != POS_INF:
+                    axiom, broken = "lemij.3", (ey == ex + 1) != (py == px)
+                else:
+                    continue
+                if broken:
+                    found[axiom, (x, y), (i, j)] += 1
+    return found
 
 
 def components_via_accessors(g) -> list[tuple[tuple[str, ...], tuple[str, ...]]]:

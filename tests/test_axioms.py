@@ -1,5 +1,7 @@
 import hashlib
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -17,10 +19,22 @@ from qck.axioms import (
     check_stembridge,
 )
 from qck.graphcore import NEG_INF, POS_INF, QuasiCrystalGraph, validate, is_seminormal
+from qck.mutation import random_mutation
 from qck.quasify import quasify
 from qck.wordmodel import quasi_tensor_power, standard_crystal, tensor_power
 
-from corpus import content_cases, content_crystal, content_quasi, qpow, quasi_corpus, std, tpow, witness_plan
+from corpus import (
+    content_cases,
+    content_crystal,
+    content_quasi,
+    crystal_corpus,
+    qpow,
+    quasi_corpus,
+    std,
+    tpow,
+    witness_plan,
+)
+import oracles
 
 
 LQ_CHECKS = (
@@ -66,6 +80,49 @@ def test_classical_powers_generally_fail_the_quasi_axioms():
     assert not check_lq1(tpow(3, 2)).passed
     assert not check_lq2(tpow(3, 2)).passed
     assert not check_local_ax_cases(tpow(3, 2)).passed
+
+
+# ---------------------------------------------- checkers against plain loops
+
+
+@pytest.fixture(scope="module")
+def oracle_graphs():
+    """Both corpora, the quasi one with the quasified content crystals, one
+    random_mutation mutant of q(3,4) and of t(3,4) per seed, and an open
+    square: e_1 x, e_2 x, f_1 x and f_2 x defined, and none of the
+    composites, which one edit of a corpus graph does not make."""
+    square = QuasiCrystalGraph(3)
+    for v in "xabcd":
+        square.add_vertex(v, (0, 0, 0), (0, 0), (0, 0))
+    for x, i, y in (("a", 1, "x"), ("b", 2, "x"), ("x", 1, "c"), ("x", 2, "d")):
+        square.add_edge(x, i, y)
+    graphs = quasi_corpus() + crystal_corpus() + [("open square", square)]
+    for name, g in (("qpow(3,4)", qpow(3, 4)), ("tpow(3,4)", tpow(3, 4))):
+        for seed in range(40):
+            mutant, mutation = random_mutation(g, random.Random(seed))
+            graphs.append((f"{name} {seed} {mutation.describe()}", mutant))
+    return graphs
+
+
+@pytest.mark.parametrize(
+    "check, oracle",
+    [
+        (check_lq1, oracles.lq1_via_accessors),
+        (check_lq3, oracles.lq3_via_accessors),
+        (check_lq3p, lambda g: oracles.lq3_via_accessors(g, lowering=True)),
+        (check_lemma_ij, oracles.lemma_ij_via_accessors),
+    ],
+    ids=["lq1", "lq3", "lq3p", "lemij"],
+)
+def test_checker_finds_the_witnesses_of_its_plain_loop_oracle(check, oracle, oracle_graphs):
+    # as (axiom, vertices, indices) multisets; each checker flags 14 to 53
+    # of these graphs
+    flagged = 0
+    for tag, g in oracle_graphs:
+        got = Counter((w.axiom, w.vertices, w.indices) for w in check(g).witnesses)
+        assert got == oracle(g), tag
+        flagged += bool(got)
+    assert flagged >= 10, flagged
 
 
 # ------------------------------------------------- one surgical break per axiom

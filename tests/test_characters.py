@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 import qck.characters
+import qck.cli
 
 from qck.characters import (
     IntPolynomial,
@@ -316,6 +317,35 @@ def test_schur_decomposition_report_failure_paths():
     assert "multiset\tFAIL" in lines
     assert lines[-1] == "result\tFAIL"
     assert any(line.startswith("mismatch\t") for line in lines)
+
+
+# (2,1)/3 has two components, topped by 121 with F(2,1) and 221 with F(1,2).
+# Each way of handing verify its first component wrongly, and the component
+# and mismatch lines the report prints for it.
+SCHUR_FAILURES = {
+    "several highest weights": (
+        lambda comps: [comps[0]._replace(hw_vertices=("121", "131")), comps[1]],
+        ["component\t121\tF(-)\tFAIL", "mismatch\tcomponent 121 has 2 highest weights"],
+    ),
+    "a highest weight that is not a composition": (
+        lambda comps: [comps[0]._replace(hw_vertices=("232",)), comps[1]],
+        ["component\t232\tF(-)\tFAIL", "mismatch\thighest weight (0, 2, 1) of 232 is not a composition"],
+    ),
+    "a character that differs from F(alpha)": (
+        lambda comps: [comps[0]._replace(hw_vertices=comps[1].hw_vertices), comps[1]],
+        ["component\t221\tF(1,2)\tFAIL", "mismatch\tcomponent 221: character differs from F((1, 2))"],
+    ),
+}
+
+
+@pytest.mark.parametrize("damage, shown", SCHUR_FAILURES.values(), ids=SCHUR_FAILURES)
+def test_verify_schur_reports_each_failing_component(monkeypatch, capsys, damage, shown):
+    real = qck.characters.components
+    monkeypatch.setattr(qck.characters, "components", lambda g: damage(real(g)))
+    lines = verify_schur_decomposition((2, 1), 3).lines()
+    assert set(shown) <= set(lines) and lines[-1] == "result\tFAIL"
+    assert qck.cli.main(["verify", "schur", "--shape", "2,1", "--n", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_schur_decomposition_over_the_cap_lists_no_tableau(monkeypatch):

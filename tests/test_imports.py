@@ -277,6 +277,15 @@ def test_star_import_dir_and_unknown_names():
     assert checks.split() == ["True", "False", "False"]
 
 
+def test_a_submodule_unbound_from_the_package_loads_again_through_it(monkeypatch):
+    # in the suite's own process, where the children above do not reach
+    import qck.mutation
+
+    monkeypatch.delattr(qck, "mutation")
+    assert qck.mutation is sys.modules["qck.mutation"]
+    assert set(STAR_NAMES) <= set(dir(qck))
+
+
 def test_readme_library_tour_runs_and_prints_what_its_comments_show():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]

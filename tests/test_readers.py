@@ -44,7 +44,7 @@ from qck.quasify import crystal_of_content, quasify
 from qck.wordmodel import quasi_tensor, quasi_tensor_power, tensor, tensor_power
 
 import oracles
-from corpus import crystal_corpus, qpow, quasi_corpus, std, tpow, witness_plan
+from corpus import content_quasi, crystal_corpus, qpow, quasi_corpus, std, tpow, witness_plan
 
 
 @pytest.fixture(scope="module")
@@ -248,15 +248,31 @@ def test_a_text_read_peaks_near_the_graph_it_holds(build):
     assert peak <= 1.5 * held, (peak, held)
 
 
-@pytest.mark.parametrize("build", [tensor_power, quasi_tensor_power])
-def test_a_power_build_peaks_near_the_graph_it_holds(build):
+@pytest.fixture(scope="module", params=[tensor_power, quasi_tensor_power], ids=lambda build: build.__name__)
+def power_4_6(request):
+    """build(4, 6) as held_and_peak measures it, built once for the tests below."""
+    return held_and_peak(lambda: request.param(4, 6))
+
+
+def test_a_power_build_peaks_near_the_graph_it_holds(power_4_6):
     # besides the graph, the build holds a level's distinct rows, the ids and
     # one row index per word, and no word-keyed map: it peaks at 1.48-1.64
     # times the graph (1.75 with a map from every word tuple to its id, and
     # 1.98-1.99 with a list of every row and a memo of every word as well)
-    g, held, peak = held_and_peak(lambda: build(4, 6))
+    g, held, peak = power_4_6
     assert len(g) == 4**6
     assert peak <= 1.9 * held, (peak, held)
+
+
+def test_a_file_write_holds_one_piece_at_a_time(power_4_6, tmp_path):
+    # the pieces go to the file's writelines as they are made, and a write
+    # peaks at 0.05-0.16 times the graph, mostly the rows it renders once
+    # each; joined 4,096 pieces at a time, a write peaked at 0.51-1.15 times
+    g, graph, _ = power_4_6
+    path = str(tmp_path / "g")
+    for fmt in ("text", "json", "dot"):
+        _, _, peak = held_and_peak(lambda: write_graph(g, path, fmt))
+        assert peak <= 0.3 * graph, (fmt, peak, graph)
 
 
 @pytest.mark.parametrize("write, read", [(to_text, from_text), (to_json, from_json)])
@@ -842,11 +858,13 @@ def corrupted(text: str, rng: random.Random) -> str:
     return rng.choice(["\ufeff" + text, text + rng.choice([" ", "\n", "x", "}", "{}"])])
 
 
-def corrupted_files(count: int = 2000):
-    """Documents of small graphs, some with their fields shuffled, each with
-    one to three corruptions; the same ones on every call."""
+def corrupted_files(count: int = 2000, graphs=None):
+    """Documents of small graphs, by default std(2), q(2,2), t(3,2) and the
+    last edge case, some with their fields shuffled, each with one to three
+    corruptions; the same ones on every call."""
     rng = random.Random(26)
-    bases = [to_json(g) for g in (std(2), qpow(2, 2), tpow(3, 2), edge_case_graphs()[-1][1])]
+    graphs = graphs or (std(2), qpow(2, 2), tpow(3, 2), edge_case_graphs()[-1][1])
+    bases = [to_json(g) for g in graphs]
     for _ in range(count):
         text = rng.choice(bases)
         if rng.random() < 0.3:
@@ -946,9 +964,11 @@ def file_of(directory, text: str, name: str = "g") -> str:
 @pytest.mark.parametrize("chunk", [1, 2, 7, 64])
 def test_json_reader_matches_the_whole_document_reader_through_any_window(chunk):
     # the scan widens its window where a value may run past its end; a small
-    # chunk puts that end inside every record and between every token
+    # chunk puts that end inside every record and between every token; std(3)
+    # stands for t(3,2), with the same rank and kinds of token in a third of the text
+    graphs = (std(2), qpow(2, 2), std(3), edge_case_graphs()[-1][1])
     with mock.patch.object(graphcore, "_CHUNK", chunk):
-        for text in corrupted_files():
+        for text in corrupted_files(graphs=graphs):
             assert outcome(from_json, text) == outcome(oracles.from_json_via_loads, text), text
 
 
@@ -1039,8 +1059,9 @@ def test_file_line_breaks_read_as_newlines_wherever_a_chunk_ends(fmt, br, tmp_pa
     # an open text file decodes 8,192 bytes at a time for small reads, and a
     # "\r" that ends them waits for the next byte to tell "\r\n" from "\r";
     # leading blanks, which both readers skip, move a "\r" onto that end; the
-    # least powers whose files pass that end put a "\r" there for 1 to 4 pads
-    g = qpow(3, 5) if fmt == "text" else qpow(3, 4)
+    # files of these small graphs (8,513 and 10,461 characters) pass that end
+    # and put a "\r" there for 2 to 4 pads
+    g = content_quasi((4, 2), 4) if fmt == "text" else qpow(2, 6)
     doc = dumps(g, fmt).replace("\n", br)
     cut = 0
     for pad in range(48):

@@ -327,6 +327,13 @@ def test_iso_witness_verify_catches_wrong_domain():
     assert w.verify(by_min["121"], by_min["211"]) != []
 
 
+def test_iso_witness_verify_refuses_components_of_different_ranks():
+    # the same ids, weights and edge at ranks 2 and 3
+    (c2,) = components(_graph(2, {"u": (1, 0), "a": (0, 1)}, [("u", 1, "a")]))
+    (c3,) = components(_graph(3, {"u": (1, 0, 0), "a": (0, 1, 0)}, [("u", 1, "a")]))
+    assert IsoWitness({"u": "u", "a": "a"}).verify(c2, c3) == ["rank mismatch: 2 vs 3"]
+
+
 def test_all_equal_weight_components_of_corpus_are_isomorphic():
     for name, graph in [("qpow(3,3)", qpow(3, 3)), ("tpow(3,3)", tpow(3, 3))]:
         comps = components(graph)
