@@ -103,11 +103,35 @@ def witness_plan():
     graphs += [("quasify(content((3,1),4))", content_quasi((3, 1), 4))]
     for name, g in graphs:
         for seed in range(WITNESS_SEEDS):
-            rng = random.Random(seed)
-            mutant = g
-            for _ in range(rng.randint(1, 3)):
-                mutant, _ = random_mutation(mutant, rng)
-            yield f"{name}\t{seed}", mutant
+            yield f"{name}\t{seed}", seeded_mutant(g, seed)
+
+
+def seeded_mutant(g, seed: int):
+    """g after 1-3 random_mutation edits drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    mutant = g
+    for _ in range(rng.randint(1, 3)):
+        mutant, _ = random_mutation(mutant, rng)
+    return mutant
+
+
+def swap_index_rows(g, u, v, i):
+    """A copy of g in which u and v, of equal weight, trade their i-th string
+    lengths and i-edges, edited through the guarded setters."""
+    h = g.copy()
+    eps, phi = {x: h.eps(x, i) for x in (u, v)}, {x: h.phi(x, i) for x in (u, v)}
+    ups, downs = {x: h.e(x, i) for x in (u, v)}, {x: h.f(x, i) for x in (u, v)}
+    for x, y in ((u, v), (v, u)):
+        h.set_epsilon(x, i, eps[y])
+        h.set_phi(x, i, phi[y])
+        h.set_raising(x, i, ups[y])
+        h.set_lowering(x, i, downs[y])
+    for x in (u, v):
+        if h.e(x, i) is not None:
+            h.set_lowering(h.e(x, i), i, x)
+        if h.f(x, i) is not None:
+            h.set_raising(h.f(x, i), i, x)
+    return h
 
 
 def long_string(m: int, frozen: int | None = None):

@@ -15,7 +15,7 @@ from qck.cli import main
 from qck.graphcore import AxiomReport, QuasiCrystalGraph, dumps, read_graph, write_graph
 from qck.structure import components
 
-from corpus import qpow
+from corpus import qpow, seeded_mutant, swap_index_rows, tpow
 
 
 @pytest.fixture
@@ -649,6 +649,64 @@ def writer_outputs(tmp_path, capsys) -> dict:
 
 def test_writer_outputs_are_pinned(tmp_path, capsys):
     assert writer_outputs(tmp_path, capsys) == WRITER_DIGESTS
+
+
+# sha256 of the stdout of check --axioms stembridge and --axioms all, with the
+# exit code and stderr, on seeded mutants of t(3,4) and on t(3,4) with the
+# 1-rows of 1122 and 1212 swapped: a coherent seminormal graph, so that
+# --axioms all reaches the Stembridge axioms. The mutants' witnesses cover
+# S1, S2, S2', S3 and S3'; seed 1 leaves the axioms clean and seed 9 gains a
+# +inf length, which the Stembridge checker refuses. The digests were
+# computed while check_stembridge returned a report per axiom.
+STEMBRIDGE_SEEDS = (0, 1, 2, 4, 9, 20, 53)
+STEMBRIDGE_DIGESTS = {
+    "stembridge seed 0": (1, "b5abdc6e6c0bae890c06389c339f6c362b31958d90d9f3171aa9ecf9369e03ef", ""),
+    "all seed 0": (1, "471afb000febd9075b226528bb4f73018665fcd740c4fee0b4261f0f5243c81e", ""),
+    "stembridge seed 1": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", ""),
+    "all seed 1": (1, "0f2c1b5f5e6bb3f96c71a8dfec8e13650a53e24d5c26eeef4d953d46bd3854cf", ""),
+    "stembridge seed 2": (1, "a2f60ddb8cdd6a034331c166b077df8cb737efd21f4e7ee735028b2054a30c23", ""),
+    "all seed 2": (1, "3fe66fc82121248550001044f79a75c33108f7eacb70fa8474a32268424bea23", ""),
+    "stembridge seed 4": (1, "f758fb6da4a313e06333c082b19beed1c52ce0d68cd19b9c055687d27dc70070", ""),
+    "all seed 4": (1, "d9d235c73a331a93a1aab8077a8b4ac6b72eeb74b31c201a08de3bc53a6bd63c", ""),
+    "stembridge seed 9": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: Stembridge checks apply to crystals only (no +inf lengths)\n",
+    ),
+    "all seed 9": (1, "10fa3ecfc9e4d46f1887b89fe6db9910df4f524b138e6f4945ab64fa8c141c35", ""),
+    "stembridge seed 20": (1, "03040472850708602885e554e44443ec0b21f13b79315f39fa8e946af717ceab", ""),
+    "all seed 20": (1, "37623a20b434220eaad3e1617dd581ca6956754f3b35635fa077632bac10f1b7", ""),
+    "stembridge seed 53": (1, "f507eb3b3d28b2ded9650bbb065c1bad5c69a0189c64f5fe770131c324ea30bf", ""),
+    "all seed 53": (1, "0febf431c3f88855d39b5cb1bc5575705d69fb0461ac9b89a23778b7e90cbd0e", ""),
+    "stembridge swap": (1, "853549d43d3bdac5bd695d8145f92f9a4823bf456bb5833fb14c8a00eca3cc4d", ""),
+    "all swap": (1, "853549d43d3bdac5bd695d8145f92f9a4823bf456bb5833fb14c8a00eca3cc4d", ""),
+}
+
+
+def stembridge_outputs(tmp_path, capsys) -> tuple[dict, set]:
+    """({label: (exit code, sha256 of stdout, stderr)}, the axioms that
+    check --axioms stembridge printed for the mutants)."""
+    t34 = tpow(3, 4)
+    graphs = {f"seed {seed}": seeded_mutant(t34, seed) for seed in STEMBRIDGE_SEEDS}
+    graphs["swap"] = swap_index_rows(t34, "1122", "1212", 1)
+    out, axioms = {}, set()
+    for tag, g in graphs.items():
+        path = tmp_path / tag.replace(" ", "")
+        write_graph(g, str(path))
+        for keys in ("stembridge", "all"):
+            rc = main(["check", str(path), "--axioms", keys])
+            got = capsys.readouterr()
+            if keys == "stembridge" and tag != "swap":
+                axioms.update(ln.split("\t")[0] for ln in got.out.splitlines())
+            out[f"{keys} {tag}"] = (rc, hashlib.sha256(got.out.encode()).hexdigest(), got.err)
+    return out, axioms
+
+
+def test_stembridge_witness_lines_are_pinned(tmp_path, capsys):
+    out, axioms = stembridge_outputs(tmp_path, capsys)
+    assert axioms == {"S1", "S2", "S2'", "S3", "S3'"}
+    assert out["all swap"] == out["stembridge swap"]
+    assert out == STEMBRIDGE_DIGESTS
 
 
 # --- export ------------------------------------------------------------------

@@ -15,7 +15,16 @@ from qck.structure import components, unique_highest_weight
 from qck.weightlattice import entry_rows, enumerate_syt
 from qck.wordmodel import SIZE_CAP_ENV, SizeCapExceeded, WordCrystal, word_to_id
 
-from corpus import content_cases, content_crystal, content_quasi, crystal_corpus, qpow, std, tpow
+from corpus import (
+    content_cases,
+    content_crystal,
+    content_quasi,
+    crystal_corpus,
+    qpow,
+    std,
+    swap_index_rows,
+    tpow,
+)
 
 import oracles
 
@@ -97,25 +106,6 @@ def test_quasify_rejects_non_seminormal_input():
     g.set_phi("1", 2, 1)
     with pytest.raises(ValueError, match="seminormal"):
         quasify(g)
-
-
-def swap_index_rows(g, u, v, i):
-    """A copy of g in which u and v, of equal weight, trade their i-th string
-    lengths and i-edges, edited through the guarded setters."""
-    h = g.copy()
-    eps, phi = {x: h.eps(x, i) for x in (u, v)}, {x: h.phi(x, i) for x in (u, v)}
-    ups, downs = {x: h.e(x, i) for x in (u, v)}, {x: h.f(x, i) for x in (u, v)}
-    for x, y in ((u, v), (v, u)):
-        h.set_epsilon(x, i, eps[y])
-        h.set_phi(x, i, phi[y])
-        h.set_raising(x, i, ups[y])
-        h.set_lowering(x, i, downs[y])
-    for x in (u, v):
-        if h.e(x, i) is not None:
-            h.set_lowering(h.e(x, i), i, x)
-        if h.f(x, i) is not None:
-            h.set_raising(h.f(x, i), i, x)
-    return h
 
 
 def test_quasify_rejects_non_local_input():
