@@ -3,7 +3,9 @@
 Every checker sweeps the whole graph, reports *all* violations as sorted
 witness lines, and never stops at the first hit. A checker's body is a
 generator of its Witness objects; ``graphcore._report`` (or the checker's own
-last line) collects them into its AxiomReport. Raising edges are read off
+last line) collects them into its one AxiomReport, named by its key in the
+tables below. ``check_stembridge``'s report holds all five Stembridge axioms,
+which sort S1, S2, S2', S3, S3'. Raising edges are read off
 the e-table directly, so the checkers stay meaningful on corrupted graphs
 where e and f disagree. Like validate, every checker takes an optional
 ``around`` set of anchors and then sweeps only those (see graphcore).
@@ -385,19 +387,12 @@ def _chain(rows: dict, start, seq):
     return z
 
 
-def check_stembridge(g: QuasiCrystalGraph, around=None) -> dict[str, AxiomReport]:
-    """The five local crystal axioms; only meaningful for crystals. S2 and S3
-    read up, S2' and S3' read down."""
+@_report("stembridge")
+def check_stembridge(g: QuasiCrystalGraph, around=None) -> AxiomReport:
+    """The five local crystal axioms S1, S2, S2', S3 and S3', in one report;
+    only meaningful for crystals. S2 and S3 read up, S2' and S3' read down."""
     if not is_crystal(g, around):
         raise ValueError("Stembridge checks apply to crystals only (no +inf lengths)")
-    found = {axiom: [] for axiom in ("S1", "S2", "S2'", "S3", "S3'")}
-    for w in _stembridge(g, around):
-        found[w.axiom].append(w)
-    return {axiom.replace("'", "p"): AxiomReport(axiom, hits) for axiom, hits in found.items()}
-
-
-def _stembridge(g: QuasiCrystalGraph, around):
-    """The witnesses of all five axioms, for check_stembridge to sort by axiom."""
     senses = (_Sense(g, True), _Sense(g, False))
     EPS, indices = g._eps, g.index_set
     for x, i, y in g.raising_edges(around):
@@ -512,14 +507,9 @@ def family(g: QuasiCrystalGraph) -> dict:
 
 
 def run_checks(g: QuasiCrystalGraph, checkers: dict, around=None):
-    """Yield (name, report) per checker in table order; the Stembridge
-    checker yields its five axioms under their sorted keys."""
+    """Yield (key, report) per checker in table order."""
     for key, chk in checkers.items():
-        rep = chk(g, around=around)
-        if isinstance(rep, dict):
-            yield from sorted(rep.items())
-        else:
-            yield key, rep
+        yield key, chk(g, around=around)
 
 
 def battery(g: QuasiCrystalGraph, checkers=None, around=None):

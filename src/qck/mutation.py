@@ -127,11 +127,11 @@ def random_mutation(
 
 
 def run_detectors(g: QuasiCrystalGraph) -> list[str]:
-    """Names of the checkers that flag this graph, in battery order.
-
-    The battery is validate, seminormal, then the family of the graph's
-    class (axioms.family). The Stembridge comparisons run only on a clean
-    core; the quasi lemmas only where every string length is a count.
+    """Names of the checkers that flag this graph, in battery order: their
+    reports' names for the core (validate, seminormal), then their keys in
+    the family of the graph's class (axioms.family), ``stembridge`` for a
+    crystal. The Stembridge checker runs only on a clean core; the quasi
+    lemmas only where every string length is a count.
     """
     failing = [rep.name for _, rep in run_checks(g, CORE) if not rep.passed]
     checkers = family(g)

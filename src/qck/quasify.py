@@ -30,8 +30,7 @@ def _require_compliant_crystal(c: QuasiCrystalGraph) -> None:
         raise ValueError(
             "quasify needs non-negative weights; translate by a multiple of (1,...,1) first"
         )
-    stem = check_stembridge(c)
-    bad = [name for name, rep in sorted(stem.items()) if not rep.passed]
+    bad = sorted({w.axiom.replace("'", "p") for w in check_stembridge(c).witnesses})
     if bad:
         raise ValueError(f"quasify needs the local crystal axioms; failing: {', '.join(bad)}")
 
@@ -75,13 +74,13 @@ def crystal_of_content(shape, n: int) -> QuasiCrystalGraph:
 
 def _content_words(shape, n: int) -> tuple[tuple[int, ...], WordCrystal]:
     """The partition and the power of rank n that crystal_of_content(shape, n)
-    walks, refused unless the size cap allows the walk; no tableau is listed."""
+    walks, refused unless the size cap allows the walk; no tableau is listed,
+    and the power, whose zero row has n entries, is made only after the cap."""
     parts = check_partition(shape)
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"n must be an integer, got {n!r}")
     if len(parts) > n:
         raise ValueError(f"shape {parts} has more than n={n} parts")
-    words = WordCrystal(n)
     tops, fillings, m = syt_count(parts), ssyt_count(parts, n), sum(parts)
     cap = default_size_cap()
     if tops * fillings * m > cap:
@@ -94,7 +93,7 @@ def _content_words(shape, n: int) -> tuple[tuple[int, ...], WordCrystal]:
             f"content {parts} at n={n} stores {tops}*{fillings} rows of {n - 1} string lengths,"
             f" more than the size cap {cap}"
         )
-    return parts, words
+    return parts, WordCrystal(n)
 
 
 def _content_graph(words: WordCrystal, tableaux) -> QuasiCrystalGraph:

@@ -157,13 +157,6 @@ def _product(a: QuasiCrystalGraph, b: QuasiCrystalGraph, blocking: bool) -> Quas
     return g
 
 
-def _check_power_rank(n) -> int:
-    """n, refused unless it is an int of at least 2, the least rank with an edge."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("power constructions need n >= 2")
-    return n
-
-
 def _step(word: Word, p: int, d: int) -> Word:
     """word with its letter at position p from the end changed by d: f_i acts
     there with d = 1 and e_i with d = -1."""
@@ -186,16 +179,14 @@ class WordCrystal:
     """
 
     def __init__(self, n: int):
-        self.n = _check_power_rank(n)
-        self._zero = None  # the empty word's row, made with the first word's
+        self.n = check_rank(n)
+        self._zero = tuple(map(tuple, _letter_row(0, n)))  # no letter is 0: the empty word's zero row
         self._next: dict[tuple[tuple, int], tuple] = {}  # (row of rest, c) -> row of (c,) + rest
         self._letters: dict[tuple[int, int], tuple] = {}  # (length of rest, c) -> the letter's row
         self._shared: dict[tuple, tuple] = {}  # each distinct entry of a row, once
 
     def row(self, word: Word) -> tuple:
         """The row (wt, eps, phi, e, f) of word."""
-        if self._zero is None:  # made here, so a construction refused for its size holds no row of length n
-            self._zero = tuple(map(tuple, _letter_row(0, self.n)))  # no letter is 0: the zero row
         row, memo = self._zero, self._next
         for c in reversed(word):
             new = memo.get((row, c))
@@ -260,7 +251,7 @@ def _power(n: int, k: int, size_cap, blocking: bool) -> QuasiCrystalGraph:
     ``_pair_row`` of rest's row and c's, as in ``WordCrystal``. Equal rows are
     one object, so ``_pair_row`` runs once per distinct row and letter of a level.
     """
-    _check_power_rank(n)
+    check_rank(n)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     cap = _size_cap(size_cap)

@@ -29,10 +29,12 @@ reader over the file's whole decoded text), ``add_edge_via_guards`` (add_edge
 through the guarded slot and vertex checks) and ``cor_infs_via_walks`` (the
 freeze walk of check_cor_infs from every raising edge on its own; with
 ``seminormal_via_accessors``, quadratic in an i-string's length).
-``lq1_via_accessors``, ``lq3_via_accessors`` and ``lemma_ij_via_accessors``
-restate the rules of check_lq1, check_lq3/check_lq3p and check_lemma_ij as
-plain loops over the guarded accessors, with no dual-sense reading. Keep
-everything small-input only.
+``lq1_via_accessors``, ``lq2_via_accessors``, ``lq3_via_accessors``,
+``cases_via_accessors``, ``lemma_ij_via_accessors`` and
+``stembridge_via_accessors`` restate the rules of check_lq1, check_lq2,
+check_lq3/check_lq3p, check_local_ax_cases, check_lemma_ij and
+check_stembridge as plain loops over the guarded accessors, with no
+dual-sense reading. Keep everything small-input only.
 """
 
 from __future__ import annotations
@@ -248,10 +250,10 @@ def power_via_products(n: int, k: int, blocking: bool, size_cap: int | None = No
     """tensor_power(n, k) (blocking=False) or quasi_tensor_power(n, k)
     (blocking=True) as k - 1 left-iterated products of whole graphs, with
     the same refusals in the same order."""
+    from qck.weightlattice import check_rank
     from qck.wordmodel import SizeCapExceeded, default_size_cap, standard_crystal
 
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("power constructions need n >= 2")
+    check_rank(n)
     if isinstance(k, bool) or not isinstance(k, int) or k < 1:
         raise ValueError("k must be a positive integer")
     cap = default_size_cap() if size_cap is None else size_cap
@@ -299,9 +301,9 @@ def power_via_word_rule(n: int, k: int, blocking: bool):
     through add_vertex, set_raising and set_lowering; neither rule is the
     product rule."""
     from qck.graphcore import POS_INF, QuasiCrystalGraph
+    from qck.weightlattice import check_rank
 
-    if not isinstance(n, int) or n < 2:
-        raise ValueError("power constructions need n >= 2")
+    check_rank(n)
     rule = _quasi_rule if blocking else _signature_rule
     sep = "" if n <= 9 else "-"
     ids = {word: sep.join(map(str, word)) for word in itertools.product(range(1, n + 1), repeat=k)}
@@ -708,6 +710,164 @@ def lemma_ij_via_accessors(g) -> Counter:
                     continue
                 if broken:
                     found[axiom, (x, y), (i, j)] += 1
+    return found
+
+
+def lq2_via_accessors(g) -> Counter:
+    """(axiom, vertices, indices) of each check_lq2 witness. Across each
+    raising edge y = e_i x, at each index j:
+    LQ2.1, |i - j| > 1: eps_j(y) = eps_j(x);
+    LQ2.2, j = i + 1: eps_j changes exactly when eps_j(x) = +inf and
+    eps_i(y) = 0, and then eps_j(y) is finite and positive;
+    LQ2.3, j = i - 1: phi_j changes exactly when phi_j(y) = +inf and
+    phi_i(x) = 0, and then phi_j(x) is finite and positive."""
+    from qck.graphcore import POS_INF
+
+    found = Counter()
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            y = g.e(x, i)
+            if y is None:
+                continue
+            for j in g.index_set:
+                if abs(i - j) > 1:
+                    if g.eps(x, j) != g.eps(y, j):
+                        found["LQ2.1", (x, y), (i, j)] += 1
+                    continue
+                if j == i + 1:
+                    axiom, before, after = "LQ2.2", g.eps(x, j), g.eps(y, j)
+                    cond = before == POS_INF and g.eps(y, i) == 0
+                    new = after
+                elif j == i - 1:
+                    axiom, before, after = "LQ2.3", g.phi(x, j), g.phi(y, j)
+                    cond = after == POS_INF and g.phi(x, i) == 0
+                    new = before
+                else:
+                    continue
+                if (before != after) != cond:
+                    found[axiom, (x, y), (i, j)] += 1
+                if cond and (new == 0 or new == POS_INF):
+                    found[axiom, (x, y), (i, j)] += 1
+    return found
+
+
+def cases_via_accessors(g) -> Counter:
+    """(axiom, vertices, indices) of each check_local_ax_cases witness, with
+    its refusal of a string length outside Z>=0 and +inf. Across each raising
+    edge y = e_i x, at each index j, with <wt, alpha_j> = wt_j - wt_{j+1}:
+    case-1, |i - j| > 1: eps_j and phi_j both unchanged;
+    j = i + 1, by eps_j(x) and eps_i(y):
+      case-2a, eps_j(x) finite: eps_j(y) = eps_j(x), phi_j(y) = phi_j(x) - 1;
+      case-2b, eps_j(x) = +inf, eps_i(y) > 0: eps_j(y), phi_j(x), phi_j(y) all +inf;
+      case-2c, eps_j(x) = +inf, eps_i(y) = 0: eps_j(y) = -<wt(y), alpha_j> > 0, phi_j(y) = 0;
+    j = i - 1, by phi_j(y) and phi_i(x):
+      case-3a, phi_j(y) finite: phi_j(x) = phi_j(y), eps_j(x) = eps_j(y) - 1;
+      case-3b, phi_j(y) = +inf, phi_i(x) > 0: phi_j(x), eps_j(y), eps_j(x) all +inf;
+      case-3c, phi_j(y) = +inf, phi_i(x) = 0: phi_j(x) = <wt(x), alpha_j> > 0, eps_j(x) = 0."""
+    from qck.graphcore import POS_INF
+
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            if g.eps(x, i) < 0 or g.phi(x, i) < 0:
+                raise ValueError(f"uncounted string length at {x!r} index {i}")
+    inf = POS_INF
+    found = Counter()
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            y = g.e(x, i)
+            if y is None:
+                continue
+            for j in g.index_set:
+                ex, ey, px, py = g.eps(x, j), g.eps(y, j), g.phi(x, j), g.phi(y, j)
+                if abs(i - j) > 1:
+                    case, holds = "1", ey == ex and py == px
+                elif j == i + 1 and ex != inf:
+                    case, holds = "2a", ey == ex and py == px - 1
+                elif j == i + 1 and g.eps(y, i) > 0:
+                    case, holds = "2b", ey == px == py == inf
+                elif j == i + 1:
+                    pairing = g.wt(y)[j - 1] - g.wt(y)[j]
+                    case, holds = "2c", ey == -pairing > 0 and py == 0
+                elif j == i - 1 and py != inf:
+                    case, holds = "3a", px == py and ex == ey - 1
+                elif j == i - 1 and g.phi(x, i) > 0:
+                    case, holds = "3b", px == ey == ex == inf
+                elif j == i - 1:
+                    pairing = g.wt(x)[j - 1] - g.wt(x)[j]
+                    case, holds = "3c", px == pairing > 0 and ex == 0
+                else:
+                    continue
+                if not holds:
+                    found["case-" + case, (x, y), (i, j)] += 1
+    return found
+
+
+def _walk(op, x, seq):
+    """The vertex op reaches from x at the indices of seq in order; None once undefined."""
+    for i in seq:
+        if x is None:
+            return None
+        x = op(x, i)
+    return x
+
+
+def stembridge_via_accessors(g) -> Counter:
+    """(axiom, vertices, indices) of each check_stembridge witness, refusing
+    a graph with a +inf length as the checker does.
+    S1, across each raising edge y = e_i x, at each j != i: eps_j(y) is
+    eps_j(x), or eps_j(x) + 1 where |i - j| = 1.
+    S2, where e_i x is defined, at each j != i with eps_j(e_i x) = eps_j(x) > 0:
+    e_i e_j x and e_j e_i x are defined and equal, and then
+    phi_i(e_j x) = phi_i(x); one witness per (x, i, j).
+    S3, where e_i x and e_j x are defined, i < j, with
+    eps_j(e_i x) = eps_j(x) + 1 and eps_i(e_j x) = eps_i(x) + 1:
+    e_i e_j^2 e_i x and e_j e_i^2 e_j x are defined and equal (else one
+    witness), and then phi_i(e_j x) = phi_i(e_j^2 e_i x) and
+    phi_j(e_i x) = phi_j(e_i^2 e_j x), a witness for each that fails.
+    S2' and S3' are S2 and S3 with f for e, phi for eps and eps for phi."""
+    from qck.graphcore import POS_INF
+
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            if g.eps(x, i) == POS_INF or g.phi(x, i) == POS_INF:
+                raise ValueError(f"+inf string length at {x!r} index {i}")
+    found = Counter()
+    for x in g.vertex_ids():
+        for i in g.index_set:
+            y = g.e(x, i)
+            if y is None:
+                continue
+            for j in g.index_set:
+                if j == i or g.eps(y, j) == g.eps(x, j):
+                    continue
+                if not (abs(i - j) == 1 and g.eps(y, j) == g.eps(x, j) + 1):
+                    found["S1", (x, y), (i, j)] += 1
+    for prime, op, L, R in (("", g.e, g.eps, g.phi), ("'", g.f, g.phi, g.eps)):
+        for x in g.vertex_ids():
+            for i in g.index_set:
+                y = op(x, i)
+                if y is None:
+                    continue
+                for j in g.index_set:
+                    if j == i:
+                        continue
+                    z = op(x, j)
+                    if L(y, j) == L(x, j) > 0:
+                        ij, ji = _walk(op, x, (j, i)), _walk(op, x, (i, j))
+                        if ij is None or ij != ji or R(z, i) != R(x, i):
+                            found["S2" + prime, (x,), (i, j)] += 1
+                    if j < i or z is None:
+                        continue
+                    if L(y, j) != L(x, j) + 1 or L(z, i) != L(x, i) + 1:
+                        continue
+                    left, right = _walk(op, x, (i, j, j, i)), _walk(op, x, (j, i, i, j))
+                    if left is None or left != right:
+                        found["S3" + prime, (x,), (i, j)] += 1
+                        continue
+                    if R(z, i) != R(_walk(op, x, (i, j, j)), i):
+                        found["S3" + prime, (x,), (i, j)] += 1
+                    if R(y, j) != R(_walk(op, x, (j, i, i)), j):
+                        found["S3" + prime, (x,), (i, j)] += 1
     return found
 
 

@@ -189,8 +189,8 @@ def test_quasi_power_characters_expand_the_variable_sum():
 
 def test_classical_powers_pass_stembridge():
     for n, k in ((3, 3), (4, 2)):
-        for name, report in sorted(check_stembridge(tpow(n, k)).items()):
-            assert report.passed, (n, k, name, report.lines()[:3])
+        report = check_stembridge(tpow(n, k))
+        assert report.passed, (n, k, report.lines()[:3])
 
 
 def test_crystals_satisfying_the_quasi_locals_also_satisfy_s1_s2():
@@ -199,9 +199,8 @@ def test_crystals_satisfying_the_quasi_locals_also_satisfy_s1_s2():
     for name, g in crystal_corpus():
         if all(chk(g).passed for chk in lq_family):
             passers += 1
-            stem = check_stembridge(g)
-            assert stem["S1"].passed, name
-            assert stem["S2"].passed, name
+            axioms = {w.axiom for w in check_stembridge(g).witnesses}
+            assert not axioms & {"S1", "S2"}, name
     # plenty of corpus crystals (chains, rank-2 powers, single-row/column
     # contents) satisfy the quasi locals, so the implication is not vacuous
     assert passers >= 10, passers

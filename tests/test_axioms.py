@@ -7,6 +7,8 @@ import pytest
 
 import qck.axioms
 from qck.axioms import (
+    CORE,
+    CRYSTAL_AXIOMS,
     QUASI_AXIOMS,
     battery,
     check_cor_infs,
@@ -18,7 +20,7 @@ from qck.axioms import (
     check_lq3p,
     check_stembridge,
 )
-from qck.graphcore import NEG_INF, POS_INF, QuasiCrystalGraph, validate, is_seminormal
+from qck.graphcore import NEG_INF, POS_INF, AxiomReport, QuasiCrystalGraph, validate, is_seminormal
 from qck.mutation import random_mutation
 from qck.quasify import quasify
 from qck.wordmodel import quasi_tensor_power, standard_crystal, tensor_power
@@ -30,6 +32,7 @@ from corpus import (
     crystal_corpus,
     qpow,
     quasi_corpus,
+    seeded_mutant,
     std,
     tpow,
     witness_plan,
@@ -60,19 +63,35 @@ def test_quasi_corpus_passes_every_local_check(name, graph):
 
 @pytest.mark.parametrize("n,k", [(3, 2), (3, 3), (4, 2)])
 def test_tensor_powers_pass_stembridge(n, k):
-    for report in check_stembridge(tpow(n, k)).values():
-        assert report.passed
+    assert check_stembridge(tpow(n, k)).passed
 
 
 @pytest.mark.parametrize("shape,n", content_cases())
 def test_content_crystals_pass_stembridge(shape, n):
-    for report in check_stembridge(content_crystal(shape, n)).values():
-        assert report.passed
+    assert check_stembridge(content_crystal(shape, n)).passed
 
 
 def test_stembridge_rejects_graphs_with_frozen_indices():
     with pytest.raises(ValueError):
         check_stembridge(qpow(3, 3))
+
+
+@pytest.mark.parametrize(
+    "cls, key",
+    [("quasi", k) for k in {**CORE, **QUASI_AXIOMS}]
+    + [("crystal", k) for k in {**CORE, **CRYSTAL_AXIOMS}],
+)
+def test_every_checker_returns_one_report(cls, key):
+    # seeded mutants with witnesses of several axioms: the Stembridge one
+    # breaks S1, S2, S2', S3 and S3', the quasi one six of the nine checkers
+    if cls == "quasi":
+        g, check = seeded_mutant(qpow(3, 4), 0), {**CORE, **QUASI_AXIOMS}[key]
+    else:
+        g, check = seeded_mutant(tpow(3, 4), 20), {**CORE, **CRYSTAL_AXIOMS}[key]
+    report = check(g)
+    assert type(report) is AxiomReport
+    assert report.name == ("validate" if key == "q" else key)
+    assert report.witnesses == sorted(report.witnesses)
 
 
 def test_classical_powers_generally_fail_the_quasi_axioms():
@@ -88,41 +107,74 @@ def test_classical_powers_generally_fail_the_quasi_axioms():
 @pytest.fixture(scope="module")
 def oracle_graphs():
     """Both corpora, the quasi one with the quasified content crystals, one
-    random_mutation mutant of q(3,4) and of t(3,4) per seed, and an open
-    square: e_1 x, e_2 x, f_1 x and f_2 x defined, and none of the
-    composites, which one edit of a corpus graph does not make."""
+    random_mutation mutant of q(3,4), t(3,4), q(4,3) and t(4,3) per seed,
+    and two graphs that one edit of a corpus graph does not make: an open
+    square (e_1 x, e_2 x, f_1 x and f_2 x defined, and none of the
+    composites) and two edges in cases 2c and 3c whose predicted length
+    <wt, alpha_j> is 0."""
     square = QuasiCrystalGraph(3)
     for v in "xabcd":
         square.add_vertex(v, (0, 0, 0), (0, 0), (0, 0))
     for x, i, y in (("a", 1, "x"), ("b", 2, "x"), ("x", 1, "c"), ("x", 2, "d")):
         square.add_edge(x, i, y)
-    graphs = quasi_corpus() + crystal_corpus() + [("open square", square)]
-    for name, g in (("qpow(3,4)", qpow(3, 4)), ("tpow(3,4)", tpow(3, 4))):
+    zero = QuasiCrystalGraph(3)
+    # e_1 x = y with eps_2(x) = +inf, eps_1(y) = 0; e_2 u = v with phi_1(v) = +inf, phi_2(u) = 0
+    zero.add_vertex("x", (0, 1, 1), (1, POS_INF), (0, POS_INF))
+    zero.add_vertex("y", (1, 0, 0), (0, 0), (1, 0))
+    zero.add_vertex("u", (1, 1, 0), (0, 1), (0, 0))
+    zero.add_vertex("v", (1, 2, 1), (POS_INF, 0), (POS_INF, 1))
+    zero.add_edge("y", 1, "x")
+    zero.add_edge("v", 2, "u")
+    graphs = quasi_corpus() + crystal_corpus() + [("open square", square), ("zero pairing", zero)]
+    for power, nk in ((qpow, (3, 4)), (tpow, (3, 4)), (qpow, (4, 3)), (tpow, (4, 3))):
         for seed in range(40):
-            mutant, mutation = random_mutation(g, random.Random(seed))
-            graphs.append((f"{name} {seed} {mutation.describe()}", mutant))
+            mutant, mutation = random_mutation(power(*nk), random.Random(seed))
+            graphs.append((f"{power.__name__}{nk} {seed} {mutation.describe()}", mutant))
     return graphs
 
 
+def or_refused(fn, g):
+    """fn(g), or "refused" where it raises ValueError."""
+    try:
+        return fn(g)
+    except ValueError:
+        return "refused"
+
+
+def witness_multiset(check, g) -> Counter:
+    return Counter((w.axiom, w.vertices, w.indices) for w in check(g).witnesses)
+
+
 @pytest.mark.parametrize(
-    "check, oracle",
+    "check, oracle, axioms",
     [
-        (check_lq1, oracles.lq1_via_accessors),
-        (check_lq3, oracles.lq3_via_accessors),
-        (check_lq3p, lambda g: oracles.lq3_via_accessors(g, lowering=True)),
-        (check_lemma_ij, oracles.lemma_ij_via_accessors),
+        (check_lq1, oracles.lq1_via_accessors, "LQ1"),
+        (check_lq2, oracles.lq2_via_accessors, "LQ2.1 LQ2.2 LQ2.3"),
+        (check_lq3, oracles.lq3_via_accessors, "LQ3"),
+        (check_lq3p, lambda g: oracles.lq3_via_accessors(g, lowering=True), "LQ3'"),
+        (
+            check_local_ax_cases,
+            oracles.cases_via_accessors,
+            "case-1 case-2a case-2b case-2c case-3a case-3b case-3c",
+        ),
+        (check_lemma_ij, oracles.lemma_ij_via_accessors, "lemij.1 lemij.2 lemij.3"),
+        (check_stembridge, oracles.stembridge_via_accessors, "S1 S2 S2' S3 S3'"),
     ],
-    ids=["lq1", "lq3", "lq3p", "lemij"],
+    ids=["lq1", "lq2", "lq3", "lq3p", "cases", "lemij", "stembridge"],
 )
-def test_checker_finds_the_witnesses_of_its_plain_loop_oracle(check, oracle, oracle_graphs):
-    # as (axiom, vertices, indices) multisets; each checker flags 14 to 53
-    # of these graphs
-    flagged = 0
+def test_checker_finds_the_witnesses_of_its_plain_loop_oracle(check, oracle, axioms, oracle_graphs):
+    # as (axiom, vertices, indices) multisets, or both refuse the graph;
+    # each checker flags 30 or more of these graphs, with witnesses of every
+    # rule it states
+    flagged, seen = 0, set()
     for tag, g in oracle_graphs:
-        got = Counter((w.axiom, w.vertices, w.indices) for w in check(g).witnesses)
-        assert got == oracle(g), tag
-        flagged += bool(got)
-    assert flagged >= 10, flagged
+        got = or_refused(lambda h: witness_multiset(check, h), g)
+        assert got == or_refused(oracle, g), tag
+        if got != "refused":
+            flagged += bool(got)
+            seen.update(axiom for axiom, _, _ in got)
+    assert flagged >= 30, flagged
+    assert seen == set(axioms.split())
 
 
 # ------------------------------------------------- one surgical break per axiom
@@ -331,13 +383,14 @@ def test_lemij_detects_unpaired_move_below():
     assert "lemij.3" in {w.axiom for w in check_lemma_ij(g).witnesses}
 
 
+def stembridge_axioms(g) -> set:
+    return {w.axiom for w in check_stembridge(g).witnesses}
+
+
 def test_s1_detects_eps_jump_of_two():
     g = standard_crystal(3).copy()
     g.set_epsilon("2", 1, 2)
-    reports = check_stembridge(g)
-    assert not reports["S1"].passed
-    for name in ("S2", "S2p", "S3", "S3p"):
-        assert reports[name].passed
+    assert stembridge_axioms(g) == {"S1"}
 
 
 def test_s2_detects_missing_raising_square():
@@ -354,10 +407,7 @@ def test_s2_detects_missing_raising_square():
     )
     x, i, j = hit
     g.set_raising(g.e(x, i), j, None)
-    reports = check_stembridge(g)
-    assert not reports["S2"].passed
-    for name in ("S1", "S2p", "S3", "S3p"):
-        assert reports[name].passed
+    assert stembridge_axioms(g) == {"S2"}
 
 
 def test_s2p_detects_missing_lowering_square():
@@ -374,30 +424,21 @@ def test_s2p_detects_missing_lowering_square():
     )
     x, i, j = hit
     g.set_lowering(g.f(x, i), j, None)
-    reports = check_stembridge(g)
-    assert not reports["S2p"].passed
-    for name in ("S1", "S2", "S3", "S3p"):
-        assert reports[name].passed
+    assert stembridge_axioms(g) == {"S2'"}
 
 
 def test_s3_detects_broken_double_chain():
     g = tensor_power(3, 3).copy()
     mid = g.e(g.e("323", 1), 2)
     g.set_raising(mid, 2, None)
-    reports = check_stembridge(g)
-    assert not reports["S3"].passed
-    for name in ("S1", "S2", "S2p", "S3p"):
-        assert reports[name].passed
+    assert stembridge_axioms(g) == {"S3"}
 
 
 def test_s3p_detects_broken_double_chain():
     g = tensor_power(3, 3).copy()
     mid = g.f(g.f("121", 1), 2)
     g.set_lowering(mid, 2, None)
-    reports = check_stembridge(g)
-    assert not reports["S3p"].passed
-    for name in ("S1", "S2", "S2p", "S3"):
-        assert reports[name].passed
+    assert stembridge_axioms(g) == {"S3'"}
 
 
 # ------------------------------------------------------ structural invariants
@@ -493,9 +534,8 @@ def test_witness_text_is_pinned():
             except ValueError as exc:
                 lines.append(f"{tag}\t{fn.__name__}\t{type(exc).__name__}: {exc}")
                 continue
-            for rep in report.values() if isinstance(report, dict) else (report,):
-                for w in rep.witnesses:
-                    lines.append(f"{tag}\t{w.line()}")
-                    texts.add((w.axiom, re.sub(r"[-+]?\d+", "", w.required)))
+            for w in report.witnesses:
+                lines.append(f"{tag}\t{w.line()}")
+                texts.add((w.axiom, re.sub(r"[-+]?\d+", "", w.required)))
     assert texts == {(axiom, t) for axiom, ts in WITNESS_TEXTS.items() for t in ts}
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WITNESS_DIGEST

@@ -386,6 +386,16 @@ def test_count_matches_tableaux(capsys):
     assert capsys.readouterr().out == "components\t3\nstandard-tableaux\t3\nstatus\tPASS\n"
 
 
+def test_rank_one_builds_counts_and_verifies(capsys):
+    # B(1) is the one vertex 1: its powers and content crystals are one word
+    assert main(["build", "tensor-power", "--n", "1", "--k", "3"]) == 0
+    assert capsys.readouterr().out == "qck-graph v1\nn 1\nvertex 111 3 - -\n"
+    assert main(["count", "--shape", "3", "--n", "1"]) == 0
+    assert capsys.readouterr().out == "components\t1\nstandard-tableaux\t1\nstatus\tPASS\n"
+    assert main(["verify", "schur", "--shape", "2", "--n", "1"]) == 0
+    assert capsys.readouterr().out.endswith("multiset\tPASS\nresult\tPASS\n")
+
+
 def test_count_on_a_high_rank_standard_crystal_is_quick(capsys):
     # the standard crystal B(300): 300 vertices and 299 indices
     started = time.monotonic()

@@ -194,8 +194,15 @@ def test_content_crystal_picks_least_qualifying_vertex():
     assert sorted(c.vertex_ids()) == list(qualifying[0].vertices)
 
 
+def test_rank_one_content_crystal_is_one_word():
+    c = crystal_of_content((3,), 1)
+    assert c.vertex_ids() == ["111"] and c.wt("111") == (3,)
+    assert quasify(c) == c and count_quasi_components((3,), 1) == 1
+
+
 # n = 10 checks the dash-separated ids, whose order is not the word order
 DIFFERENTIAL_CASES = content_cases(6, (2, 3, 4)) + [
+    ((3,), 1),
     ((4, 3, 1), 4),
     ((3, 2, 1), 5),
     ((2, 2, 1), 3),
@@ -295,7 +302,7 @@ def test_long_column_builds_quickly():
 
 
 @pytest.mark.parametrize(
-    "shape,n", [((1, 2), 3), ((1, 1, 1, 1), 3), ((), 3), ((1,), 1), ((2, 0), 3), ((1,), 0), ((1,), "3")]
+    "shape,n", [((1, 2), 3), ((1, 1, 1, 1), 3), ((), 3), ((2, 1), 1), ((2, 0), 3), ((1,), 0), ((1,), "3")]
 )
 def test_content_crystal_errors_match_power_then_pick(shape, n):
     with pytest.raises(Exception) as fast:

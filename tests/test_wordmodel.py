@@ -146,8 +146,15 @@ def test_quasi_powers_are_not_crystals_but_tensor_powers_are():
 def test_power_argument_validation():
     with pytest.raises(ValueError):
         tensor_power(3, 0)
-    with pytest.raises(ValueError):
-        quasi_tensor_power(1, 2)
+    with pytest.raises(ValueError, match="^n must be a positive integer$"):
+        quasi_tensor_power(0, 2)
+
+
+def test_rank_one_powers_are_one_word():
+    # B(1) is the one vertex 1 of weight (1): its k-th power is the word 1...1
+    for power in (tensor_power, quasi_tensor_power):
+        g = power(1, 3)
+        assert g.vertex_ids() == ["111"] and g.wt("111") == (3,) and not g.edges()
 
 
 def test_bool_is_not_a_rank_or_a_power():
@@ -226,7 +233,7 @@ def test_all_corpus_powers_validate():
 # n = 10 and 11 check the dash-separated ids, whose order is not the word order;
 # (10, 3) joins three of them, and (2, 8) and (3, 6) reach each edge's target
 # n**p words away for every position p of a long word
-POWER_CASES = [(n, k) for n in (2, 3, 4) for k in range(1, 6)] + [(10, 2), (11, 2), (10, 3), (2, 8), (3, 6)]
+POWER_CASES = [(n, k) for n in (1, 2, 3, 4) for k in range(1, 6)] + [(10, 2), (11, 2), (10, 3), (2, 8), (3, 6)]
 
 
 @pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
@@ -255,7 +262,7 @@ def test_power_matches_the_word_rule(blocking, n, k):
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(min_value=2, max_value=4), st.integers(min_value=1, max_value=4), st.booleans())
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4), st.booleans())
 def test_power_matches_the_word_rule_everywhere(n, k, blocking):
     test_power_matches_the_word_rule(blocking, n, k)
 
@@ -329,9 +336,9 @@ def test_word_crystal_graph_does_not_depend_on_word_order(n, words, expected):
 @pytest.mark.parametrize("blocking", [False, True], ids=["tensor", "quasi"])
 @pytest.mark.parametrize(
     "n,k,cap",
-    [(1, 2, None), ("3", 0, None), (3, 0, None), (2, 4, 8), (5, 1, 19), (10, 7, None), (2, 5000, None)]
+    [(0, 2, None), ("3", 0, None), (3, 0, None), (2, 4, 8), (5, 1, 19), (10, 7, None), (2, 5000, None)]
     # several faults at once: n is refused before k, and k before the cap
-    + [(1, 0, 1), (True, 3, 1), (3, 0, 1), (3, True, 1)],
+    + [(0, 0, 1), (1, 0, 1), (True, 3, 1), (3, 0, 1), (3, True, 1)],
 )
 def test_power_refusals_match_pairwise_products(monkeypatch, n, k, cap, blocking):
     monkeypatch.delenv(SIZE_CAP_ENV, raising=False)
