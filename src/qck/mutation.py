@@ -127,11 +127,12 @@ def random_mutation(
 
 
 def run_detectors(g: QuasiCrystalGraph) -> list[str]:
-    """Names of the checkers that flag this graph, in battery order: their
-    reports' names for the core (validate, seminormal), then their keys in
-    the family of the graph's class (axioms.family), ``stembridge`` for a
-    crystal. The Stembridge checker runs only on a clean core; the quasi
-    lemmas only where every string length is a count.
+    """Names of the reports that flag this graph, in battery order.
+
+    The battery is validate, seminormal, then the family of the graph's
+    class (axioms.family), whose one Stembridge report is ``stembridge``.
+    The Stembridge checker runs only on a clean core; the quasi lemmas only
+    where every string length is a count.
     """
     failing = [rep.name for _, rep in run_checks(g, CORE) if not rep.passed]
     checkers = family(g)
@@ -139,7 +140,7 @@ def run_detectors(g: QuasiCrystalGraph) -> list[str]:
         return failing
     if uncounted_length(g) is not None:
         checkers = {k: c for k, c in checkers.items() if k not in COUNTING_LEMMAS}
-    failing.extend(name for name, rep in run_checks(g, checkers) if not rep.passed)
+    failing.extend(rep.name for _, rep in run_checks(g, checkers) if not rep.passed)
     return failing
 
 

@@ -197,12 +197,12 @@ def test_content_crystal_picks_least_qualifying_vertex():
 def test_rank_one_content_crystal_is_one_word():
     c = crystal_of_content((3,), 1)
     assert c.vertex_ids() == ["111"] and c.wt("111") == (3,)
+    assert c == oracles.content_component_via_power((3,), 1)
     assert quasify(c) == c and count_quasi_components((3,), 1) == 1
 
 
 # n = 10 checks the dash-separated ids, whose order is not the word order
 DIFFERENTIAL_CASES = content_cases(6, (2, 3, 4)) + [
-    ((3,), 1),
     ((4, 3, 1), 4),
     ((3, 2, 1), 5),
     ((2, 2, 1), 3),
